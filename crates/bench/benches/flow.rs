@@ -46,7 +46,6 @@ fn bench_flow(c: &mut Criterion) {
                     surrogate: None,
                     parallel: false,
                     explorer: Default::default(),
-                    jobs: None,
                     workers: None,
                 })
                 .unwrap();

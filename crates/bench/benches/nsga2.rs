@@ -3,7 +3,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use dovado_moo::{
-    fast_non_dominated_sort, hypervolume, nsga2, Individual, Nsga2Config, Schaffer, Termination,
+    fast_non_dominated_sort, hypervolume, run, Individual, Nsga2Config, Nsga2Explorer, Schaffer,
+    Termination,
 };
 
 fn bench_nsga2(c: &mut Criterion) {
@@ -15,7 +16,8 @@ fn bench_nsga2(c: &mut Criterion) {
                 seed: 1,
                 ..Default::default()
             };
-            let r = nsga2(&mut p, &cfg, &Termination::Generations(20));
+            let nsga2 = Nsga2Explorer::start(&mut p, &cfg);
+            let r = run(Box::new(nsga2), &mut p, &Termination::Generations(20));
             black_box(r.pareto.len())
         })
     });

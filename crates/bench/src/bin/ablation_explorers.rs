@@ -12,8 +12,7 @@ use dovado::csv::CsvWriter;
 use dovado::{DseConfig, DseProblem};
 use dovado_bench::{banner, write_csv, write_trace};
 use dovado_moo::{
-    hypervolume, nsga2, random_search, to_min_space, weighted_sum_ga, Nsga2Config, Problem,
-    Termination,
+    hypervolume, run, to_min_space, Nsga2Config, Problem, RandomExplorer, Termination, WsgaExplorer,
 };
 
 fn front_hv(front: &[Vec<f64>], reference: &[f64]) -> f64 {
@@ -76,7 +75,6 @@ fn main() {
                     surrogate: None,
                     parallel: true,
                     explorer: Default::default(),
-                    jobs: None,
                     workers: None,
                 })
                 .unwrap();
@@ -102,7 +100,8 @@ fn main() {
 
         let hv_random = {
             let mut p = mk_problem();
-            let r = random_search(&mut p, &Termination::Evaluations(budget), 20, 1);
+            let random = RandomExplorer::start(&p, 20, 1);
+            let r = run(Box::new(random), &mut p, &Termination::Evaluations(budget));
             let front: Vec<Vec<f64>> = r.pareto.iter().map(|i| i.min_objs.clone()).collect();
             front_hv(&front, &reference)
         };
@@ -111,13 +110,11 @@ fn main() {
             let mut p = mk_problem();
             let n_obj = p.objectives().len();
             let w = vec![1.0 / n_obj as f64; n_obj];
-            let r = weighted_sum_ga(&mut p, &w, &Termination::Evaluations(budget), 20, 1);
+            let wsga = WsgaExplorer::start(&mut p, w, 20, 1);
+            let r = run(Box::new(wsga), &mut p, &Termination::Evaluations(budget));
             let front: Vec<Vec<f64>> = r.pareto.iter().map(|i| i.min_objs.clone()).collect();
             front_hv(&front, &reference)
         };
-
-        // Also validate nsga2() direct (same engine the framework wraps).
-        let _ = nsga2::<DseProblem>; // keep the generic path referenced
 
         for (name, hv) in [
             ("nsga2", hv_nsga),

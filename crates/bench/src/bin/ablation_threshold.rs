@@ -75,7 +75,6 @@ fn main() {
                 }),
                 parallel: false,
                 explorer: Default::default(),
-                jobs: None,
                 workers: None,
             })
             .expect("exploration runs");

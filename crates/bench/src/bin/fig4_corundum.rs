@@ -32,7 +32,6 @@ fn main() {
         surrogate: None,
         parallel: true,
         explorer: Default::default(),
-        jobs: None,
         workers: None,
     };
     let report = dovado.explore(&cfg).expect("exploration succeeds");

@@ -112,6 +112,17 @@ pub fn emit_front(csv_name: &str, report: &DseReport, params: &[(&str, &str)]) {
     println!("wrote {}", trace_path.display());
 }
 
+/// Formats a float as a JSON number at millisecond-style precision
+/// (three decimals) for the `BENCH_*.json` files; non-finite values
+/// become `null`.
+pub fn json_f(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v:.3}")
+    } else {
+        "null".to_string()
+    }
+}
+
 /// Formats a float series compactly.
 pub fn fmt_series(values: &[f64]) -> String {
     values
@@ -142,7 +153,6 @@ pub fn run_tirex(part: &str, figure: &str, csv_name: &str) -> dovado::DseReport 
         metrics: cs.metrics.clone(),
         surrogate: None,
         parallel: true,
-        jobs: None,
         workers: None,
     };
     let report = tool.explore(&cfg).expect("exploration succeeds");

@@ -1,34 +1,32 @@
-//! The unified evaluation engine.
+//! The evaluation engine: [`Evaluator`].
 //!
 //! One pipeline owns every per-point evaluation in Dovado, regardless of
-//! which layer asked for it (`Evaluator::evaluate`, a fitness batch, an
-//! exploration). The pipeline is a stack of middleware layers, outermost
-//! first:
+//! which layer asked for it (a single `evaluate`, a fitness batch, an
+//! exploration). Each point passes three steps, outermost first:
 //!
-//! 1. **Store** (`StoreLayer`) — persistent-store lookup before any tool
-//!    attempt; a hit is a bitwise substitute for the run (zero attempts,
-//!    zero simulated time), a fresh success is committed back.
-//! 2. **Retry** (`RetryLayer`) — retry with capped backoff for transient
-//!    failures, the timeout-degradation state machine
-//!    (`DegradePolicy`), checkpoint-corruption fallback to the
-//!    non-incremental flow, and per-attempt emission on the
-//!    observability spine ([`crate::obs`]).
-//! 3. **Attempt** (`AttemptLayer`) — one tool session per attempt:
-//!    script generation from the TCL frames, execution through the
-//!    [`ToolBackend`] seam, and report scraping.
+//! 1. **Store** — persistent-store lookup before any tool attempt; a hit
+//!    is a bitwise substitute for the run (zero attempts, zero simulated
+//!    time), a fresh success is committed back.
+//! 2. **Retry** — retry with capped backoff for transient failures, the
+//!    timeout degradation to synthesis-only, checkpoint-corruption
+//!    fallback to the non-incremental flow, and per-attempt emission on
+//!    the observability spine ([`crate::obs`]).
+//! 3. **Attempt** — one tool session per attempt: script generation
+//!    from the TCL frames, execution through the [`ToolBackend`] seam,
+//!    and report scraping.
 //!
 //! All accounting — time, runs, retries, store hits — is *derived* from
-//! the spine's event stream; no layer mutates a counter directly.
+//! the spine's event stream; no step mutates a counter directly.
 //!
-//! Scheduling (serial vs rayon-parallel, [`Schedule`]) and persistence
-//! (none vs an attached [`EvalStore`]) are engine *configuration*, not
-//! separate code paths — which is what keeps parallel == sequential and
-//! resume bitwise-identical across backends.
+//! Scheduling (serial, rayon-parallel or distributed, [`Schedule`]) and
+//! persistence (none vs an attached [`EvalStore`]) are evaluator
+//! *configuration*, not separate code paths — which is what keeps
+//! parallel == sequential and resume bitwise-identical across backends.
 
 use crate::backend::{SimBackend, ToolBackend, ToolSession};
 use crate::boxing::{generate_box, BOX_CLOCK, BOX_TOP};
 use crate::error::{DovadoError, DovadoResult};
-use crate::flow::{EvalConfig, FlowStep, HdlSource, RetryPolicy};
+use crate::flow::{EvalConfig, FlowStep, HdlSource};
 use crate::frames::{fill, read_sources_script, SourceEntry, IMPL_FRAME, SYNTH_FRAME};
 use crate::metrics::{fmax_mhz, Evaluation};
 use crate::obs::{EventBus, EventKey, ObsEvent, SpineSnapshot};
@@ -39,7 +37,7 @@ use dovado_hdl::ModuleInterface;
 use parking_lot::Mutex;
 use std::sync::Arc;
 
-/// How [`EvalEngine::evaluate_many`] schedules its points.
+/// How [`Evaluator::evaluate_many`] schedules its points.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Schedule {
     /// One point after another on the calling thread.
@@ -63,9 +61,10 @@ pub enum Schedule {
     },
 }
 
-impl Schedule {
-    /// The historical boolean spelling used across the fitness layer.
-    pub fn from_parallel_flag(parallel: bool) -> Schedule {
+/// The boolean spelling: `true` is [`Schedule::Parallel`], `false`
+/// [`Schedule::Serial`].
+impl From<bool> for Schedule {
+    fn from(parallel: bool) -> Schedule {
         if parallel {
             Schedule::Parallel
         } else {
@@ -88,8 +87,7 @@ fn validate_pool_size(flag: &str, n: usize) -> DovadoResult<usize> {
 /// Validates a worker-thread count before it reaches the thread-pool
 /// builder. Zero workers cannot make progress (and asks the vendored
 /// rayon shim for an empty pool), so it is a configuration error, not a
-/// panic. Applied on every path that sizes a pool — CLI `--jobs` and
-/// programmatic `DseConfig::jobs` alike.
+/// panic. Applied wherever `--jobs` sizes a pool.
 pub fn validate_jobs(jobs: usize) -> DovadoResult<usize> {
     validate_pool_size("--jobs", jobs)
 }
@@ -126,25 +124,7 @@ struct FlowContext {
     config: EvalConfig,
 }
 
-/// Flow state shared across the engine's clones. Time and run counters
-/// live on the observability spine now ([`EventBus`] totals); the only
-/// remaining mutable cell is the incremental-flow checkpoint flag.
-#[derive(Clone)]
-struct Ledger {
-    /// Whether any prior run left a synthesis checkpoint (enables the
-    /// incremental read on subsequent scripts).
-    has_checkpoint: Arc<Mutex<bool>>,
-}
-
-impl Ledger {
-    fn new() -> Ledger {
-        Ledger {
-            has_checkpoint: Arc::new(Mutex::new(false)),
-        }
-    }
-}
-
-/// What one tool attempt produced, for the retry layer's bookkeeping.
+/// What one tool attempt produced, for the retry step's bookkeeping.
 struct AttemptReport {
     result: DovadoResult<Evaluation>,
     /// Simulated seconds this attempt burned (already charged).
@@ -153,22 +133,478 @@ struct AttemptReport {
     cached: bool,
 }
 
-/// Pipeline bottom: one tool session per attempt, scripts in, metrics out.
+/// The design-automation evaluator (paper §III-A): parse → box →
+/// generate scripts → run the tool → scrape reports, behind the store
+/// and retry steps described in the [module docs](self).
+///
+/// Cheap to clone and thread-safe — clones share the spine, the backend
+/// (and with it the tool-level checkpoint store and fault stream), the
+/// incremental-flow checkpoint flag and the attached persistent store, so
+/// the incremental flow and soft-deadline accounting work across
+/// parallel evaluations.
 #[derive(Clone)]
-struct AttemptLayer {
+pub struct Evaluator {
     ctx: Arc<FlowContext>,
     backend: Arc<dyn ToolBackend>,
-    ledger: Ledger,
+    /// The spine every accounting signal is emitted on.
+    bus: EventBus,
+    /// Whether any prior run left a synthesis checkpoint (enables the
+    /// incremental read on subsequent scripts).
+    has_checkpoint: Arc<Mutex<bool>>,
+    /// Persistent evaluation store plus the evaluator's content key;
+    /// `None` = always run the tool.
+    store: Option<(EvalStore, EvalKey)>,
 }
 
-impl AttemptLayer {
-    fn run(&self, point: &DesignPoint, step: FlowStep, incremental: bool) -> AttemptReport {
+impl Evaluator {
+    /// Parses the sources, locates `top_module`, and builds an evaluator
+    /// on the default simulator backend (seeded and fault-injected per
+    /// the config).
+    pub fn new(
+        sources: Vec<HdlSource>,
+        top_module: &str,
+        config: EvalConfig,
+    ) -> DovadoResult<Evaluator> {
+        let backend = Arc::new(SimBackend::with_faults(config.seed, config.faults.clone()));
+        Evaluator::with_backend(sources, top_module, config, backend)
+    }
+
+    /// Like [`Evaluator::new`], but evaluating through the given tool
+    /// backend. The config's fault plan is ignored in favor of the
+    /// backend's own injector (the backend owns the fault stream).
+    pub fn with_backend(
+        sources: Vec<HdlSource>,
+        top_module: &str,
+        config: EvalConfig,
+        backend: Arc<dyn ToolBackend>,
+    ) -> DovadoResult<Evaluator> {
+        let mut found: Option<ModuleInterface> = None;
+        let mut package_flags = Vec::with_capacity(sources.len());
+        for src in &sources {
+            let (file, diags) = dovado_hdl::parse_source(src.language, &src.content)
+                .map_err(|e| DovadoError::Parse(format!("{}: {e}", src.name)))?;
+            if diags.has_errors() {
+                return Err(DovadoError::Parse(format!(
+                    "{}: {}",
+                    src.name,
+                    diags
+                        .iter()
+                        .map(|d| d.to_string())
+                        .collect::<Vec<_>>()
+                        .join("; ")
+                )));
+            }
+            package_flags.push(!file.packages.is_empty());
+            if let Some(m) = file.module(top_module) {
+                found = Some(m.clone());
+            }
+        }
+        let module = found.ok_or_else(|| DovadoError::UnknownModule(top_module.to_string()))?;
+        if config.target_period_ns <= 0.0 {
+            return Err(DovadoError::Config(format!(
+                "target period {} must be positive",
+                config.target_period_ns
+            )));
+        }
+        let ctx = FlowContext {
+            sources: Arc::new(sources),
+            package_flags: Arc::new(package_flags),
+            module: Arc::new(module),
+            config,
+        };
+        Ok(Evaluator::fresh(ctx, backend))
+    }
+
+    /// An evaluator over `ctx` and `backend` with a fresh spine, a fresh
+    /// checkpoint flag and no store.
+    fn fresh(ctx: FlowContext, backend: Arc<dyn ToolBackend>) -> Evaluator {
+        Evaluator {
+            ctx: Arc::new(ctx),
+            backend,
+            bus: EventBus::new(),
+            has_checkpoint: Arc::new(Mutex::new(false)),
+            store: None,
+        }
+    }
+
+    /// Builds a low-fidelity sibling evaluator for portfolio racing: the
+    /// same parsed sources, module and *backend instance*, but with the
+    /// flow truncated to `step` (synthesis-only is the simulator's
+    /// degraded mode — cheap, correlated signal before paying for full
+    /// place-and-route). The probe gets a fresh event spine and a fresh
+    /// incremental-flow checkpoint flag and never attaches a store, so
+    /// probe evaluations are invisible to the parent's canonical trace
+    /// and persistent store; the caller decides what (if anything) to
+    /// charge back — the portfolio selector folds the probe totals into
+    /// one `SelectorDecision` event.
+    pub fn probe_with_step(&self, step: FlowStep) -> Evaluator {
+        let ctx = FlowContext {
+            sources: self.ctx.sources.clone(),
+            package_flags: self.ctx.package_flags.clone(),
+            module: self.ctx.module.clone(),
+            config: EvalConfig {
+                step,
+                ..self.ctx.config.clone()
+            },
+        };
+        Evaluator::fresh(ctx, self.backend.clone())
+    }
+
+    /// Attaches a persistent evaluation store. Subsequent evaluations
+    /// first look up the point's content-addressed key — a hit returns
+    /// the stored metrics bitwise, with zero tool runs, zero attempts
+    /// and zero simulated time; a fresh success is written back. The key
+    /// extends [`content_key`](Self::content_key), so any change to the
+    /// sources, config or backend identity invalidates the store
+    /// automatically — and evaluators over differently-seeded backends
+    /// can share one store without answering for each other.
+    ///
+    /// Evictions from a capacity-bounded store surface as
+    /// [`ObsEvent::StoreEvicted`] on the spine's side channel (never the
+    /// canonical stream — see [`EventBus::emit_store_evicted`]).
+    pub fn attach_store(&mut self, store: EvalStore) {
+        let bus = self.bus.clone();
+        store.set_eviction_hook(Arc::new(move |hex: &str| {
+            bus.emit_store_evicted(ObsEvent::StoreEvicted {
+                key: hex.to_string(),
+            });
+        }));
+        self.store = Some((store, self.content_key()));
+    }
+
+    /// The evaluator's 128-bit content identity: a stable hash of the
+    /// sources, top module, full [`EvalConfig`] and the backend's
+    /// [`name`](ToolBackend::name) (its full identity, seed included).
+    /// Store keys and the journal fingerprint both build on it.
+    pub fn content_key(&self) -> EvalKey {
+        crate::persist::evaluator_key(
+            &self.ctx.sources,
+            &self.ctx.module.name,
+            &self.ctx.config,
+            self.backend.name(),
+        )
+    }
+
+    /// The attached persistent store, if any.
+    pub fn store(&self) -> Option<&EvalStore> {
+        self.store.as_ref().map(|(s, _)| s)
+    }
+
+    /// The backend's shared fault injector, if fault injection is active.
+    pub fn injector(&self) -> Option<&FaultInjector> {
+        self.backend.injector()
+    }
+
+    /// The evaluator's observability spine — the single event stream
+    /// every counter and summary in Dovado is derived from: attempts,
+    /// store hits, charged time, resume splices, plus the
+    /// exploration-level events the DSE layer emits.
+    pub fn spine(&self) -> &EventBus {
+        &self.bus
+    }
+
+    /// A consistent snapshot of the spine (canonical events + exact
+    /// totals), suitable for sinks such as [`crate::obs::write_jsonl`].
+    pub fn snapshot(&self) -> SpineSnapshot {
+        self.bus.snapshot()
+    }
+
+    /// Charges simulated seconds straight to the tool-time ledger by
+    /// emitting an [`ObsEvent::TimeCharged`] on the spine.
+    pub fn charge_time(&self, seconds: f64) {
+        self.bus.emit_next(ObsEvent::TimeCharged { seconds });
+    }
+
+    /// Splices journaled totals into the spine on `--resume`: the caller
+    /// passes the *deficit* between the journal and this evaluator's
+    /// live totals, so same-process resumes (which already observed
+    /// every attempt) splice zero and nothing is double-counted.
+    pub fn record_resume(&self, summary: TraceSummary, runs: u64, tool_time_s: f64) {
+        self.bus.emit_next(ObsEvent::Resume {
+            summary,
+            runs,
+            tool_time_s,
+        });
+    }
+
+    /// The parsed interface of the module under evaluation.
+    pub fn module(&self) -> &ModuleInterface {
+        &self.ctx.module
+    }
+
+    /// The evaluation configuration.
+    pub fn config(&self) -> &EvalConfig {
+        &self.ctx.config
+    }
+
+    /// Cumulative simulated tool seconds, including failed attempts and
+    /// retry backoff — a view over the spine's folded totals.
+    pub fn total_tool_time(&self) -> f64 {
+        self.bus.totals().tool_time_s
+    }
+
+    /// Number of successful tool invocations so far — a view over the
+    /// spine's folded totals.
+    pub fn total_runs(&self) -> u64 {
+        self.bus.totals().runs
+    }
+
+    /// Snapshot of the retained per-attempt events in canonical order —
+    /// the attempt-typed slice of the spine.
+    pub fn events(&self) -> Vec<FlowEvent> {
+        self.bus
+            .events()
+            .into_iter()
+            .filter_map(|(_, event)| match event {
+                ObsEvent::Attempt(e) => Some(e),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Whole-run trace counters (attempts, retries, failures by class,
+    /// cache hits, backoff charged), folded from the event stream.
+    pub fn trace_summary(&self) -> TraceSummary {
+        self.bus.totals().summary
+    }
+
+    /// Evaluates one design point end-to-end, retrying transient tool
+    /// failures per the configured [`crate::RetryPolicy`].
+    ///
+    /// Permanent failures (infeasible design, parse error) return
+    /// immediately. Transient failures (crash, timeout, corrupt report or
+    /// checkpoint) back off — charged to the simulated-time ledger — and
+    /// retry up to `max_attempts`; exhaustion surfaces as
+    /// [`DovadoError::RetriesExhausted`], never as fabricated metrics.
+    pub fn evaluate(&self, point: &DesignPoint) -> DovadoResult<Evaluation> {
+        let seq = self.bus.alloc(1);
+        self.evaluate_at(point, seq, self.checkpoint_basis())
+    }
+
+    /// Evaluates many points per `schedule` — a [`Schedule`], or `true`
+    /// / `false` for parallel / serial. Each evaluation runs its own tool
+    /// session; the backend's checkpoint store is shared, matching how
+    /// Dovado parallelizes real Vivado runs. Results come back in input
+    /// order, and every schedule produces a byte-identical trace; only
+    /// wall-clock differs.
+    ///
+    /// A contiguous block of spine sequence numbers is reserved in input
+    /// order *before* any fan-out, so the event stream's canonical order
+    /// is identical for every schedule.
+    pub fn evaluate_many(
+        &self,
+        points: &[DesignPoint],
+        schedule: impl Into<Schedule>,
+    ) -> Vec<DovadoResult<Evaluation>> {
+        let start = self.bus.alloc(points.len() as u64);
+        let basis = self.checkpoint_basis();
+        let indexed: Vec<(u64, &DesignPoint)> = points
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (start + i as u64, p))
+            .collect();
+        match schedule.into() {
+            Schedule::Parallel => {
+                use rayon::prelude::*;
+                indexed
+                    .par_iter()
+                    .map(|&(seq, p)| self.evaluate_at(p, seq, basis))
+                    .collect()
+            }
+            Schedule::Serial => indexed
+                .iter()
+                .map(|&(seq, p)| self.evaluate_at(p, seq, basis))
+                .collect(),
+            Schedule::Distributed { workers } => self.evaluate_stealing(&indexed, workers, basis),
+        }
+    }
+
+    /// Snapshot of the incremental-flow checkpoint basis, taken once per
+    /// dispatch. Every point in a batch sees the same basis, so the
+    /// decision is a function of batch order — not of which concurrently
+    /// running evaluation happened to finish first — and the trace stays
+    /// byte-identical across serial, rayon, and distributed schedules.
+    fn checkpoint_basis(&self) -> bool {
+        *self.has_checkpoint.lock()
+    }
+
+    /// The work-stealing dispatch behind [`Schedule::Distributed`]: the
+    /// atomic cursor over the pre-sequenced points *is* the queue — each
+    /// of the `workers` dispatcher threads claims the next pending point
+    /// the moment it goes idle, and results land in their input-order
+    /// slots. Sequence numbers were allocated before fan-out, so the
+    /// canonical event stream is bitwise the serial one.
+    fn evaluate_stealing(
+        &self,
+        indexed: &[(u64, &DesignPoint)],
+        workers: usize,
+        basis: bool,
+    ) -> Vec<DovadoResult<Evaluation>> {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let n = indexed.len();
+        let dispatchers = workers.max(1).min(n.max(1));
+        if dispatchers <= 1 {
+            return indexed
+                .iter()
+                .map(|&(seq, p)| self.evaluate_at(p, seq, basis))
+                .collect();
+        }
+        let cursor = AtomicUsize::new(0);
+        let slots: Vec<Mutex<Option<DovadoResult<Evaluation>>>> =
+            (0..n).map(|_| Mutex::new(None)).collect();
+        std::thread::scope(|scope| {
+            for _ in 0..dispatchers {
+                scope.spawn(|| loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    let (seq, p) = indexed[i];
+                    *slots[i].lock() = Some(self.evaluate_at(p, seq, basis));
+                });
+            }
+        });
+        slots
+            .into_iter()
+            .map(|slot| slot.into_inner().expect("every index claimed exactly once"))
+            .collect()
+    }
+
+    /// The store step: persistent-store lookup and commit around
+    /// [`run_with_retries`](Self::run_with_retries), for the point
+    /// dispatched at sequence `seq`.
+    fn evaluate_at(&self, point: &DesignPoint, seq: u64, basis: bool) -> DovadoResult<Evaluation> {
+        let label = point.as_assignments();
+
+        // A hit is a bitwise substitute for the tool run (evaluations are
+        // pure functions of point + config + backend), so it returns
+        // before any attempt is made or time is charged. An undecodable
+        // entry reads as a miss and is overwritten below.
+        let store_key = self
+            .store
+            .as_ref()
+            .map(|(store, base)| (store, base.extend(&[&label])));
+        if let Some((store, key)) = &store_key {
+            if let Some(eval) = store
+                .get(key)
+                .and_then(|payload| crate::persist::decode_evaluation(&payload))
+            {
+                self.bus.emit(
+                    EventKey { seq, sub: 0 },
+                    ObsEvent::StoreHit {
+                        point: label.clone(),
+                    },
+                );
+                return Ok(eval);
+            }
+        }
+        let evaluation = self.run_with_retries(point, &label, seq, basis)?;
+        if let Some((store, key)) = &store_key {
+            // Best-effort: a failed write only costs a future re-run,
+            // never a wrong answer. Failures are never stored.
+            let _ = store.put(key, &crate::persist::encode_evaluation(&evaluation));
+        }
+        Ok(evaluation)
+    }
+
+    /// The retry step: retry with capped backoff, degradation to
+    /// synthesis-only after repeated timeouts, checkpoint fallback, and
+    /// per-attempt emission on the spine.
+    ///
+    /// Attempts for the point dispatched at sequence `seq` are keyed
+    /// `(seq, attempt)` — canonical order is decided by dispatch order,
+    /// not by which worker thread finishes first.
+    fn run_with_retries(
+        &self,
+        point: &DesignPoint,
+        label: &str,
+        seq: u64,
+        basis: bool,
+    ) -> DovadoResult<Evaluation> {
+        let config = &self.ctx.config;
+        let policy = &config.retry;
+        let max_attempts = policy.max_attempts.max(1);
+        let mut step = config.step;
+        let mut incremental = config.incremental && basis;
+        let mut timeouts = 0u32;
+
+        for attempt in 1..=max_attempts {
+            let report = self.attempt(point, step, incremental);
+            // The step/incremental the attempt actually ran with — the
+            // code below may change them for the *next* attempt.
+            let (used_step, used_incremental) = (step, incremental);
+            let tool_time_s = report.tool_time_s;
+            let event = |outcome, backoff_s, cached| {
+                ObsEvent::Attempt(FlowEvent {
+                    point: label.to_string(),
+                    attempt,
+                    step: used_step,
+                    outcome,
+                    tool_time_s,
+                    backoff_s,
+                    incremental: used_incremental,
+                    cached,
+                })
+            };
+            let key = EventKey { seq, sub: attempt };
+            match report.result {
+                Ok(evaluation) => {
+                    self.bus
+                        .emit(key, event(AttemptOutcome::Success, 0.0, report.cached));
+                    return Ok(evaluation);
+                }
+                Err(e) if e.is_transient() && attempt < max_attempts => {
+                    // After the configured number of timeouts, remaining
+                    // attempts fall back to synthesis: post-synth metrics
+                    // are optimistic but beat a penalty vector.
+                    if e.is_timeout() {
+                        timeouts += 1;
+                        if policy
+                            .degrade_after_timeouts
+                            .is_some_and(|limit| timeouts >= limit)
+                        {
+                            step = FlowStep::Synthesis;
+                        }
+                    }
+                    if matches!(&e, DovadoError::Eda(EdaError::Checkpoint(_))) {
+                        // The incremental basis is suspect — rebuild from
+                        // scratch on the remaining attempts.
+                        incremental = false;
+                        *self.has_checkpoint.lock() = false;
+                    }
+                    let outcome = AttemptOutcome::TransientFailure(e.to_string());
+                    self.bus
+                        .emit(key, event(outcome, policy.backoff_s(attempt), false));
+                }
+                Err(e) => {
+                    let outcome = if e.is_transient() {
+                        AttemptOutcome::TransientFailure(e.to_string())
+                    } else {
+                        AttemptOutcome::PermanentFailure(e.to_string())
+                    };
+                    self.bus.emit(key, event(outcome, 0.0, false));
+                    return if e.is_transient() {
+                        Err(DovadoError::RetriesExhausted {
+                            attempts: attempt,
+                            last: Box::new(e),
+                        })
+                    } else {
+                        Err(e)
+                    };
+                }
+            }
+        }
+        unreachable!("the final attempt always returns")
+    }
+
+    /// The attempt step: one tool session, scripts in, metrics out.
+    fn attempt(&self, point: &DesignPoint, step: FlowStep, incremental: bool) -> AttemptReport {
         let mut session = self.backend.open_session();
         let result = self.run_flow(session.as_mut(), point, step, incremental);
         let tool_time_s = session.elapsed_s();
         let cached = session.used_exact_checkpoint();
         if result.is_ok() {
-            *self.ledger.has_checkpoint.lock() = true;
+            *self.has_checkpoint.lock() = true;
         }
         AttemptReport {
             result,
@@ -298,561 +734,6 @@ impl AttemptLayer {
     }
 }
 
-/// The timeout-degradation state machine, per point: after the configured
-/// number of timeouts, remaining attempts fall back from
-/// [`FlowStep::Implementation`] to [`FlowStep::Synthesis`] (post-synth
-/// metrics are optimistic but beat a penalty vector).
-struct DegradePolicy {
-    after: Option<u32>,
-    timeouts: u32,
-}
-
-impl DegradePolicy {
-    fn new(policy: &RetryPolicy) -> DegradePolicy {
-        DegradePolicy {
-            after: policy.degrade_after_timeouts,
-            timeouts: 0,
-        }
-    }
-
-    /// Observes a transient failure and degrades `step` when the timeout
-    /// budget is spent.
-    fn observe(&mut self, err: &DovadoError, step: &mut FlowStep) {
-        if !err.is_timeout() {
-            return;
-        }
-        self.timeouts += 1;
-        if let Some(limit) = self.after {
-            if self.timeouts >= limit && *step == FlowStep::Implementation {
-                *step = FlowStep::Synthesis;
-            }
-        }
-    }
-}
-
-/// Pipeline middle: retry with capped backoff, degradation, checkpoint
-/// fallback, and per-attempt emission on the spine.
-///
-/// Attempts for the point dispatched at sequence `seq` are keyed
-/// `(seq, attempt)` — canonical order is decided by dispatch order, not
-/// by which worker thread finishes first.
-#[derive(Clone)]
-struct RetryLayer {
-    bus: EventBus,
-    ledger: Ledger,
-    next: AttemptLayer,
-}
-
-impl RetryLayer {
-    fn evaluate(
-        &self,
-        point: &DesignPoint,
-        label: &str,
-        seq: u64,
-        basis: bool,
-    ) -> DovadoResult<Evaluation> {
-        let config = &self.next.ctx.config;
-        let policy = &config.retry;
-        let max_attempts = policy.max_attempts.max(1);
-        let mut step = config.step;
-        let mut incremental = config.incremental && basis;
-        let mut degrade = DegradePolicy::new(policy);
-        let mut last_err: Option<DovadoError> = None;
-
-        for attempt in 1..=max_attempts {
-            // The step/incremental the attempt actually ran with — the
-            // loop may change them below for the *next* attempt.
-            let (used_step, used_incremental) = (step, incremental);
-            let report = self.next.run(point, step, incremental);
-            let key = EventKey { seq, sub: attempt };
-            match report.result {
-                Ok(evaluation) => {
-                    self.bus.emit(
-                        key,
-                        ObsEvent::Attempt(FlowEvent {
-                            point: label.to_string(),
-                            attempt,
-                            step: used_step,
-                            outcome: AttemptOutcome::Success,
-                            tool_time_s: report.tool_time_s,
-                            backoff_s: 0.0,
-                            incremental: used_incremental,
-                            cached: report.cached,
-                        }),
-                    );
-                    return Ok(evaluation);
-                }
-                Err(e) if e.is_transient() && attempt < max_attempts => {
-                    degrade.observe(&e, &mut step);
-                    if matches!(&e, DovadoError::Eda(EdaError::Checkpoint(_))) {
-                        // The incremental basis is suspect — rebuild from
-                        // scratch on the remaining attempts.
-                        incremental = false;
-                        *self.ledger.has_checkpoint.lock() = false;
-                    }
-                    let backoff = policy.backoff_s(attempt);
-                    self.bus.emit(
-                        key,
-                        ObsEvent::Attempt(FlowEvent {
-                            point: label.to_string(),
-                            attempt,
-                            step: used_step,
-                            outcome: AttemptOutcome::TransientFailure(e.to_string()),
-                            tool_time_s: report.tool_time_s,
-                            backoff_s: backoff,
-                            incremental: used_incremental,
-                            cached: false,
-                        }),
-                    );
-                    last_err = Some(e);
-                }
-                Err(e) => {
-                    let outcome = if e.is_transient() {
-                        AttemptOutcome::TransientFailure(e.to_string())
-                    } else {
-                        AttemptOutcome::PermanentFailure(e.to_string())
-                    };
-                    self.bus.emit(
-                        key,
-                        ObsEvent::Attempt(FlowEvent {
-                            point: label.to_string(),
-                            attempt,
-                            step: used_step,
-                            outcome,
-                            tool_time_s: report.tool_time_s,
-                            backoff_s: 0.0,
-                            incremental: used_incremental,
-                            cached: false,
-                        }),
-                    );
-                    return if e.is_transient() {
-                        Err(DovadoError::RetriesExhausted {
-                            attempts: attempt,
-                            last: Box::new(e),
-                        })
-                    } else {
-                        Err(e)
-                    };
-                }
-            }
-        }
-        // Unreachable: the final attempt either returned Ok or Err above.
-        Err(DovadoError::RetriesExhausted {
-            attempts: max_attempts,
-            last: Box::new(last_err.expect("loop ran at least once")),
-        })
-    }
-}
-
-/// Pipeline top: persistent-store lookup and commit.
-#[derive(Clone)]
-struct StoreLayer {
-    /// Persistent evaluation store plus the engine's base key (sources +
-    /// top + config + backend); `None` = always run the tool.
-    store: Option<(EvalStore, EvalKey)>,
-    bus: EventBus,
-    next: RetryLayer,
-}
-
-impl StoreLayer {
-    fn evaluate(&self, point: &DesignPoint, seq: u64, basis: bool) -> DovadoResult<Evaluation> {
-        let label = point.as_assignments();
-
-        // A hit is a bitwise substitute for the tool run (evaluations are
-        // pure functions of point + config + backend), so it returns
-        // before any attempt is made or time is charged. An undecodable
-        // entry reads as a miss and is overwritten below.
-        let store_key = self
-            .store
-            .as_ref()
-            .map(|(store, base)| (store, base.extend(&[&label])));
-        if let Some((store, key)) = &store_key {
-            if let Some(eval) = store
-                .get(key)
-                .and_then(|payload| crate::persist::decode_evaluation(&payload))
-            {
-                self.bus.emit(
-                    EventKey { seq, sub: 0 },
-                    ObsEvent::StoreHit {
-                        point: label.clone(),
-                    },
-                );
-                return Ok(eval);
-            }
-        }
-        let evaluation = self.next.evaluate(point, &label, seq, basis)?;
-        if let Some((store, key)) = &store_key {
-            // Best-effort: a failed write only costs a future re-run,
-            // never a wrong answer. Failures are never stored.
-            let _ = store.put(key, &crate::persist::encode_evaluation(&evaluation));
-        }
-        Ok(evaluation)
-    }
-}
-
-/// The engine: the layered pipeline plus its shared context and ledgers.
-///
-/// Cheap to clone and thread-safe — clones share the trace, the time/run
-/// ledgers, the backend (and with it the tool-level checkpoint store and
-/// fault stream), and the attached persistent store.
-#[derive(Clone)]
-pub struct EvalEngine {
-    pipeline: StoreLayer,
-}
-
-impl EvalEngine {
-    /// Parses the sources, locates `top_module`, and builds an engine on
-    /// the default simulator backend (seeded and fault-injected per the
-    /// config).
-    pub fn new(
-        sources: Vec<HdlSource>,
-        top_module: &str,
-        config: EvalConfig,
-    ) -> DovadoResult<EvalEngine> {
-        let backend = Arc::new(SimBackend::with_faults(config.seed, config.faults.clone()));
-        EvalEngine::with_backend(sources, top_module, config, backend)
-    }
-
-    /// Like [`EvalEngine::new`], but evaluating through the given backend.
-    /// The config's fault plan is ignored in favor of the backend's own
-    /// injector (the backend owns the fault stream).
-    pub fn with_backend(
-        sources: Vec<HdlSource>,
-        top_module: &str,
-        config: EvalConfig,
-        backend: Arc<dyn ToolBackend>,
-    ) -> DovadoResult<EvalEngine> {
-        let mut found: Option<ModuleInterface> = None;
-        let mut package_flags = Vec::with_capacity(sources.len());
-        for src in &sources {
-            let (file, diags) = dovado_hdl::parse_source(src.language, &src.content)
-                .map_err(|e| DovadoError::Parse(format!("{}: {e}", src.name)))?;
-            if diags.has_errors() {
-                return Err(DovadoError::Parse(format!(
-                    "{}: {}",
-                    src.name,
-                    diags
-                        .iter()
-                        .map(|d| d.to_string())
-                        .collect::<Vec<_>>()
-                        .join("; ")
-                )));
-            }
-            package_flags.push(!file.packages.is_empty());
-            if let Some(m) = file.module(top_module) {
-                found = Some(m.clone());
-            }
-        }
-        let module = found.ok_or_else(|| DovadoError::UnknownModule(top_module.to_string()))?;
-        if config.target_period_ns <= 0.0 {
-            return Err(DovadoError::Config(format!(
-                "target period {} must be positive",
-                config.target_period_ns
-            )));
-        }
-        let ctx = Arc::new(FlowContext {
-            sources: Arc::new(sources),
-            package_flags: Arc::new(package_flags),
-            module: Arc::new(module),
-            config,
-        });
-        let ledger = Ledger::new();
-        let bus = EventBus::new();
-        Ok(EvalEngine {
-            pipeline: StoreLayer {
-                store: None,
-                bus: bus.clone(),
-                next: RetryLayer {
-                    bus,
-                    ledger: ledger.clone(),
-                    next: AttemptLayer {
-                        ctx,
-                        backend,
-                        ledger,
-                    },
-                },
-            },
-        })
-    }
-
-    /// Builds a low-fidelity sibling engine for portfolio racing: the same
-    /// parsed sources, module and *backend instance*, but with the flow
-    /// truncated to `step` (synthesis-only is the simulator's degraded
-    /// mode — cheap, correlated signal before paying for full
-    /// place-and-route). The probe gets a fresh event spine and a fresh
-    /// incremental-flow ledger and never attaches a store, so probe
-    /// evaluations are invisible to the parent's canonical trace and
-    /// persistent store; the caller decides what (if anything) to charge
-    /// back — the portfolio selector folds the probe totals into one
-    /// `SelectorDecision` event.
-    pub fn probe_with_step(&self, step: FlowStep) -> EvalEngine {
-        let ctx = &self.pipeline.next.next.ctx;
-        let probe_ctx = Arc::new(FlowContext {
-            sources: ctx.sources.clone(),
-            package_flags: ctx.package_flags.clone(),
-            module: ctx.module.clone(),
-            config: EvalConfig {
-                step,
-                ..ctx.config.clone()
-            },
-        });
-        let ledger = Ledger::new();
-        let bus = EventBus::new();
-        EvalEngine {
-            pipeline: StoreLayer {
-                store: None,
-                bus: bus.clone(),
-                next: RetryLayer {
-                    bus,
-                    ledger: ledger.clone(),
-                    next: AttemptLayer {
-                        ctx: probe_ctx,
-                        backend: self.pipeline.next.next.backend.clone(),
-                        ledger,
-                    },
-                },
-            },
-        }
-    }
-
-    /// Attaches a persistent evaluation store as the pipeline's outermost
-    /// layer. Subsequent evaluations first look up the point's
-    /// content-addressed key — a hit returns the stored metrics bitwise,
-    /// with zero tool runs, zero attempts and zero simulated time; a
-    /// fresh success is written back. The key covers the sources, top
-    /// module, full [`EvalConfig`] and the backend name, so any input
-    /// change invalidates the store automatically.
-    ///
-    /// Evictions from a capacity-bounded store surface as
-    /// [`ObsEvent::StoreEvicted`] on the spine's side channel (never the
-    /// canonical stream — see [`EventBus::emit_store_evicted`]).
-    pub fn attach_store(&mut self, store: EvalStore) {
-        let base = self.content_key();
-        self.attach_store_with_base(store, base);
-    }
-
-    /// [`attach_store`](Self::attach_store) with the store identity
-    /// additionally scoped by an arbitrary string, folded into the
-    /// content key. A store owned by one run never needs this, but a
-    /// store *shared* across runs does when the backend name alone
-    /// under-identifies the answers: [`ToolBackend::name`] deliberately
-    /// omits the construction seed, so `mock:7` and `mock:8` collide on
-    /// the plain content key while producing different metrics. The
-    /// `dovado serve` daemon scopes every job's lookups by the full
-    /// backend spec for exactly this reason.
-    pub fn attach_store_scoped(&mut self, store: EvalStore, scope: &str) {
-        let base = EvalKey::from_parts(&[&self.content_key().hex(), scope]);
-        self.attach_store_with_base(store, base);
-    }
-
-    fn attach_store_with_base(&mut self, store: EvalStore, base: EvalKey) {
-        let bus = self.pipeline.bus.clone();
-        store.set_eviction_hook(std::sync::Arc::new(move |hex: &str| {
-            bus.emit_store_evicted(ObsEvent::StoreEvicted {
-                key: hex.to_string(),
-            });
-        }));
-        self.pipeline.store = Some((store, base));
-    }
-
-    /// The engine's 128-bit content identity: a stable hash of the
-    /// sources, top module, full [`EvalConfig`] and backend name. Store
-    /// keys and the journal fingerprint both build on it.
-    pub fn content_key(&self) -> EvalKey {
-        let ctx = &self.pipeline.next.next.ctx;
-        crate::persist::evaluator_key(
-            &ctx.sources,
-            &ctx.module.name,
-            &ctx.config,
-            self.backend_name(),
-        )
-    }
-
-    /// The backend's stable identifier.
-    pub fn backend_name(&self) -> &str {
-        self.pipeline.next.next.backend.name()
-    }
-
-    /// The attached persistent store, if any.
-    pub fn store(&self) -> Option<&EvalStore> {
-        self.pipeline.store.as_ref().map(|(s, _)| s)
-    }
-
-    /// The backend's shared fault injector, if fault injection is active.
-    pub fn injector(&self) -> Option<&FaultInjector> {
-        self.pipeline.next.next.backend.injector()
-    }
-
-    /// The engine's observability spine. Every accounting signal —
-    /// attempts, store hits, charged time, resume splices, plus the
-    /// exploration-level events the DSE layer emits — lands here.
-    pub fn spine(&self) -> &EventBus {
-        &self.pipeline.bus
-    }
-
-    /// A consistent snapshot of the spine (canonical events + exact
-    /// totals), suitable for sinks such as [`crate::obs::write_jsonl`].
-    pub fn snapshot(&self) -> SpineSnapshot {
-        self.pipeline.bus.snapshot()
-    }
-
-    /// Charges simulated seconds straight to the tool-time ledger by
-    /// emitting an [`ObsEvent::TimeCharged`] on the spine.
-    pub fn charge_time(&self, seconds: f64) {
-        self.pipeline
-            .bus
-            .emit_next(ObsEvent::TimeCharged { seconds });
-    }
-
-    /// Splices journaled totals into the spine on `--resume`: the caller
-    /// passes the *deficit* between the journal and this engine's live
-    /// totals, so same-process resumes (which already observed every
-    /// attempt) splice zero and nothing is double-counted.
-    pub fn record_resume(&self, summary: TraceSummary, runs: u64, tool_time_s: f64) {
-        self.pipeline.bus.emit_next(ObsEvent::Resume {
-            summary,
-            runs,
-            tool_time_s,
-        });
-    }
-
-    /// The parsed interface of the module under evaluation.
-    pub fn module(&self) -> &ModuleInterface {
-        &self.pipeline.next.next.ctx.module
-    }
-
-    /// The evaluation configuration.
-    pub fn config(&self) -> &EvalConfig {
-        &self.pipeline.next.next.ctx.config
-    }
-
-    /// Cumulative simulated tool seconds, including failed attempts and
-    /// retry backoff — a view over the spine's folded totals.
-    pub fn total_tool_time(&self) -> f64 {
-        self.pipeline.bus.totals().tool_time_s
-    }
-
-    /// Number of successful tool invocations so far — a view over the
-    /// spine's folded totals.
-    pub fn total_runs(&self) -> u64 {
-        self.pipeline.bus.totals().runs
-    }
-
-    /// Snapshot of the retained per-attempt events in canonical order —
-    /// the attempt-typed slice of the spine.
-    pub fn events(&self) -> Vec<FlowEvent> {
-        self.pipeline
-            .bus
-            .events()
-            .into_iter()
-            .filter_map(|(_, event)| match event {
-                ObsEvent::Attempt(e) => Some(e),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Whole-run trace counters (attempts, retries, failures by class,
-    /// cache hits, backoff charged), folded from the event stream.
-    pub fn trace_summary(&self) -> TraceSummary {
-        self.pipeline.bus.totals().summary
-    }
-
-    /// Evaluates one design point through the full pipeline.
-    pub fn evaluate(&self, point: &DesignPoint) -> DovadoResult<Evaluation> {
-        let seq = self.pipeline.bus.alloc(1);
-        let basis = self.checkpoint_basis();
-        self.pipeline.evaluate(point, seq, basis)
-    }
-
-    /// Snapshot of the incremental-flow checkpoint basis, taken once per
-    /// dispatch. Every point in a batch sees the same basis, so the
-    /// decision is a function of batch order — not of which concurrently
-    /// running evaluation happened to finish first — and the trace stays
-    /// byte-identical across serial, rayon, and distributed schedules.
-    fn checkpoint_basis(&self) -> bool {
-        *self.pipeline.next.ledger.has_checkpoint.lock()
-    }
-
-    /// Evaluates many points per `schedule` (each evaluation runs its own
-    /// tool session; the backend's checkpoint store is shared, matching
-    /// how Dovado parallelizes real Vivado runs). Results come back in
-    /// input order either way.
-    ///
-    /// A contiguous block of spine sequence numbers is reserved in input
-    /// order *before* any fan-out, so the event stream's canonical order
-    /// is identical for serial and parallel schedules.
-    pub fn evaluate_many(
-        &self,
-        points: &[DesignPoint],
-        schedule: Schedule,
-    ) -> Vec<DovadoResult<Evaluation>> {
-        let start = self.pipeline.bus.alloc(points.len() as u64);
-        let basis = self.checkpoint_basis();
-        let indexed: Vec<(u64, &DesignPoint)> = points
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (start + i as u64, p))
-            .collect();
-        match schedule {
-            Schedule::Parallel => {
-                use rayon::prelude::*;
-                indexed
-                    .par_iter()
-                    .map(|&(seq, p)| self.pipeline.evaluate(p, seq, basis))
-                    .collect()
-            }
-            Schedule::Serial => indexed
-                .iter()
-                .map(|&(seq, p)| self.pipeline.evaluate(p, seq, basis))
-                .collect(),
-            Schedule::Distributed { workers } => self.evaluate_stealing(&indexed, workers, basis),
-        }
-    }
-
-    /// The work-stealing dispatch behind [`Schedule::Distributed`]: the
-    /// atomic cursor over the pre-sequenced points *is* the queue — each
-    /// of the `workers` dispatcher threads claims the next pending point
-    /// the moment it goes idle, and results land in their input-order
-    /// slots. Sequence numbers were allocated before fan-out, so the
-    /// canonical event stream is bitwise the serial one.
-    fn evaluate_stealing(
-        &self,
-        indexed: &[(u64, &DesignPoint)],
-        workers: usize,
-        basis: bool,
-    ) -> Vec<DovadoResult<Evaluation>> {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let n = indexed.len();
-        let dispatchers = workers.max(1).min(n.max(1));
-        if dispatchers <= 1 {
-            return indexed
-                .iter()
-                .map(|&(seq, p)| self.pipeline.evaluate(p, seq, basis))
-                .collect();
-        }
-        let cursor = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<DovadoResult<Evaluation>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..dispatchers {
-                scope.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let (seq, p) = indexed[i];
-                    *slots[i].lock() = Some(self.pipeline.evaluate(p, seq, basis));
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("every index claimed exactly once"))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -875,13 +756,13 @@ mod tests {
 
     #[test]
     fn schedule_maps_the_parallel_flag() {
-        assert_eq!(Schedule::from_parallel_flag(false), Schedule::Serial);
-        assert_eq!(Schedule::from_parallel_flag(true), Schedule::Parallel);
+        assert_eq!(Schedule::from(false), Schedule::Serial);
+        assert_eq!(Schedule::from(true), Schedule::Parallel);
     }
 
     #[test]
     fn engine_runs_on_a_mock_backend() {
-        let engine = EvalEngine::with_backend(
+        let evaluator = Evaluator::with_backend(
             sources(),
             "fifo_v3",
             EvalConfig::default(),
@@ -889,24 +770,30 @@ mod tests {
         )
         .unwrap();
         let p = DesignPoint::from_pairs(&[("DEPTH", 64)]);
-        let a = engine.evaluate(&p).unwrap();
-        let b = engine.evaluate(&p).unwrap();
+        let a = evaluator.evaluate(&p).unwrap();
+        let b = evaluator.evaluate(&p).unwrap();
         assert_eq!(a.wns_ns.to_bits(), b.wns_ns.to_bits());
         assert!(a.fmax_mhz > 0.0 && a.power_mw > 0.0);
-        assert_eq!(engine.backend_name(), "mock");
-        assert_eq!(engine.total_runs(), 2);
+        assert_eq!(evaluator.total_runs(), 2);
     }
 
     #[test]
     fn backend_name_separates_content_keys() {
-        let sim = EvalEngine::new(sources(), "fifo_v3", EvalConfig::default()).unwrap();
-        let mock = EvalEngine::with_backend(
-            sources(),
-            "fifo_v3",
-            EvalConfig::default(),
-            Arc::new(MockBackend::new(5)),
-        )
-        .unwrap();
-        assert_ne!(sim.content_key(), mock.content_key());
+        let with = |backend: Arc<dyn ToolBackend>| {
+            Evaluator::with_backend(sources(), "fifo_v3", EvalConfig::default(), backend)
+                .unwrap()
+                .content_key()
+        };
+        let sim = Evaluator::new(sources(), "fifo_v3", EvalConfig::default()).unwrap();
+        assert_ne!(sim.content_key(), with(Arc::new(MockBackend::new(5))));
+        // The seed is part of the identity; the wall-clock spin is not.
+        assert_ne!(
+            with(Arc::new(MockBackend::new(5))),
+            with(Arc::new(MockBackend::new(6)))
+        );
+        assert_eq!(
+            with(Arc::new(MockBackend::new(5))),
+            with(Arc::new(MockBackend::new(5).with_spin_ms(3)))
+        );
     }
 }

@@ -15,9 +15,8 @@
 //! bitwise the same objective vectors, dataset and stats as a serial one.
 
 use crate::dse::SurrogateConfig;
-use crate::engine::Schedule;
+use crate::engine::{Evaluator, Schedule};
 use crate::error::{DovadoResult, ErrorClass};
-use crate::flow::Evaluator;
 use crate::metrics::{Evaluation, MetricSet};
 use crate::obs::ObsEvent;
 use crate::point::DesignPoint;
@@ -255,7 +254,7 @@ impl DseProblem {
     /// penalizes; penalty vectors must never look like measurements).
     ///
     /// Undecodable genomes are permanent failures and are not dispatched.
-    /// Tool runs go through [`Evaluator::evaluate_many_scheduled`]
+    /// Tool runs go through [`Evaluator::evaluate_many`]
     /// (under `self.schedule`); all stats are tallied serially afterwards, in
     /// first-occurrence order, so thread scheduling cannot reorder them.
     fn dispatch_unique(&mut self, genomes: &[Vec<i64>], unique: &[usize]) -> Vec<Option<Vec<f64>>> {
@@ -269,7 +268,7 @@ impl DseProblem {
             .collect();
         let mut results = self
             .evaluator
-            .evaluate_many_scheduled(&points, self.schedule)
+            .evaluate_many(&points, self.schedule)
             .into_iter();
         decoded
             .into_iter()
@@ -618,7 +617,7 @@ endmodule"#;
             ..Default::default()
         };
         let mut p = DseProblem::new(evaluator(), space(), metrics(), Some(&cfg)).unwrap();
-        p.schedule = Schedule::from_parallel_flag(parallel);
+        p.schedule = parallel.into();
         p
     }
 

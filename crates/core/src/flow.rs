@@ -1,21 +1,11 @@
-//! Single-design-point evaluation (the paper's design-automation flow,
-//! §III-A): parse → box → generate scripts → run the tool → scrape reports.
-//!
-//! [`Evaluator`] is cheap to clone and thread-safe: each evaluation spawns
-//! its own tool session (as Dovado spawns Vivado subprocesses) while the
-//! checkpoint store and the simulated-time ledger are shared, so the
-//! incremental flow and soft-deadline accounting work across parallel
-//! evaluations.
+//! The design-automation flow's inputs and configuration (paper §III-A:
+//! parse → box → generate scripts → run the tool → scrape reports): the
+//! HDL sources, the flow depth, the retry policy and the evaluation
+//! config. [`crate::engine::Evaluator`] runs the flow.
 
-use crate::backend::ToolBackend;
-use crate::engine::{EvalEngine, Schedule};
 use crate::error::DovadoResult;
-use crate::metrics::Evaluation;
-use crate::point::DesignPoint;
-use crate::trace::{FlowEvent, TraceSummary};
-use dovado_eda::{EvalKey, EvalStore, FaultInjector, FaultPlan};
-use dovado_hdl::{Language, ModuleInterface};
-use std::sync::Arc;
+use dovado_eda::FaultPlan;
+use dovado_hdl::Language;
 
 /// One HDL source handed to Dovado.
 #[derive(Debug, Clone, PartialEq)]
@@ -187,194 +177,14 @@ impl Default for EvalConfig {
     }
 }
 
-/// The design-automation evaluator: the stable public face of the
-/// [`EvalEngine`] pipeline (store lookup → retry/backoff → degradation →
-/// trace accounting → tool attempt).
-///
-/// Cheap to clone and thread-safe — clones share the engine's trace,
-/// ledgers, backend and store, so the incremental flow and soft-deadline
-/// accounting work across parallel evaluations.
-#[derive(Clone)]
-pub struct Evaluator {
-    engine: EvalEngine,
-}
-
-impl Evaluator {
-    /// Parses the sources, locates `top_module`, and builds an evaluator
-    /// on the default simulator backend.
-    pub fn new(
-        sources: Vec<HdlSource>,
-        top_module: &str,
-        config: EvalConfig,
-    ) -> DovadoResult<Evaluator> {
-        Ok(Evaluator {
-            engine: EvalEngine::new(sources, top_module, config)?,
-        })
-    }
-
-    /// Like [`Evaluator::new`], but evaluating through the given tool
-    /// backend instead of the default simulator.
-    pub fn with_backend(
-        sources: Vec<HdlSource>,
-        top_module: &str,
-        config: EvalConfig,
-        backend: Arc<dyn ToolBackend>,
-    ) -> DovadoResult<Evaluator> {
-        Ok(Evaluator {
-            engine: EvalEngine::with_backend(sources, top_module, config, backend)?,
-        })
-    }
-
-    /// The underlying evaluation engine.
-    pub fn engine(&self) -> &EvalEngine {
-        &self.engine
-    }
-
-    /// A low-fidelity sibling evaluator with the flow truncated to `step`
-    /// — same backend instance, fresh trace spine, no store. See
-    /// [`EvalEngine::probe_with_step`](crate::engine::EvalEngine::probe_with_step).
-    pub fn probe_with_step(&self, step: FlowStep) -> Evaluator {
-        Evaluator {
-            engine: self.engine.probe_with_step(step),
-        }
-    }
-
-    /// Attaches a persistent evaluation store. Subsequent evaluations
-    /// first look up the point's content-addressed key — a hit returns
-    /// the stored metrics bitwise, with zero tool runs, zero attempts
-    /// and zero simulated time; a fresh success is written back. The key
-    /// covers the sources, top module, full [`EvalConfig`] and backend,
-    /// so any input change invalidates the store automatically.
-    pub fn attach_store(&mut self, store: EvalStore) {
-        self.engine.attach_store(store);
-    }
-
-    /// [`attach_store`](Self::attach_store) with the store identity
-    /// additionally scoped by an arbitrary string — see
-    /// [`EvalEngine::attach_store_scoped`](crate::engine::EvalEngine::attach_store_scoped)
-    /// for when a shared store needs this.
-    pub fn attach_store_scoped(&mut self, store: EvalStore, scope: &str) {
-        self.engine.attach_store_scoped(store, scope);
-    }
-
-    /// The evaluator's 128-bit content identity: a stable hash of the
-    /// sources, top module, full [`EvalConfig`] and backend name. Store
-    /// keys and the journal fingerprint both build on it.
-    pub fn content_key(&self) -> EvalKey {
-        self.engine.content_key()
-    }
-
-    /// The attached persistent store, if any.
-    pub fn store(&self) -> Option<&EvalStore> {
-        self.engine.store()
-    }
-
-    /// The shared fault injector, if fault injection is active.
-    pub fn injector(&self) -> Option<&FaultInjector> {
-        self.engine.injector()
-    }
-
-    /// Charges simulated seconds straight to the tool-time ledger (an
-    /// [`crate::obs::ObsEvent::TimeCharged`] on the spine).
-    pub fn charge_time(&self, seconds: f64) {
-        self.engine.charge_time(seconds);
-    }
-
-    /// The evaluator's observability spine — the single event stream
-    /// every counter and summary in Dovado is derived from.
-    pub fn spine(&self) -> &crate::obs::EventBus {
-        self.engine.spine()
-    }
-
-    /// A consistent snapshot of the spine (canonical events + exact
-    /// totals), suitable for [`crate::obs::write_jsonl`].
-    pub fn snapshot(&self) -> crate::obs::SpineSnapshot {
-        self.engine.snapshot()
-    }
-
-    /// Splices journaled totals into the spine on `--resume`. Pass the
-    /// *deficit* between the journal and this evaluator's live totals so
-    /// nothing is double-counted.
-    pub fn record_resume(&self, summary: TraceSummary, runs: u64, tool_time_s: f64) {
-        self.engine.record_resume(summary, runs, tool_time_s);
-    }
-
-    /// The parsed interface of the module under evaluation.
-    pub fn module(&self) -> &ModuleInterface {
-        self.engine.module()
-    }
-
-    /// The evaluation configuration.
-    pub fn config(&self) -> &EvalConfig {
-        self.engine.config()
-    }
-
-    /// Cumulative simulated tool seconds, including failed attempts and
-    /// retry backoff.
-    pub fn total_tool_time(&self) -> f64 {
-        self.engine.total_tool_time()
-    }
-
-    /// Number of successful tool invocations so far.
-    pub fn total_runs(&self) -> u64 {
-        self.engine.total_runs()
-    }
-
-    /// Snapshot of the per-attempt event log (oldest first).
-    pub fn events(&self) -> Vec<FlowEvent> {
-        self.engine.events()
-    }
-
-    /// Whole-run trace counters (attempts, retries, failures by class,
-    /// cache hits, backoff charged).
-    pub fn trace_summary(&self) -> TraceSummary {
-        self.engine.trace_summary()
-    }
-
-    /// Evaluates one design point end-to-end through the engine pipeline,
-    /// retrying transient tool failures per the configured
-    /// [`RetryPolicy`].
-    ///
-    /// Permanent failures (infeasible design, parse error) return
-    /// immediately. Transient failures (crash, timeout, corrupt report or
-    /// checkpoint) back off — charged to the simulated-time ledger — and
-    /// retry up to `max_attempts`; exhaustion surfaces as
-    /// [`crate::DovadoError::RetriesExhausted`], never as fabricated
-    /// metrics.
-    pub fn evaluate(&self, point: &DesignPoint) -> DovadoResult<Evaluation> {
-        self.engine.evaluate(point)
-    }
-
-    /// Evaluates many points, in parallel when `parallel` is set (each
-    /// evaluation runs its own tool session; the backend's checkpoint
-    /// store is shared, matching how Dovado parallelizes real Vivado
-    /// runs).
-    pub fn evaluate_many(
-        &self,
-        points: &[DesignPoint],
-        parallel: bool,
-    ) -> Vec<DovadoResult<Evaluation>> {
-        self.engine
-            .evaluate_many(points, Schedule::from_parallel_flag(parallel))
-    }
-
-    /// Evaluates many points under an explicit [`Schedule`] — serial,
-    /// rayon-parallel, or distributed across a worker fleet. All three
-    /// produce byte-identical traces; only wall-clock differs.
-    pub fn evaluate_many_scheduled(
-        &self,
-        points: &[DesignPoint],
-        schedule: Schedule,
-    ) -> Vec<DovadoResult<Evaluation>> {
-        self.engine.evaluate_many(points, schedule)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Evaluator;
     use crate::error::DovadoError;
+    use crate::point::DesignPoint;
     use dovado_eda::EdaError;
+    use dovado_eda::EvalStore;
     use dovado_fpga::ResourceKind;
 
     const FIFO_SV: &str = r#"

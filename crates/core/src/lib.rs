@@ -60,10 +60,10 @@ pub use backend::{
 pub use bayes::BayesExplorer;
 pub use boxing::{generate_box, BoxedDesign, BOX_CLOCK, BOX_INSTANCE, BOX_TOP};
 pub use dse::{Dovado, DseConfig, SelectionRecord, SurrogateConfig, EXHAUSTIVE_AUTO_LIMIT};
-pub use engine::{validate_jobs, validate_workers, EvalEngine, Schedule};
+pub use engine::{validate_jobs, validate_workers, Evaluator, Schedule};
 pub use error::{DovadoError, DovadoResult, ErrorClass};
 pub use fitness::{DseProblem, FitnessStats};
-pub use flow::{EvalConfig, Evaluator, FlowStep, HdlSource, RetryPolicy};
+pub use flow::{EvalConfig, FlowStep, HdlSource, RetryPolicy};
 pub use metrics::{fmax_mhz, Evaluation, Metric, MetricSet};
 pub use obs::{
     fold_totals, write_jsonl, CandidateScore, EventBus, EventKey, EventSink, MemorySink, ObsEvent,

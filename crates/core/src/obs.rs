@@ -28,6 +28,7 @@
 //! summary object that equals the fold of the event lines above it.
 
 use crate::flow::FlowStep;
+use crate::serve::json::{escape, number};
 use crate::trace::{AttemptOutcome, FlowEvent, TraceSummary};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -451,35 +452,6 @@ impl EventSink for MemorySink {
     }
 }
 
-/// Escapes a string for a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Formats a float as a JSON number. Rust's shortest-roundtrip `Display`
-/// is deterministic and decimal; non-finite values become `null`.
-pub fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".into()
-    }
-}
-
 fn step_name(step: FlowStep) -> &'static str {
     match step {
         FlowStep::Synthesis => "synthesis",
@@ -508,18 +480,18 @@ pub fn event_json(key: EventKey, event: &ObsEvent) -> String {
             let mut line = format!(
                 "{head},\"type\":\"attempt\",\"point\":\"{}\",\"attempt\":{},\
                  \"step\":\"{}\",\"outcome\":\"{outcome}\"",
-                json_escape(&e.point),
+                escape(&e.point),
                 e.attempt,
                 step_name(e.step),
             );
             if let Some(m) = error {
-                let _ = write!(line, ",\"error\":\"{}\"", json_escape(m));
+                let _ = write!(line, ",\"error\":\"{}\"", escape(m));
             }
             let _ = write!(
                 line,
                 ",\"tool_time_s\":{},\"backoff_s\":{},\"incremental\":{},\"cached\":{}}}",
-                json_f64(e.tool_time_s),
-                json_f64(e.backoff_s),
+                number(e.tool_time_s),
+                number(e.backoff_s),
                 e.incremental,
                 e.cached
             );
@@ -528,13 +500,13 @@ pub fn event_json(key: EventKey, event: &ObsEvent) -> String {
         ObsEvent::StoreHit { point } => {
             format!(
                 "{head},\"type\":\"store_hit\",\"point\":\"{}\"}}",
-                json_escape(point)
+                escape(point)
             )
         }
         ObsEvent::TimeCharged { seconds } => {
             format!(
                 "{head},\"type\":\"time_charged\",\"seconds\":{}}}",
-                json_f64(*seconds)
+                number(*seconds)
             )
         }
         ObsEvent::Resume {
@@ -553,9 +525,9 @@ pub fn event_json(key: EventKey, event: &ObsEvent) -> String {
                 summary.permanent_failures,
                 summary.cache_hits,
                 summary.store_hits,
-                json_f64(summary.backoff_s),
+                number(summary.backoff_s),
                 runs,
-                json_f64(*tool_time_s)
+                number(*tool_time_s)
             )
         }
         ObsEvent::Generation {
@@ -580,10 +552,10 @@ pub fn event_json(key: EventKey, event: &ObsEvent) -> String {
                 .map(|c| {
                     format!(
                         "{{\"name\":\"{}\",\"evaluations\":{},\"hypervolume\":{},\"slope\":{}}}",
-                        json_escape(&c.name),
+                        escape(&c.name),
                         c.evaluations,
-                        json_f64(c.hypervolume),
-                        json_f64(c.slope)
+                        number(c.hypervolume),
+                        number(c.slope)
                     )
                 })
                 .collect();
@@ -592,34 +564,31 @@ pub fn event_json(key: EventKey, event: &ObsEvent) -> String {
                  \"space_volume\":{space_volume},\"objectives\":{objectives},\
                  \"lowfi_runs\":{lowfi_runs},\"lowfi_time_s\":{},\
                  \"candidates\":[{}]}}",
-                json_escape(explorer),
-                json_f64(*lowfi_time_s),
+                escape(explorer),
+                number(*lowfi_time_s),
                 cands.join(",")
             )
         }
         ObsEvent::SurrogateDecision { point, choice } => {
             format!(
                 "{head},\"type\":\"surrogate_decision\",\"point\":\"{}\",\"choice\":\"{choice}\"}}",
-                json_escape(point)
+                escape(point)
             )
         }
         ObsEvent::Reselected { bandwidth } => {
             format!(
                 "{head},\"type\":\"reselected\",\"bandwidth\":{}}}",
-                json_f64(*bandwidth)
+                number(*bandwidth)
             )
         }
         ObsEvent::GammaUpdated { gamma } => {
             format!(
                 "{head},\"type\":\"gamma_updated\",\"gamma\":{}}}",
-                json_f64(*gamma)
+                number(*gamma)
             )
         }
         ObsEvent::Fault { kind } => {
-            format!(
-                "{head},\"type\":\"fault\",\"kind\":\"{}\"}}",
-                json_escape(kind)
-            )
+            format!("{head},\"type\":\"fault\",\"kind\":\"{}\"}}", escape(kind))
         }
         ObsEvent::Worker {
             worker,
@@ -629,13 +598,13 @@ pub fn event_json(key: EventKey, event: &ObsEvent) -> String {
             format!(
                 "{head},\"type\":\"worker\",\"worker\":{worker},\"kind\":\"{kind}\",\
                  \"detail\":\"{}\"}}",
-                json_escape(detail)
+                escape(detail)
             )
         }
         ObsEvent::StoreEvicted { key } => {
             format!(
                 "{head},\"type\":\"store_evicted\",\"key\":\"{}\"}}",
-                json_escape(key)
+                escape(key)
             )
         }
     }
@@ -671,11 +640,11 @@ pub fn summary_json(totals: &Totals, dropped: u64) -> String {
         totals.summary.permanent_failures,
         totals.summary.cache_hits,
         totals.summary.store_hits,
-        json_f64(totals.summary.backoff_s),
+        number(totals.summary.backoff_s),
         totals.runs,
-        json_f64(totals.tool_time_s),
+        number(totals.tool_time_s),
         totals.lowfi_runs,
-        json_f64(totals.lowfi_time_s),
+        number(totals.lowfi_time_s),
         dropped
     )
 }
@@ -835,12 +804,5 @@ mod tests {
         let summary = text.lines().last().unwrap();
         assert!(summary.contains("\"lowfi_runs\":96"), "{summary}");
         assert!(summary.contains("\"lowfi_time_s\":42.5"), "{summary}");
-    }
-
-    #[test]
-    fn json_floats_print_shortest_roundtrip() {
-        assert_eq!(json_f64(90.0), "90");
-        assert_eq!(json_f64(0.1), "0.1");
-        assert_eq!(json_f64(f64::NAN), "null");
     }
 }

@@ -4,8 +4,9 @@
 //! only needs to *read* small, line-delimited JSON objects (requests
 //! from clients, trace v2 event lines on the client side). This module
 //! is a strict-enough recursive-descent parser over one line of JSON
-//! producing a [`Json`] tree, plus the string-escape helper the writer
-//! side shares with `obs`'s hand-rolled emitters.
+//! producing a [`Json`] tree, plus the two writer helpers — [`escape`]
+//! and [`number`] — that every hand-rolled JSON emitter (the trace
+//! writer in `obs`, the serve protocol) shares.
 //!
 //! Numbers are held as `f64` (the trace format itself never emits a
 //! value outside `f64`'s exact-integer range; sequence numbers are far
@@ -95,8 +96,7 @@ impl Json {
     }
 }
 
-/// Escapes a string for inclusion in a JSON string literal (same
-/// escaping rules as the trace writer in `obs`).
+/// Escapes a string for inclusion in a JSON string literal.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -113,6 +113,16 @@ pub fn escape(s: &str) -> String {
         }
     }
     out
+}
+
+/// Formats a float as a JSON number. Rust's shortest-roundtrip `Display`
+/// is deterministic and decimal; non-finite values become `null`.
+pub fn number(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v}")
+    } else {
+        "null".into()
+    }
 }
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
@@ -287,6 +297,13 @@ mod tests {
         assert_eq!(arr.len(), 3);
         assert_eq!(arr[1].get("b").and_then(Json::as_str), Some("c"));
         assert_eq!(arr[2], Json::Null);
+    }
+
+    #[test]
+    fn json_floats_print_shortest_roundtrip() {
+        assert_eq!(number(90.0), "90");
+        assert_eq!(number(0.1), "0.1");
+        assert_eq!(number(f64::NAN), "null");
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //! the server state lock *and* vice versa — every function takes one,
 //! releases it, then takes the other.
 
-use super::json::escape;
+use super::json::{escape, number};
 use super::protocol::{parse_request, JobSpec, Request, SERVE_PROTOCOL_VERSION};
 use super::scheduler::{CancelToken, Scheduler};
 use crate::backend::ToolBackend;
@@ -42,7 +42,7 @@ use crate::dse::{Dovado, DseConfig, ExploreMonitor, Explorer, SurrogateConfig};
 use crate::error::{DovadoError, DovadoResult};
 use crate::flow::{EvalConfig, HdlSource};
 use crate::metrics::MetricSet;
-use crate::obs::{event_json, json_f64, summary_json, trace_header, EventBus, EventKey, Totals};
+use crate::obs::{event_json, summary_json, trace_header, EventBus, EventKey, Totals};
 use crate::results::DseReport;
 use crate::space::ParameterSpace;
 use crate::worker::backend_from_spec;
@@ -501,11 +501,9 @@ fn execute_job(inner: &Arc<ServerInner>, job: &Arc<JobHandle>) -> DovadoResult<D
                 "job requested the shared store but the daemon was started without a root".into(),
             )
         })?;
-        // Scope lookups by the full backend spec: `ToolBackend::name`
-        // omits the construction seed, and a shared multi-tenant store
-        // must never answer a `mock:8` job with `mock:7` metrics.
-        tool.evaluator_mut()
-            .attach_store_scoped(store, &spec.backend);
+        // The backend's name carries its seed, so a `mock:8` job never
+        // reads `mock:7` answers from the shared store.
+        tool.evaluator_mut().attach_store(store);
     }
     {
         let mut state = job.state.lock().expect("job state poisoned");
@@ -534,7 +532,6 @@ fn execute_job(inner: &Arc<ServerInner>, job: &Arc<JobHandle>) -> DovadoResult<D
         }),
         // Jobs evaluate serially: `slots` is the daemon's parallelism.
         parallel: false,
-        jobs: None,
         workers: None,
     };
     let monitor = JobMonitor {
@@ -584,7 +581,7 @@ fn render_pareto(report: &DseReport) -> String {
         .pareto
         .iter()
         .map(|e| {
-            let values: Vec<String> = e.values.iter().map(|v| json_f64(*v)).collect();
+            let values: Vec<String> = e.values.iter().map(|v| number(*v)).collect();
             let bits: Vec<String> = e
                 .values
                 .iter()
@@ -686,9 +683,9 @@ fn status_line(inner: &Arc<ServerInner>) -> String {
                 "{{\"tenant\":\"{}\",\"tool_time_s\":{},\"runs\":{},\
                  \"lowfi_time_s\":{},\"lowfi_runs\":{},\"jobs\":{}}}",
                 escape(name),
-                json_f64(ledger.tool_time_s),
+                number(ledger.tool_time_s),
                 ledger.runs,
-                json_f64(ledger.lowfi_time_s),
+                number(ledger.lowfi_time_s),
                 ledger.lowfi_runs,
                 ledger.jobs
             )

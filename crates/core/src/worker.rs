@@ -61,15 +61,11 @@ pub fn backend_from_spec(spec: &str) -> Option<Box<dyn ToolBackend>> {
     }
 }
 
-/// The backend name a spec resolves to (`mock`, `vivado-sim`), without
-/// building the backend. Coordinators use it so a fleet reports the
-/// *inner* backend's name and shares its store identity.
-pub fn backend_name_of_spec(spec: &str) -> Option<&'static str> {
-    match spec.split(':').next()? {
-        "mock" => Some("mock"),
-        "vivado-sim" => Some("vivado-sim"),
-        _ => None,
-    }
+/// The name of the backend a spec builds (`mock:7` for `mock:7:spin=50`).
+/// Coordinators use it so a fleet reports the *inner* backend's identity
+/// and shares its store entries.
+pub fn backend_name_of_spec(spec: &str) -> Option<String> {
+    backend_from_spec(spec).map(|b| b.name().to_string())
 }
 
 // ---------------------------------------------------------------------------
@@ -297,7 +293,7 @@ pub fn thread_fleet(spec: &str, workers: usize) -> io::Result<RemoteBackend> {
         )
     })?;
     RemoteBackend::new(
-        name,
+        &name,
         spec,
         workers,
         Box::new(|| Ok(Box::new(ThreadWorker::spawn()) as Box<dyn WorkerLink + Send>)),
@@ -319,7 +315,7 @@ pub fn process_fleet(
         )
     })?;
     RemoteBackend::new(
-        name,
+        &name,
         spec,
         workers,
         Box::new(move || {
@@ -354,17 +350,17 @@ mod tests {
 
     #[test]
     fn specs_parse_and_reject() {
-        assert_eq!(backend_from_spec("mock:7").unwrap().name(), "mock");
+        assert_eq!(backend_from_spec("mock:7").unwrap().name(), "mock:7");
         assert_eq!(
             backend_from_spec("vivado-sim:42").unwrap().name(),
-            "vivado-sim"
+            "vivado-sim:42"
         );
-        assert_eq!(backend_from_spec("mock:7:spin=5").unwrap().name(), "mock");
+        assert_eq!(backend_from_spec("mock:7:spin=5").unwrap().name(), "mock:7");
         assert!(backend_from_spec("vivado-sim:7:spin=5").is_none());
         assert!(backend_from_spec("mock").is_none());
         assert!(backend_from_spec("mock:x").is_none());
         assert!(backend_from_spec("quantum:7").is_none());
-        assert_eq!(backend_name_of_spec("mock:7"), Some("mock"));
+        assert_eq!(backend_name_of_spec("mock:7:spin=5").unwrap(), "mock:7");
         assert_eq!(backend_name_of_spec("quantum:7"), None);
     }
 

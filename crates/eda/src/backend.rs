@@ -65,8 +65,13 @@ pub trait ToolSession {
 /// A tool installation Dovado can drive: mints sessions and carries the
 /// cross-session state (checkpoint store, fault stream).
 pub trait ToolBackend: Send + Sync {
-    /// Stable backend identifier; folded into persistent-store keys so
-    /// different backends never answer for each other.
+    /// The backend's full identity: everything besides the sources and
+    /// evaluation config that decides its answers — kind and seed, as in
+    /// `mock:7` — and nothing that does not (a wall-clock spin, the fault
+    /// plan). Folded into persistent-store keys and journal fingerprints,
+    /// so differently-seeded backends sharing one store never answer for
+    /// each other, while a wrapper that forwards `name` shares its inner
+    /// backend's entries.
     fn name(&self) -> &str;
 
     /// Opens a fresh single-use session.
@@ -91,6 +96,8 @@ pub trait ToolBackend: Send + Sync {
 #[derive(Clone)]
 pub struct SimBackend {
     seed: u64,
+    /// `vivado-sim:SEED`.
+    name: String,
     checkpoints: CheckpointStore,
     injector: Option<FaultInjector>,
 }
@@ -100,6 +107,7 @@ impl SimBackend {
     pub fn new(seed: u64) -> SimBackend {
         SimBackend {
             seed,
+            name: format!("vivado-sim:{seed}"),
             checkpoints: CheckpointStore::new(),
             injector: None,
         }
@@ -117,7 +125,7 @@ impl SimBackend {
 
 impl ToolBackend for SimBackend {
     fn name(&self) -> &str {
-        "vivado-sim"
+        &self.name
     }
 
     fn open_session(&self) -> Box<dyn ToolSession + Send> {
@@ -181,6 +189,8 @@ impl ToolSession for SimSession {
 #[derive(Clone)]
 pub struct MockBackend {
     seed: u64,
+    /// `mock:SEED`.
+    name: String,
     injector: Option<FaultInjector>,
     spin_ms: u64,
 }
@@ -190,6 +200,7 @@ impl MockBackend {
     pub fn new(seed: u64) -> MockBackend {
         MockBackend {
             seed,
+            name: format!("mock:{seed}"),
             injector: None,
             spin_ms: 0,
         }
@@ -216,7 +227,7 @@ impl MockBackend {
 
 impl ToolBackend for MockBackend {
     fn name(&self) -> &str {
-        "mock"
+        &self.name
     }
 
     fn open_session(&self) -> Box<dyn ToolSession + Send> {

@@ -580,10 +580,11 @@ impl Drop for Fleet {
 /// A [`ToolBackend`] that dispatches sessions to a fleet of stateless
 /// workers over the frame protocol.
 ///
-/// `name()` reports the *inner* backend's name (`mock`, `vivado-sim`):
-/// the fleet is a transport, not a different tool — its answers are
-/// bitwise those of the inner backend, so it shares the inner backend's
-/// store identity and journal fingerprints.
+/// `name()` reports the *inner* backend's identity (`mock:7`,
+/// `vivado-sim:42`, taken from the worker spec): the fleet is a
+/// transport, not a different tool — its answers are bitwise those of
+/// the inner backend, so it shares the inner backend's store identity
+/// and journal fingerprints.
 pub struct RemoteBackend {
     fleet: Arc<Fleet>,
 }

@@ -143,8 +143,9 @@ impl Problem for Zdt3 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explorer::{run, WsgaExplorer};
     use crate::metrics::{hypervolume, igd};
-    use crate::nsga2::{nsga2, Nsga2Config};
+    use crate::nsga2::{Nsga2Config, Nsga2Explorer};
     use crate::termination::Termination;
 
     fn front_of(result: &crate::nsga2::OptResult) -> Vec<Vec<f64>> {
@@ -171,7 +172,11 @@ mod tests {
             seed: 2,
             ..Default::default()
         };
-        let r = nsga2(&mut p, &cfg, &Termination::Generations(120));
+        let r = run(
+            Box::new(Nsga2Explorer::start(&mut p, &cfg)),
+            &mut p,
+            &Termination::Generations(120),
+        );
         let front = front_of(&r);
         let d = igd(&front, &Zdt1::true_front(50));
         assert!(d < 0.15, "IGD {d} too far from the true front");
@@ -188,7 +193,11 @@ mod tests {
             seed: 3,
             ..Default::default()
         };
-        let r = nsga2(&mut p, &cfg, &Termination::Generations(120));
+        let r = run(
+            Box::new(Nsga2Explorer::start(&mut p, &cfg)),
+            &mut p,
+            &Termination::Generations(120),
+        );
         // The non-convex front defeats the weighted-sum GA (it collapses to
         // the extremes) but not NSGA-II: interior points must survive.
         let interior = r
@@ -204,13 +213,8 @@ mod tests {
         // The classic failure NSGA-II exists to fix: equal-weight
         // scalarization cannot hold interior points of a non-convex front.
         let mut p = Zdt2::new(6);
-        let r = crate::baselines::weighted_sum_ga(
-            &mut p,
-            &[0.5, 0.5],
-            &Termination::Generations(120),
-            48,
-            3,
-        );
+        let e = WsgaExplorer::start(&mut p, vec![0.5, 0.5], 48, 3);
+        let r = run(Box::new(e), &mut p, &Termination::Generations(120));
         // Best-by-scalar individuals concentrate at the extremes.
         let best = r
             .population
@@ -236,7 +240,11 @@ mod tests {
             seed: 4,
             ..Default::default()
         };
-        let r = nsga2(&mut p, &cfg, &Termination::Generations(120));
+        let r = run(
+            Box::new(Nsga2Explorer::start(&mut p, &cfg)),
+            &mut p,
+            &Termination::Generations(120),
+        );
         // f2 on ZDT3's front dips negative in some segments.
         assert!(r.pareto.iter().any(|i| i.min_objs[1] < 0.0));
     }
@@ -249,7 +257,11 @@ mod tests {
             seed: 1,
             ..Default::default()
         };
-        let r = nsga2(&mut p, &cfg, &Termination::Generations(5));
+        let r = run(
+            Box::new(Nsga2Explorer::start(&mut p, &cfg)),
+            &mut p,
+            &Termination::Generations(5),
+        );
         assert_eq!(p.evaluations, r.evaluations);
     }
 }

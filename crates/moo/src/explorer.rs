@@ -1,14 +1,14 @@
-//! Algorithm-agnostic stepwise exploration: the [`Explorer`] trait.
+//! Algorithm-agnostic stepwise exploration: the [`Explorer`] trait and
+//! the one loop, [`run`], that drives any explorer to completion.
 //!
-//! The driver in `dovado-core` used to be hard-wired to [`Nsga2Engine`];
-//! every cross-cutting service (journaling, trace events, cancellation,
-//! parallel schedules, the serve daemon) was welded to that one engine.
-//! [`Explorer`] is the seam that frees them: any search algorithm that can
-//! run one *generation* at a time, capture its full state as a tagged
-//! [`ExplorerSnapshot`], and report its current front plugs into the same
-//! driver and inherits all of those services unchanged.
+//! Every cross-cutting service of the `dovado-core` driver — journaling,
+//! trace events, cancellation, parallel schedules, the serve daemon — is
+//! written against this seam, not against one algorithm. Any search that
+//! can run one *generation* at a time, capture its full state as a
+//! tagged [`ExplorerSnapshot`], and report its current front plugs into
+//! that driver and inherits all of those services unchanged.
 //!
-//! The contract mirrors what made the NSGA-II engine crash-safe:
+//! The contract:
 //!
 //! * `step` advances exactly one generation and is the only method that
 //!   evaluates the problem;
@@ -18,15 +18,19 @@
 //! * `should_stop` is consulted *between* generations, so termination (and
 //!   the paper's soft deadline) composes identically for every algorithm.
 //!
-//! Engines here: [`Nsga2Explorer`] (wraps the classic engine),
-//! [`RandomExplorer`], [`ExhaustiveExplorer`], [`WsgaExplorer`]
-//! (weighted-sum GA) and [`AnnealingExplorer`] (simulated annealing). The
-//! Bayesian acquisition engine lives in `dovado-core` (it needs the
-//! surrogate crate) but shares [`BayesSnapshot`] defined here so the
-//! journal format stays in one place.
+//! Explorers: [`crate::Nsga2Explorer`] (the paper's solver) and, defined
+//! here, the baselines the paper positions NSGA-II against (Panerati et
+//! al. \[12\]): [`RandomExplorer`] (uniform random search),
+//! [`ExhaustiveExplorer`] (exact enumeration of small spaces — Dovado's
+//! "exact exploration of a given set of parameters" mode),
+//! [`WsgaExplorer`] (the weighted-sum scalarization NSGA-II supersedes)
+//! and [`AnnealingExplorer`] (simulated annealing). The Bayesian
+//! acquisition engine lives in `dovado-core` (it needs the surrogate
+//! crate) but shares [`BayesSnapshot`] defined here so the journal format
+//! stays in one place.
 
 use crate::individual::{non_dominated_indices, Individual};
-use crate::nsga2::{GenStats, Nsga2Config, Nsga2Engine, Nsga2Snapshot, OptResult};
+use crate::nsga2::{GenStats, Nsga2Snapshot, OptResult};
 use crate::ops::sampling::{random_genome, random_population};
 use crate::ops::{GaussianIntegerMutation, IntegerSbx};
 use crate::problem::{to_min_space, IntVar, Objective, Problem};
@@ -294,77 +298,19 @@ pub fn evaluate_genomes(
         .collect()
 }
 
-/// Adapter that lets `P: Problem + ?Sized` generics (the run-to-completion
-/// wrappers in [`crate::baselines`]) drive the `&mut dyn Problem` trait
-/// methods without requiring `P: Sized` for the unsize coercion.
-pub(crate) struct DynProblem<'a, P: Problem + ?Sized>(pub &'a mut P);
-
-impl<P: Problem + ?Sized> Problem for DynProblem<'_, P> {
-    fn variables(&self) -> &[IntVar] {
-        self.0.variables()
+/// Drives `explorer` until `termination` fires (or the explorer runs out
+/// of points) and returns its result. Start the explorer on the same
+/// problem first — e.g. `run(Box::new(Nsga2Explorer::start(&mut p, &cfg)),
+/// &mut p, &term)`; a run is bitwise reproducible per seed.
+pub fn run<E: Explorer + ?Sized>(
+    mut explorer: Box<E>,
+    problem: &mut dyn Problem,
+    termination: &Termination,
+) -> OptResult {
+    while !explorer.should_stop(problem, termination) {
+        explorer.step(problem);
     }
-    fn objectives(&self) -> &[Objective] {
-        self.0.objectives()
-    }
-    fn evaluate(&mut self, genome: &[i64]) -> Vec<f64> {
-        self.0.evaluate(genome)
-    }
-    fn evaluate_batch(&mut self, genomes: &[Vec<i64>]) -> Vec<Vec<f64>> {
-        self.0.evaluate_batch(genomes)
-    }
-    fn external_cost(&self) -> f64 {
-        self.0.external_cost()
-    }
-}
-
-// --------------------------------------------------------------------------
-// NSGA-II
-// --------------------------------------------------------------------------
-
-/// [`Nsga2Engine`] behind the [`Explorer`] seam.
-#[derive(Debug, Clone)]
-pub struct Nsga2Explorer {
-    engine: Nsga2Engine,
-}
-
-impl Nsga2Explorer {
-    /// Starts a fresh run (evaluates the initial population).
-    pub fn start(problem: &mut dyn Problem, cfg: &Nsga2Config) -> Nsga2Explorer {
-        Nsga2Explorer {
-            engine: Nsga2Engine::start(problem, cfg),
-        }
-    }
-
-    /// Rebuilds the engine from a journal snapshot.
-    pub fn resume(problem: &dyn Problem, cfg: &Nsga2Config, snap: Nsga2Snapshot) -> Nsga2Explorer {
-        Nsga2Explorer {
-            engine: Nsga2Engine::resume(problem, cfg, snap),
-        }
-    }
-}
-
-impl Explorer for Nsga2Explorer {
-    fn name(&self) -> &'static str {
-        "nsga2"
-    }
-    fn generation(&self) -> u32 {
-        self.engine.generation()
-    }
-    fn evaluations(&self) -> u64 {
-        self.engine.evaluations()
-    }
-    fn step(&mut self, problem: &mut dyn Problem) {
-        self.engine.step(problem);
-    }
-    fn snapshot(&self) -> ExplorerSnapshot {
-        ExplorerSnapshot::Nsga2(self.engine.snapshot())
-    }
-    fn front(&self) -> Vec<Individual> {
-        front_of(self.engine.archive())
-    }
-    fn into_result(self: Box<Self>) -> OptResult {
-        self.engine.into_result()
-    }
+    explorer.into_result()
 }
 
 // --------------------------------------------------------------------------
@@ -922,6 +868,7 @@ impl Explorer for AnnealingExplorer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::nsga2::{Nsga2Config, Nsga2Explorer};
     use crate::problem::Schaffer;
 
     fn small_schaffer() -> impl Problem {
@@ -938,13 +885,6 @@ mod tests {
             }
         }
         Small(Schaffer::new(), vec![IntVar::new("x", -10, 10)])
-    }
-
-    fn run_to_end(mut e: Box<dyn Explorer>, p: &mut dyn Problem, t: &Termination) -> OptResult {
-        while !e.should_stop(p, t) {
-            e.step(p);
-        }
-        e.into_result()
     }
 
     #[test]
@@ -1024,7 +964,7 @@ mod tests {
         ];
         for (mk, rs) in cases {
             let mut p1 = small_schaffer();
-            let direct = run_to_end(mk(&mut p1), &mut p1, &term);
+            let direct = run(mk(&mut p1), &mut p1, &term);
 
             let mut p2 = small_schaffer();
             let mut e = mk(&mut p2);
@@ -1046,7 +986,7 @@ mod tests {
     fn exhaustive_explorer_enumerates_exactly_once() {
         let mut p = small_schaffer();
         let e = ExhaustiveExplorer::start(&p, 1000, 5).unwrap();
-        let r = run_to_end(Box::new(e), &mut p, &Termination::Generations(10_000));
+        let r = run(Box::new(e), &mut p, &Termination::Generations(10_000));
         assert_eq!(r.evaluations, 21);
         let mut genomes: Vec<Vec<i64>> = r.population.iter().map(|i| i.genome.clone()).collect();
         genomes.sort();
@@ -1066,7 +1006,7 @@ mod tests {
     fn annealing_improves_on_schaffer() {
         let mut p = Schaffer::new();
         let e = AnnealingExplorer::start(&mut p, 16, 5);
-        let r = run_to_end(Box::new(e), &mut p, &Termination::Generations(40));
+        let r = run(Box::new(e), &mut p, &Termination::Generations(40));
         // The optimum of the mean energy is x ∈ [0, 2]; the walk must get
         // close even from a random start in [-1000, 1000].
         let best = r
@@ -1133,5 +1073,99 @@ mod tests {
             assert_eq!(e.snapshot().generation(), e.generation());
             assert_eq!(e.snapshot().evaluations(), e.evaluations());
         }
+    }
+
+    // ---- baselines driven through `run` ----------------------------------
+
+    #[test]
+    fn random_explorer_finds_some_front() {
+        let mut p = Schaffer::new();
+        let e = RandomExplorer::start(&p, 50, 1);
+        let r = run(Box::new(e), &mut p, &Termination::Evaluations(500));
+        assert!(r.evaluations >= 500);
+        assert!(!r.pareto.is_empty());
+        for a in &r.pareto {
+            for b in &r.pareto {
+                assert!(!a.dominates(b) || a.genome == b.genome);
+            }
+        }
+    }
+
+    #[test]
+    fn exhaustive_is_exact_on_small_space() {
+        // One batch as big as the space: a single generation, exact.
+        let mut p = small_schaffer();
+        let e = ExhaustiveExplorer::start(&p, 10_000, 21).unwrap();
+        let r = run(Box::new(e), &mut p, &Termination::Generations(u32::MAX));
+        assert_eq!(r.evaluations, 21);
+        assert_eq!(r.generations, 1);
+        // Exact Pareto set: x ∈ {0, 1, 2}.
+        let mut xs: Vec<i64> = r.pareto.iter().map(|i| i.genome[0]).collect();
+        xs.sort();
+        assert_eq!(xs, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn weighted_sum_collapses_to_one_region() {
+        let mut p = Schaffer::new();
+        let e = WsgaExplorer::start(&mut p, vec![1.0, 1.0], 24, 2);
+        let r = run(Box::new(e), &mut p, &Termination::Generations(30));
+        // Equal weights on x² and (x−2)²: optimum at x=1.
+        let best = r
+            .population
+            .iter()
+            .min_by(|a, b| {
+                let sa: f64 = a.min_objs.iter().sum();
+                let sb: f64 = b.min_objs.iter().sum();
+                sa.partial_cmp(&sb).unwrap()
+            })
+            .unwrap();
+        assert!((0..=2).contains(&best.genome[0]), "best {:?}", best.genome);
+    }
+
+    #[test]
+    fn weighted_sum_deterministic_under_duplicate_fitness() {
+        // Every genome scores the same scalar fitness, so survival is pure
+        // tie-breaking; two identical runs must still agree exactly (the
+        // old fitness-only sort left survivor choice to insertion order).
+        struct Flat(Vec<IntVar>, Vec<Objective>);
+        impl Problem for Flat {
+            fn variables(&self) -> &[IntVar] {
+                &self.0
+            }
+            fn objectives(&self) -> &[Objective] {
+                &self.1
+            }
+            fn evaluate(&mut self, _: &[i64]) -> Vec<f64> {
+                vec![0.0]
+            }
+        }
+        let population = || {
+            let mut p = Flat(
+                vec![IntVar::new("x", 0, 500)],
+                vec![Objective::minimize("f")],
+            );
+            let e = WsgaExplorer::start(&mut p, vec![1.0], 12, 9);
+            let r = run(Box::new(e), &mut p, &Termination::Generations(5));
+            r.population
+                .iter()
+                .map(|i| i.genome.clone())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(population(), population());
+    }
+
+    #[test]
+    fn random_explorer_deterministic_per_seed() {
+        let front = |seed| {
+            let mut p = Schaffer::new();
+            let e = RandomExplorer::start(&p, 50, seed);
+            let r = run(Box::new(e), &mut p, &Termination::Evaluations(200));
+            r.pareto
+                .iter()
+                .map(|i| i.genome.clone())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(front(3), front(3));
     }
 }

@@ -4,21 +4,23 @@
 //! a from-scratch NSGA-II (fast non-dominated sorting, crowding distance,
 //! binary tournament, integer SBX crossover, Gaussian integer mutation,
 //! duplicate elimination), baseline explorers (random, exhaustive,
-//! weighted-sum GA), quality metrics (hypervolume, IGD, spread) and
-//! termination criteria including the paper's soft deadline.
+//! weighted-sum GA, simulated annealing) behind one stepwise [`Explorer`]
+//! trait, quality metrics (hypervolume, IGD, spread) and termination
+//! criteria including the paper's soft deadline. [`run`] drives any
+//! explorer to completion:
 //!
 //! ```
-//! use dovado_moo::{nsga2, Nsga2Config, Schaffer, Termination};
+//! use dovado_moo::{run, Nsga2Config, Nsga2Explorer, Schaffer, Termination};
 //!
 //! let mut problem = Schaffer::new();
 //! let cfg = Nsga2Config { pop_size: 20, seed: 1, ..Default::default() };
-//! let result = nsga2(&mut problem, &cfg, &Termination::Generations(25));
+//! let nsga2 = Nsga2Explorer::start(&mut problem, &cfg);
+//! let result = run(Box::new(nsga2), &mut problem, &Termination::Generations(25));
 //! assert!(!result.pareto.is_empty());
 //! ```
 
 #![warn(missing_docs)]
 
-pub mod baselines;
 pub mod benchmarks;
 pub mod crowding;
 pub mod explorer;
@@ -30,17 +32,16 @@ pub mod problem;
 pub mod sorting;
 pub mod termination;
 
-pub use baselines::{exhaustive_search, random_search, weighted_sum_ga};
 pub use benchmarks::{Zdt1, Zdt2, Zdt3};
 pub use crowding::assign_crowding;
 pub use explorer::{
-    AnnealingExplorer, AnnealingSnapshot, BayesSnapshot, ExhaustiveExplorer, ExhaustiveSnapshot,
-    Explorer, ExplorerSnapshot, Nsga2Explorer, RandomExplorer, RandomSnapshot, WsgaExplorer,
+    run, AnnealingExplorer, AnnealingSnapshot, BayesSnapshot, ExhaustiveExplorer,
+    ExhaustiveSnapshot, Explorer, ExplorerSnapshot, RandomExplorer, RandomSnapshot, WsgaExplorer,
     WsgaSnapshot,
 };
 pub use individual::{non_dominated_indices, Individual};
 pub use metrics::{hypervolume, hypervolume_of, igd, spread};
-pub use nsga2::{nsga2, GenStats, Nsga2Config, Nsga2Engine, Nsga2Snapshot, OptResult};
+pub use nsga2::{GenStats, Nsga2Config, Nsga2Explorer, Nsga2Snapshot, OptResult};
 pub use ops::{GaussianIntegerMutation, IntegerSbx};
 pub use problem::{to_min_space, IntVar, Objective, Problem, Schaffer, Sense};
 pub use sorting::fast_non_dominated_sort;

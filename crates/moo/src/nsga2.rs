@@ -9,12 +9,12 @@
 //! crowding-distance truncation.
 
 use crate::crowding::assign_crowding;
+use crate::explorer::{front_of, Explorer, ExplorerSnapshot};
 use crate::individual::{non_dominated_indices, Individual};
 use crate::ops::sampling::random_population;
 use crate::ops::{binary_tournament, dedup_against, GaussianIntegerMutation, IntegerSbx};
 use crate::problem::{to_min_space, Problem};
 use crate::sorting::fast_non_dominated_sort;
-use crate::termination::{EngineState, Termination};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -130,9 +130,9 @@ impl OptResult {
     }
 }
 
-/// A point-in-time image of a running engine, sufficient to rebuild it
-/// bitwise via [`Nsga2Engine::resume`]. This is what the exploration
-/// journal persists at every generation boundary.
+/// A point-in-time image of a running NSGA-II search, sufficient to
+/// rebuild it bitwise via [`Nsga2Explorer::resume`]. This is what the
+/// exploration journal persists at every generation boundary.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Nsga2Snapshot {
     /// Generations completed so far.
@@ -149,13 +149,12 @@ pub struct Nsga2Snapshot {
     pub history: Vec<GenStats>,
 }
 
-/// A stepwise NSGA-II engine: the classic loop split at generation
-/// boundaries so callers can interleave snapshotting (crash-safe journals)
-/// or custom control between generations. [`nsga2`] is the thin
-/// run-to-completion wrapper; both produce bitwise-identical results for
-/// the same seed because they share this code and its RNG call order.
+/// Stepwise NSGA-II behind the [`Explorer`] seam: the classic loop split
+/// at generation boundaries so callers can interleave snapshotting
+/// (crash-safe journals) or custom control between generations.
+/// [`crate::run`] drives it to completion.
 #[derive(Debug, Clone)]
-pub struct Nsga2Engine {
+pub struct Nsga2Explorer {
     cfg: Nsga2Config,
     rng: StdRng,
     vars: Vec<crate::problem::IntVar>,
@@ -167,10 +166,10 @@ pub struct Nsga2Engine {
     generation: u32,
 }
 
-impl Nsga2Engine {
+impl Nsga2Explorer {
     /// Seeds the RNG, samples and evaluates the initial population, and
     /// records the generation-0 history entry.
-    pub fn start<P: Problem + ?Sized>(problem: &mut P, cfg: &Nsga2Config) -> Nsga2Engine {
+    pub fn start(problem: &mut dyn Problem, cfg: &Nsga2Config) -> Nsga2Explorer {
         assert!(
             cfg.pop_size >= 2,
             "population must hold at least one mating pair"
@@ -208,7 +207,7 @@ impl Nsga2Engine {
             external_cost: problem.external_cost(),
         }];
 
-        Nsga2Engine {
+        Nsga2Explorer {
             cfg: cfg.clone(),
             rng,
             vars,
@@ -221,16 +220,12 @@ impl Nsga2Engine {
         }
     }
 
-    /// Rebuilds an engine mid-run from a journal snapshot. The problem
+    /// Rebuilds the search mid-run from a journal snapshot. The problem
     /// supplies variables/objectives (they are derived state, not part of
     /// the snapshot); everything else — including the RNG stream position —
     /// continues exactly where the snapshot was taken.
-    pub fn resume<P: Problem + ?Sized>(
-        problem: &P,
-        cfg: &Nsga2Config,
-        snap: Nsga2Snapshot,
-    ) -> Nsga2Engine {
-        Nsga2Engine {
+    pub fn resume(problem: &dyn Problem, cfg: &Nsga2Config, snap: Nsga2Snapshot) -> Nsga2Explorer {
+        Nsga2Explorer {
             cfg: cfg.clone(),
             rng: StdRng::from_state(snap.rng_state),
             vars: problem.variables().to_vec(),
@@ -242,46 +237,23 @@ impl Nsga2Engine {
             generation: snap.generation,
         }
     }
+}
 
-    /// Captures the engine's full mid-run state.
-    pub fn snapshot(&self) -> Nsga2Snapshot {
-        Nsga2Snapshot {
-            generation: self.generation,
-            evaluations: self.evaluations,
-            rng_state: self.rng.state(),
-            population: self.pop.clone(),
-            archive: self.archive.clone(),
-            history: self.history.clone(),
-        }
+impl Explorer for Nsga2Explorer {
+    fn name(&self) -> &'static str {
+        "nsga2"
     }
 
-    /// Generations completed so far.
-    pub fn generation(&self) -> u32 {
+    fn generation(&self) -> u32 {
         self.generation
     }
 
-    /// Evaluations spent so far.
-    pub fn evaluations(&self) -> u64 {
+    fn evaluations(&self) -> u64 {
         self.evaluations
     }
 
-    /// Everything evaluated so far, in insertion order.
-    pub fn archive(&self) -> &[Individual] {
-        &self.archive
-    }
-
-    /// Whether `termination` says the run is finished.
-    pub fn should_stop<P: Problem + ?Sized>(&self, problem: &P, termination: &Termination) -> bool {
-        let state = EngineState {
-            generation: self.generation,
-            evaluations: self.evaluations,
-            external_cost: problem.external_cost(),
-        };
-        termination.should_stop(&state)
-    }
-
     /// Runs one full generation: variation → evaluation → (μ+λ) survival.
-    pub fn step<P: Problem + ?Sized>(&mut self, problem: &mut P) {
+    fn step(&mut self, problem: &mut dyn Problem) {
         let cfg = &self.cfg;
         let vars = &self.vars;
         let rng = &mut self.rng;
@@ -389,8 +361,23 @@ impl Nsga2Engine {
         });
     }
 
+    fn snapshot(&self) -> ExplorerSnapshot {
+        ExplorerSnapshot::Nsga2(Nsga2Snapshot {
+            generation: self.generation,
+            evaluations: self.evaluations,
+            rng_state: self.rng.state(),
+            population: self.pop.clone(),
+            archive: self.archive.clone(),
+            history: self.history.clone(),
+        })
+    }
+
+    fn front(&self) -> Vec<Individual> {
+        front_of(&self.archive)
+    }
+
     /// Finalizes the run: archive → deduplicated Pareto front.
-    pub fn into_result(self) -> OptResult {
+    fn into_result(self: Box<Self>) -> OptResult {
         let pareto_idx = non_dominated_indices(&self.archive);
         let mut pareto: Vec<Individual> = pareto_idx
             .into_iter()
@@ -413,23 +400,12 @@ impl Nsga2Engine {
     }
 }
 
-/// Runs NSGA-II on `problem` until `termination` fires.
-pub fn nsga2<P: Problem + ?Sized>(
-    problem: &mut P,
-    cfg: &Nsga2Config,
-    termination: &Termination,
-) -> OptResult {
-    let mut engine = Nsga2Engine::start(problem, cfg);
-    while !engine.should_stop(&*problem, termination) {
-        engine.step(problem);
-    }
-    engine.into_result()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explorer::run;
     use crate::problem::{IntVar, Objective, Schaffer};
+    use crate::termination::Termination;
 
     fn small_cfg(seed: u64) -> Nsga2Config {
         Nsga2Config {
@@ -442,7 +418,11 @@ mod tests {
     #[test]
     fn converges_on_schaffer() {
         let mut p = Schaffer::new();
-        let r = nsga2(&mut p, &small_cfg(1), &Termination::Generations(40));
+        let r = run(
+            Box::new(Nsga2Explorer::start(&mut p, &small_cfg(1))),
+            &mut p,
+            &Termination::Generations(40),
+        );
         // True Pareto set is x ∈ [0, 2]; most of the front must be there.
         let on_front = r
             .pareto
@@ -460,35 +440,45 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let run = |seed| {
+        let front = |seed| {
             let mut p = Schaffer::new();
-            let r = nsga2(&mut p, &small_cfg(seed), &Termination::Generations(10));
+            let r = run(
+                Box::new(Nsga2Explorer::start(&mut p, &small_cfg(seed))),
+                &mut p,
+                &Termination::Generations(10),
+            );
             r.sorted_pareto()
                 .iter()
                 .map(|i| i.genome.clone())
                 .collect::<Vec<_>>()
         };
-        assert_eq!(run(7), run(7));
-        assert_ne!(run(7), run(8));
+        assert_eq!(front(7), front(7));
+        assert_ne!(front(7), front(8));
     }
 
     #[test]
     fn engine_snapshot_resume_is_bitwise_identical() {
         // Run straight through...
         let mut p1 = Schaffer::new();
-        let direct = nsga2(&mut p1, &small_cfg(13), &Termination::Generations(12));
+        let direct = run(
+            Box::new(Nsga2Explorer::start(&mut p1, &small_cfg(13))),
+            &mut p1,
+            &Termination::Generations(12),
+        );
 
         // ...and snapshot/rebuild at every generation boundary.
         let mut p2 = Schaffer::new();
         let cfg = small_cfg(13);
         let term = Termination::Generations(12);
-        let mut engine = Nsga2Engine::start(&mut p2, &cfg);
+        let mut engine = Nsga2Explorer::start(&mut p2, &cfg);
         while !engine.should_stop(&p2, &term) {
-            let snap = engine.snapshot();
-            engine = Nsga2Engine::resume(&p2, &cfg, snap);
+            let ExplorerSnapshot::Nsga2(snap) = engine.snapshot() else {
+                unreachable!("NSGA-II snapshots are tagged Nsga2")
+            };
+            engine = Nsga2Explorer::resume(&p2, &cfg, snap);
             engine.step(&mut p2);
         }
-        let resumed = engine.into_result();
+        let resumed = Box::new(engine).into_result();
 
         assert_eq!(resumed.generations, direct.generations);
         assert_eq!(resumed.evaluations, direct.evaluations);
@@ -507,7 +497,11 @@ mod tests {
     #[test]
     fn respects_evaluation_budget() {
         let mut p = Schaffer::new();
-        let r = nsga2(&mut p, &small_cfg(2), &Termination::Evaluations(100));
+        let r = run(
+            Box::new(Nsga2Explorer::start(&mut p, &small_cfg(2))),
+            &mut p,
+            &Termination::Evaluations(100),
+        );
         // Stops at the first generation boundary at/after 100.
         assert!(r.evaluations >= 100);
         assert!(r.evaluations <= 100 + 24);
@@ -517,7 +511,11 @@ mod tests {
     #[test]
     fn history_tracks_generations() {
         let mut p = Schaffer::new();
-        let r = nsga2(&mut p, &small_cfg(3), &Termination::Generations(5));
+        let r = run(
+            Box::new(Nsga2Explorer::start(&mut p, &small_cfg(3))),
+            &mut p,
+            &Termination::Generations(5),
+        );
         assert_eq!(r.generations, 5);
         assert_eq!(r.history.len(), 6); // gen 0 + 5
         assert!(r
@@ -529,7 +527,11 @@ mod tests {
     #[test]
     fn pareto_is_mutually_nondominated() {
         let mut p = Schaffer::new();
-        let r = nsga2(&mut p, &small_cfg(4), &Termination::Generations(15));
+        let r = run(
+            Box::new(Nsga2Explorer::start(&mut p, &small_cfg(4))),
+            &mut p,
+            &Termination::Generations(15),
+        );
         for a in &r.pareto {
             for b in &r.pareto {
                 assert!(!a.dominates(b) || a.genome == b.genome);
@@ -540,7 +542,11 @@ mod tests {
     #[test]
     fn population_size_is_stable() {
         let mut p = Schaffer::new();
-        let r = nsga2(&mut p, &small_cfg(5), &Termination::Generations(8));
+        let r = run(
+            Box::new(Nsga2Explorer::start(&mut p, &small_cfg(5))),
+            &mut p,
+            &Termination::Generations(8),
+        );
         assert_eq!(r.population.len(), 24);
     }
 
@@ -567,7 +573,11 @@ mod tests {
             vars: vec![IntVar::new("x", 0, 50)],
             objs: vec![Objective::maximize("x"), Objective::minimize("d")],
         };
-        let r = nsga2(&mut p, &small_cfg(6), &Termination::Generations(30));
+        let r = run(
+            Box::new(Nsga2Explorer::start(&mut p, &small_cfg(6))),
+            &mut p,
+            &Termination::Generations(30),
+        );
         assert!(r.pareto.iter().all(|i| i.genome[0] >= 20), "{:?}", r.pareto);
         assert!(r.pareto.iter().any(|i| i.genome[0] == 50));
     }
@@ -605,7 +615,11 @@ mod tests {
             controlled_elitism: Some(0.5),
             ..Default::default()
         };
-        let r = nsga2(&mut p, &cfg, &Termination::Generations(20));
+        let r = run(
+            Box::new(Nsga2Explorer::start(&mut p, &cfg)),
+            &mut p,
+            &Termination::Generations(20),
+        );
         let rank0 = r.population.iter().filter(|i| i.rank == 0).count();
         assert!(
             rank0 < r.population.len(),
@@ -624,7 +638,11 @@ mod tests {
             controlled_elitism: Some(0.65),
             ..Default::default()
         };
-        let r = nsga2(&mut p, &cfg, &Termination::Generations(40));
+        let r = run(
+            Box::new(Nsga2Explorer::start(&mut p, &cfg)),
+            &mut p,
+            &Termination::Generations(40),
+        );
         let on_front = r
             .pareto
             .iter()
@@ -640,7 +658,11 @@ mod tests {
     #[test]
     fn elitism_never_loses_the_best_extreme() {
         let mut p = Schaffer::new();
-        let r = nsga2(&mut p, &small_cfg(9), &Termination::Generations(25));
+        let r = run(
+            Box::new(Nsga2Explorer::start(&mut p, &small_cfg(9))),
+            &mut p,
+            &Termination::Generations(25),
+        );
         // f1-optimal point x=0 must be in the archive front.
         let best_f1 = r
             .pareto

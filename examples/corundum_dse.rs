@@ -30,7 +30,6 @@ fn main() {
             // direct Vivado evaluations" (§IV-B)
             parallel: true,
             explorer: Default::default(),
-            jobs: None,
             workers: None,
         })
         .expect("exploration runs");

@@ -68,7 +68,6 @@ fn explore(tool: &Dovado) -> dovado::DseReport {
         surrogate: None,
         parallel: false,
         explorer: Default::default(),
-        jobs: None,
         workers: None,
     })
     .expect("exploration runs")

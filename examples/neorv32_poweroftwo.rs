@@ -39,7 +39,6 @@ fn main() {
             surrogate: None,
             parallel: true,
             explorer: Default::default(),
-            jobs: None,
             workers: None,
         })
         .expect("exploration runs");

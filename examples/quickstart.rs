@@ -87,7 +87,6 @@ fn main() {
             surrogate: None,
             parallel: true,
             explorer: Default::default(),
-            jobs: None,
             workers: None,
         })
         .expect("exploration runs");

@@ -36,7 +36,6 @@ fn main() {
             surrogate: None,
             parallel: false,
             explorer: Default::default(),
-            jobs: None,
             workers: None,
         })
         .expect("exploration runs");
@@ -57,7 +56,6 @@ fn main() {
             }),
             parallel: false,
             explorer: Default::default(),
-            jobs: None,
             workers: None,
         })
         .expect("exploration runs");

@@ -64,7 +64,7 @@ fn fresh_dir(tag: &str) -> PathBuf {
 fn report_shapes_match_across_backends() {
     let config = EvalConfig::default();
     for (name, backend) in backends(&config) {
-        assert_eq!(backend.name(), name);
+        assert_eq!(backend.name(), format!("{name}:{}", config.seed));
         let evaluator = evaluator_on(backend, config.clone());
         let eval = evaluator.evaluate(&point(64)).unwrap();
         // Same scraped shape from both report writers: real utilization
@@ -223,6 +223,37 @@ fn store_round_trips_on_each_backend_and_isolates_across_them() {
 }
 
 #[test]
+fn differently_seeded_backends_sharing_a_store_keep_their_own_answers() {
+    // Same sources, same config, one store: only the backend's seed
+    // differs. The seed changes the answers, so it must change the key —
+    // the second evaluator runs the tool instead of reading the first's.
+    type Make = fn(u64) -> Arc<dyn ToolBackend>;
+    let kinds: [(&str, Make); 2] = [
+        ("vivado-sim", |seed| Arc::new(SimBackend::new(seed))),
+        ("mock", |seed| Arc::new(MockBackend::new(seed))),
+    ];
+    let config = EvalConfig::default();
+    for (name, make) in kinds {
+        let dir = fresh_dir(&format!("seeds-{name}"));
+        let truth = evaluator_on(make(8), config.clone())
+            .evaluate(&point(64))
+            .unwrap();
+        let mut first = evaluator_on(make(7), config.clone());
+        first.attach_store(EvalStore::open(&dir).unwrap());
+        let seven = first.evaluate(&point(64)).unwrap();
+        assert_ne!(seven.fmax_mhz, truth.fmax_mhz, "{name}: seeds must differ");
+
+        let mut second = evaluator_on(make(8), config.clone());
+        second.attach_store(EvalStore::open(&dir).unwrap());
+        let eight = second.evaluate(&point(64)).unwrap();
+        assert_eq!(second.trace_summary().store_hits, 0, "{name}: seed 8 hit");
+        assert_eq!(eight.fmax_mhz.to_bits(), truth.fmax_mhz.to_bits(), "{name}");
+        assert_eq!(eight, truth, "{name}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
 fn mock_parallel_batch_is_bitwise_serial() {
     let config = EvalConfig::default();
     let points: Vec<DesignPoint> = (1..=6).map(|i| point(i * 32)).collect();
@@ -257,7 +288,7 @@ fn traced_run(
 ) -> (String, Vec<dovado::Evaluation>) {
     let evaluator = evaluator_on(backend, config.clone());
     let evals = evaluator
-        .evaluate_many_scheduled(points, schedule)
+        .evaluate_many(points, schedule)
         .into_iter()
         .map(|r| r.unwrap())
         .collect::<Vec<_>>();
@@ -332,7 +363,7 @@ fn distributed_traces_survive_a_seeded_worker_kill_mid_batch() {
         let evaluator = evaluator_on(fleet.clone(), config.clone());
         dovado::worker::attach_lifecycle(&fleet, evaluator.spine());
         let evals = evaluator
-            .evaluate_many_scheduled(&points, dovado::Schedule::Distributed { workers: 4 })
+            .evaluate_many(&points, dovado::Schedule::Distributed { workers: 4 })
             .into_iter()
             .map(|r| r.unwrap())
             .collect::<Vec<_>>();
@@ -374,7 +405,7 @@ fn distributed_and_serial_runs_share_one_store() {
         let mut cold = evaluator_on(fleet, config.clone());
         cold.attach_store(EvalStore::open(&dir).unwrap());
         let cold_evals = cold
-            .evaluate_many_scheduled(&points, dovado::Schedule::Distributed { workers: 2 })
+            .evaluate_many(&points, dovado::Schedule::Distributed { workers: 2 })
             .into_iter()
             .map(|r| r.unwrap())
             .collect::<Vec<_>>();
@@ -386,7 +417,7 @@ fn distributed_and_serial_runs_share_one_store() {
         let mut warm = evaluator_on(backend, config.clone());
         warm.attach_store(EvalStore::open(&dir).unwrap());
         let warm_evals = warm
-            .evaluate_many_scheduled(&points, dovado::Schedule::Serial)
+            .evaluate_many(&points, dovado::Schedule::Serial)
             .into_iter()
             .map(|r| r.unwrap())
             .collect::<Vec<_>>();

@@ -18,7 +18,6 @@ fn corundum_cfg(seed: u64, generations: u32) -> DseConfig {
         metrics: cs.metrics.clone(),
         surrogate: None,
         parallel: true,
-        jobs: None,
         workers: None,
         explorer: Default::default(),
     }
@@ -26,28 +25,21 @@ fn corundum_cfg(seed: u64, generations: u32) -> DseConfig {
 
 #[test]
 fn zero_jobs_or_workers_is_a_config_error_programmatically() {
-    // The CLI validates `--jobs`/`--workers` before the run starts; the
-    // programmatic path shares the same validator, so a hand-built
-    // `DseConfig` with a zero-sized pool fails identically instead of
-    // deadlocking an empty thread pool.
+    // The CLI validates `--jobs`/`--workers` before the run starts (a
+    // zero `--jobs` is covered by the CLI's own tests); the programmatic
+    // path shares the fleet-size validator, so a hand-built `DseConfig`
+    // with a zero-worker fleet fails identically instead of hanging.
     let cs = corundum::case_study();
     let tool = cs.dovado().unwrap();
-    for bad in [
-        DseConfig {
-            jobs: Some(0),
-            ..corundum_cfg(3, 1)
-        },
-        DseConfig {
-            workers: Some(0),
-            ..corundum_cfg(3, 1)
-        },
-    ] {
-        match tool.explore(&bad) {
-            Err(dovado::DovadoError::Config(msg)) => {
-                assert!(msg.contains("at least 1"), "unexpected message: {msg}")
-            }
-            other => panic!("expected a Config error, got {other:?}"),
+    let bad = DseConfig {
+        workers: Some(0),
+        ..corundum_cfg(3, 1)
+    };
+    match tool.explore(&bad) {
+        Err(dovado::DovadoError::Config(msg)) => {
+            assert!(msg.contains("at least 1"), "unexpected message: {msg}")
         }
+        other => panic!("expected a Config error, got {other:?}"),
     }
 }
 
@@ -141,7 +133,6 @@ fn nsga2_beats_random_search_on_hypervolume_per_budget() {
             surrogate: None,
             parallel: true,
             explorer: Default::default(),
-            jobs: None,
             workers: None,
         })
         .unwrap();
@@ -181,7 +172,6 @@ fn surrogate_and_plain_runs_agree_on_the_winning_region() {
         surrogate: None,
         parallel: false,
         explorer: Default::default(),
-        jobs: None,
         workers: None,
     };
     let plain = cs.dovado().unwrap().explore(&cfg_base).unwrap();
@@ -242,7 +232,6 @@ fn failures_do_not_crash_exploration() {
             surrogate: None,
             parallel: true,
             explorer: Default::default(),
-            jobs: None,
             workers: None,
         })
         .unwrap();

@@ -64,7 +64,6 @@ fn cfg(explorer: Explorer) -> DseConfig {
         ]),
         surrogate: None,
         parallel: false,
-        jobs: None,
         workers: None,
     }
 }
@@ -107,11 +106,15 @@ fn every_explorer_is_schedule_independent() {
             !serial.pareto.is_empty(),
             "{token}: empty front from the generic driver"
         );
-        let jobs = tool()
-            .explore(&DseConfig {
-                jobs: Some(2),
-                parallel: true,
-                ..cfg(explorer.clone())
+        let jobs = rayon::ThreadPoolBuilder::new()
+            .num_threads(2)
+            .build()
+            .unwrap()
+            .install(|| {
+                tool().explore(&DseConfig {
+                    parallel: true,
+                    ..cfg(explorer.clone())
+                })
             })
             .unwrap();
         let fleet = tool()

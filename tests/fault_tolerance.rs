@@ -10,7 +10,7 @@ use dovado::{
 use dovado_eda::FaultPlan;
 use dovado_fpga::ResourceKind;
 use dovado_hdl::Language;
-use dovado_moo::{nsga2, Nsga2Config, Termination};
+use dovado_moo::{run, Nsga2Config, Nsga2Explorer, Termination};
 use dovado_surrogate::ThresholdPolicy;
 use proptest::prelude::*;
 
@@ -122,7 +122,7 @@ fn faulty_dse_matches_fault_free_front_and_dataset_stays_clean() {
     };
     let termination = Termination::Generations(5);
 
-    let run = |faults: FaultPlan| {
+    let explore = |faults: FaultPlan| {
         let ev = evaluator(EvalConfig {
             faults,
             retry: RetryPolicy {
@@ -132,7 +132,8 @@ fn faulty_dse_matches_fault_free_front_and_dataset_stays_clean() {
             ..Default::default()
         });
         let mut problem = DseProblem::new(ev, space(), metrics(), Some(&surrogate_cfg)).unwrap();
-        let result = nsga2(&mut problem, &ga, &termination);
+        let nsga2 = Nsga2Explorer::start(&mut problem, &ga);
+        let result = run(Box::new(nsga2), &mut problem, &termination);
         let mut front: Vec<(Vec<i64>, Vec<f64>)> = result
             .sorted_pareto()
             .into_iter()
@@ -142,7 +143,7 @@ fn faulty_dse_matches_fault_free_front_and_dataset_stays_clean() {
         (front, problem)
     };
 
-    let (clean_front, clean_problem) = run(FaultPlan::none());
+    let (clean_front, clean_problem) = explore(FaultPlan::none());
     let faulty_plan = FaultPlan {
         seed: 0xFA17,
         synth_crash: 0.10,
@@ -154,7 +155,7 @@ fn faulty_dse_matches_fault_free_front_and_dataset_stays_clean() {
         checkpoint_corrupt: 0.10,
         ..FaultPlan::default()
     };
-    let (faulty_front, faulty_problem) = run(faulty_plan);
+    let (faulty_front, faulty_problem) = explore(faulty_plan);
 
     // The faults really fired at scale: at least 20 % of tool attempts
     // failed transiently and were retried.

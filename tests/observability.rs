@@ -405,7 +405,6 @@ fn explore_trace_bytes_are_identical_serial_and_parallel() {
                 }),
                 parallel,
                 explorer: Default::default(),
-                jobs: None,
                 workers: None,
             })
             .unwrap();

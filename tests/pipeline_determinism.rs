@@ -71,7 +71,7 @@ fn surrogate_problem(
     };
     let mut p =
         DseProblem::new(evaluator(), space(depth_hi, widths), metrics(), Some(&cfg)).unwrap();
-    p.schedule = dovado::Schedule::from_parallel_flag(parallel);
+    p.schedule = parallel.into();
     p
 }
 
@@ -144,7 +144,6 @@ fn explore_parallel_equals_sequential_pareto() {
             }),
             parallel,
             explorer: Default::default(),
-            jobs: None,
             workers: None,
         })
         .unwrap()

@@ -134,7 +134,6 @@ fn cfg(surrogate: bool, parallel: bool) -> DseConfig {
             ..Default::default()
         }),
         parallel,
-        jobs: None,
         workers: env_workers(),
     }
 }
