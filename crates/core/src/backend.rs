@@ -2,8 +2,8 @@
 //!
 //! This module is the **only** place `dovado` (core) imports tool-execution
 //! types from `dovado-eda`: the backend trait pair and the two shipped
-//! implementations. Everything above it — the evaluation engine, the flow
-//! facade, fitness, DSE, CLI — talks to tools exclusively through
+//! implementations. Everything above it — the evaluator, fitness, DSE,
+//! CLI — talks to tools exclusively through
 //! [`ToolBackend`] / [`ToolSession`], so a new backend (remote Vivado, a
 //! sharded farm, a replay log) plugs in here without touching any caller.
 //! `tests/backend_conformance.rs` enforces the boundary at the source
