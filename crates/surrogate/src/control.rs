@@ -101,10 +101,10 @@ pub struct SurrogateController {
     /// Undrained model-management events (retrains, Γ moves).
     events: Vec<ControlEvent>,
     /// Neighborhood size for truncated prediction and large-dataset
-    /// LOO-CV (0 = exact, all points — the legacy quadratic path).
+    /// LOO-CV (0 = exact: all points, at any dataset size).
     pub neighbor_k: usize,
-    /// Persistent LOO-CV state: the pairwise-distance scratch survives
-    /// across reselections and is *extended* by the rows recorded since,
+    /// Persistent LOO-CV state: the running LOO sums survive across
+    /// reselections and are *extended* by the rows recorded since,
     /// instead of being rebuilt from scratch each time.
     selector: BandwidthSelector,
 }
@@ -150,8 +150,8 @@ impl SurrogateController {
     ///
     /// Derived acceleration state is *not* journaled: the dataset's
     /// KD-tree arrives already rebuilt (CSV load goes through the bulk
-    /// path) and the LOO-CV selector starts empty, so its distance
-    /// scratch is rebuilt on the first post-resume reselection. Both are
+    /// path) and the LOO-CV selector starts empty, so its running sums
+    /// are rebuilt on the first post-resume reselection. Both are
     /// deterministic functions of the dataset and never leak into
     /// answers, so a resumed run stays bitwise an uninterrupted one.
     /// `neighbor_k` is config, not state — the caller re-applies it after
@@ -209,30 +209,18 @@ impl SurrogateController {
         self.gamma
     }
 
-    /// Decides how to answer for `point`, updating the counters.
+    /// Decides how to answer for `point`, updating the counters: a batch
+    /// of one through [`SurrogateController::decide_batch`], so a
+    /// bandwidth left stale by amortized recording is refreshed first.
     pub fn decide(&mut self, point: &[i64]) -> Decision {
-        if let Some(cached) = self.dataset.get(point) {
-            self.stats.cached += 1;
-            return Decision::Cached(cached.to_vec());
-        }
-        if let Some(phi) = phi_n(&self.dataset, point, 1) {
-            if phi <= self.gamma {
-                if let Some(est) = self
-                    .model
-                    .predict_topk(&self.dataset, point, self.neighbor_k)
-                {
-                    self.stats.estimated += 1;
-                    return Decision::Estimate(est);
-                }
-            }
-        }
-        self.stats.evaluated += 1;
-        Decision::Evaluate
+        self.decide_batch(&[point.to_vec()], false)
+            .pop()
+            .expect("one decision per point")
     }
 
-    /// Peeks at the decision without touching counters. This is the pure
-    /// read-only core shared by [`SurrogateController::decide`] and the
-    /// parallel decide phase of [`SurrogateController::decide_batch`].
+    /// Peeks at the decision without touching counters or refreshing a
+    /// stale bandwidth. This is the pure read-only core of
+    /// [`SurrogateController::decide_batch`]'s parallel decide phase.
     pub fn peek(&self, point: &[i64]) -> Decision {
         if let Some(cached) = self.dataset.get(point) {
             return Decision::Cached(cached.to_vec());
@@ -575,6 +563,39 @@ mod tests {
         // both controllers hold identical datasets, so LOO-CV agrees.
         let _ = lazy.decide_batch(&[vec![910]], false);
         assert_eq!(lazy.model().bandwidth, eager.model().bandwidth);
+    }
+
+    #[test]
+    fn decide_refreshes_a_stale_bandwidth_like_decide_batch() {
+        // Amortized recording leaves the bandwidth stale. The single-point
+        // path must refresh it exactly as a batch of one does, or its
+        // estimates come from a bandwidth the data no longer selects.
+        let mut c = SurrogateController::new(bounds(), 2, ThresholdPolicy::paper_default());
+        c.retrain_every = 100;
+        c.pretrain((0..=10).map(|i| (vec![i * 100], truth(i * 100))).collect());
+        // Noisy measurements: LOO-CV now prefers a smoother bandwidth.
+        for i in 0..40 {
+            let x = 7 + i * 23;
+            let noise = ((x * 7919) % 11 - 5) as f64 * 0.02;
+            let t = truth(x);
+            c.record(vec![x], vec![t[0] + noise, t[1] - noise]);
+        }
+        let stale = c.model().bandwidth;
+        let mut batch = c.clone();
+        let mut estimated = 0;
+        for q in (0..1000).step_by(3) {
+            let one = c.decide(&[q]);
+            let many = batch.decide_batch(&[vec![q]], false).remove(0);
+            estimated += usize::from(matches!(one, Decision::Estimate(_)));
+            assert_eq!(one, many, "q = {q}");
+        }
+        assert!(estimated > 0);
+        assert_ne!(c.model().bandwidth, stale, "the first decide refreshes");
+        assert_eq!(
+            c.model().bandwidth.to_bits(),
+            batch.model().bandwidth.to_bits()
+        );
+        assert_eq!(c.stats, batch.stats);
     }
 
     #[test]

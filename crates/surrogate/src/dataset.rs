@@ -82,6 +82,10 @@ pub struct Dataset {
     /// Exact KD-tree over the rows, rebuilt lazily; query answers are
     /// bitwise those of a linear scan (see [`crate::neighbor`]).
     tree: NeighborIndex,
+    /// Count of in-place output replacements. State derived from the
+    /// outputs (the LOO-CV running sums) compares it to detect that a
+    /// covered row changed under it.
+    revision: u64,
 }
 
 impl Dataset {
@@ -97,6 +101,7 @@ impl Dataset {
             index: HashMap::new(),
             nn2: Vec::new(),
             tree: NeighborIndex::new(),
+            revision: 0,
         }
     }
 
@@ -135,6 +140,7 @@ impl Dataset {
         assert_eq!(outputs.len(), self.n_outputs, "output arity mismatch");
         if let Some(&row) = self.index.get(&point) {
             self.outputs[row] = outputs;
+            self.revision += 1;
             return;
         }
         let norm = self.bounds.normalize(&point);
@@ -174,6 +180,7 @@ impl Dataset {
             assert_eq!(outputs.len(), self.n_outputs, "output arity mismatch");
             if let Some(&row) = self.index.get(&point) {
                 self.outputs[row] = outputs;
+                self.revision += 1;
                 continue;
             }
             let norm = self.bounds.normalize(&point);
@@ -191,6 +198,11 @@ impl Dataset {
                     .map_or(f64::INFINITY, |(_, d2)| d2)
             })
             .collect();
+    }
+
+    /// How many times a stored row's outputs were replaced in place.
+    pub(crate) fn revision(&self) -> u64 {
+        self.revision
     }
 
     /// Exact lookup by raw point.

@@ -178,7 +178,7 @@ proptest! {
         splits in proptest::collection::vec(1usize..8, 1..6),
         bw in 0.01f64..2.0,
     ) {
-        // A selector that extends its distance matrix across arbitrary
+        // A selector that extends its running LOO sums across arbitrary
         // growth batches must score bandwidths bitwise like one built
         // fresh from the final dataset at every step.
         let mut ds = Dataset::new(Bounds::new(vec![(0, 1000), (0, 50)]), 1);
@@ -205,6 +205,91 @@ proptest! {
         let fresh = loo_mse(&ds, Kernel::Gaussian, bw);
         prop_assert_eq!(inc.map(f64::to_bits), fresh.map(f64::to_bits));
     }
+
+    #[test]
+    fn incremental_loocv_matches_an_independent_oracle(
+        pts in proptest::collection::btree_map(
+            (0i64..1000, 0i64..50), (-100.0f64..100.0, -1.0f64..1.0), 4..50),
+        splits in proptest::collection::vec(1usize..8, 1..6),
+        early in 0.01f64..2.0,
+        late in 0.01f64..2.0,
+        late_from in 2usize..4,
+        replacements in proptest::collection::vec((any::<usize>(), -100.0f64..100.0), 1..6),
+    ) {
+        // Every kernel, two bandwidths (`late` first scored mid-growth)
+        // and in-place output replacements between scorings: the
+        // persistent selector's running sums must score bitwise like a
+        // fresh selector and like an oracle that predicts each held-out
+        // row directly.
+        for kernel in Kernel::ALL {
+            let mut ds = Dataset::new(Bounds::new(vec![(0, 1000), (0, 50)]), 2);
+            let mut persistent = BandwidthSelector::new();
+            let mut sizes = splits.iter().cycle();
+            let mut fixes = replacements.iter().cycle();
+            let mut pending = *sizes.next().unwrap();
+            let mut scorings = 0usize;
+            for ((x, y), (a, b)) in &pts {
+                ds.insert(vec![*x, *y], vec![*a, *b]);
+                pending -= 1;
+                if pending > 0 {
+                    continue;
+                }
+                pending = *sizes.next().unwrap();
+                scorings += 1;
+                if scorings.is_multiple_of(2) {
+                    let (row, v) = fixes.next().unwrap();
+                    let p = ds.raw_points()[row % ds.len()].clone();
+                    ds.insert(p, vec![*v, -*v]);
+                }
+                for (h, from) in [(early, 1), (late, late_from)] {
+                    if scorings < from {
+                        continue;
+                    }
+                    let inc = persistent.loo_mse(&ds, kernel, h, 64).map(f64::to_bits);
+                    let fresh = loo_mse(&ds, kernel, h).map(f64::to_bits);
+                    let oracle = oracle_loo_mse(&ds, kernel, h).map(f64::to_bits);
+                    prop_assert_eq!(inc, fresh, "{} h={} at {} rows", kernel, h, ds.len());
+                    prop_assert_eq!(inc, oracle, "{} h={} at {} rows", kernel, h, ds.len());
+                }
+            }
+        }
+    }
+}
+
+/// LOO-CV error recomputed directly: every row predicted from the others
+/// through `NadarayaWatson::predict_norm_into`, normalized by per-output
+/// standard deviations computed here.
+fn oracle_loo_mse(ds: &Dataset, kernel: Kernel, bandwidth: f64) -> Option<f64> {
+    let n = ds.len();
+    if n < 2 {
+        return None;
+    }
+    let m = ds.n_outputs();
+    let sd: Vec<f64> = (0..m)
+        .map(|k| {
+            let mut mean = 0.0f64;
+            for out in ds.outputs() {
+                mean += out[k];
+            }
+            mean /= n as f64;
+            let mut var = 0.0f64;
+            for out in ds.outputs() {
+                var += (out[k] - mean) * (out[k] - mean);
+            }
+            (var / n as f64).sqrt().max(1e-12)
+        })
+        .collect();
+    let nw = NadarayaWatson { kernel, bandwidth };
+    let mut pred = vec![0.0f64; m];
+    let mut total = 0.0f64;
+    for i in 0..n {
+        assert!(nw.predict_norm_into(ds, ds.point(i), Some(i), &mut pred));
+        for ((p, t), s) in pred.iter().zip(&ds.outputs()[i]).zip(&sd) {
+            let e = (p - t) / s;
+            total += e * e;
+        }
+    }
+    Some(total / (n * m) as f64)
 }
 
 // ------------------------------------------------------------------ moo --
