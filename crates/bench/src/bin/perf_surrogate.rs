@@ -3,11 +3,20 @@
 //! legacy genome-at-a-time serial loop with retrain-after-every-insert.
 //!
 //! Workload: 4 objectives (LUT, FF, Fmax, power), population 64, synthetic
-//! dataset M = 500 — the ISSUE's reference configuration. Also measures the
+//! dataset M = 500 — the reference configuration. Also measures the
 //! per-record cost of eager vs amortized bandwidth reselection across
-//! M ∈ {100 … 10⁵} (`--full` extends to 10⁶; `--smoke` is the CI subset),
-//! showing the incremental/truncated hot path bending the cost curve from
-//! ~M² toward ~M·log M. Writes `results/BENCH_surrogate.json`.
+//! M ∈ {100 … 10⁵} (`--full` extends to 10⁶; `--smoke` is the CI subset).
+//!
+//! Every timing is repeated [`REPEATS`] times, interleaving the variants it
+//! compares; the JSON reports the median and the spread (interquartile
+//! range over median). The staged-parallel pipeline runs inside an
+//! explicit 2-thread pool and `config.threads` is the worker count
+//! measured inside it. Writes `results/BENCH_surrogate.json`.
+//!
+//! Gates: at M = 100 (exact LOO-CV) eager reselection must cost less
+//! than 5× amortized per record — incremental scoring makes one
+//! reselection after one insert cheap — and amortized record cost must
+//! grow less than 30× from 10⁴ to 10⁵ rows.
 
 use dovado::{
     Domain, DseProblem, EvalConfig, Evaluator, HdlSource, Metric, MetricSet, ParameterSpace,
@@ -31,6 +40,12 @@ module fifo_v3 #(
 endmodule"#;
 
 const POP: usize = 64;
+/// Timed repetitions of every measurement.
+const REPEATS: usize = 5;
+/// Dataset size of the exact-LOO-CV record-cost gate.
+const GATE_M: usize = 100;
+/// Upper bound on eager / amortized record cost at [`GATE_M`].
+const GATE_MAX_RATIO: f64 = 5.0;
 const PRETRAIN_M: usize = 500;
 const GENERATIONS: usize = 5;
 const DEPTH_N: i64 = 4096;
@@ -128,6 +143,18 @@ fn record_cost_us(m: usize, retrain_every: usize) -> f64 {
     t0.elapsed().as_secs_f64() * 1e6 / fresh.len() as f64
 }
 
+/// Median and spread (interquartile range over median) of `samples`.
+fn summarize(samples: &mut [f64]) -> (f64, f64) {
+    samples.sort_by(f64::total_cmp);
+    let quantile = |q: f64| {
+        let at = q * (samples.len() - 1) as f64;
+        let (lo, hi) = (at.floor() as usize, at.ceil() as usize);
+        samples[lo] + (samples[hi] - samples[lo]) * (at - lo as f64)
+    };
+    let median = quantile(0.5);
+    (median, (quantile(0.75) - quantile(0.25)) / median)
+}
+
 fn main() {
     let mode = match std::env::args().nth(1).as_deref() {
         Some("--smoke") => "smoke",
@@ -151,56 +178,80 @@ fn main() {
     );
 
     let gens = generation_stream(0xBEEF);
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(2)
+        .build()
+        .expect("2-thread pool");
     // Warm-up so first-touch costs (allocator, checkpoint store) don't
     // land on whichever variant runs first.
-    let _ = run_pipeline(&gens[..1], true, 25);
+    let threads = pool.install(|| {
+        let _ = run_pipeline(&gens[..1], true, 25);
+        rayon::current_num_threads()
+    });
 
-    let legacy_ms = run_legacy(&gens);
-    let staged_serial_ms = run_pipeline(&gens, false, 25);
-    let staged_parallel_ms = run_pipeline(&gens, true, 25);
+    let (mut legacy, mut staged_serial, mut staged_parallel) = (vec![], vec![], vec![]);
+    for _ in 0..REPEATS {
+        legacy.push(run_legacy(&gens));
+        staged_serial.push(run_pipeline(&gens, false, 25));
+        staged_parallel.push(pool.install(|| run_pipeline(&gens, true, 25)));
+    }
+    let (legacy_ms, legacy_spread) = summarize(&mut legacy);
+    let (staged_serial_ms, staged_serial_spread) = summarize(&mut staged_serial);
+    let (staged_parallel_ms, staged_parallel_spread) = summarize(&mut staged_parallel);
     let speedup = legacy_ms / staged_parallel_ms;
     let per_gen = staged_parallel_ms / GENERATIONS as f64;
 
-    println!("generation evaluation ({GENERATIONS} generations of {POP}):");
-    println!("  legacy serial (K=1)       : {legacy_ms:9.1} ms");
-    println!("  staged serial (K=25)      : {staged_serial_ms:9.1} ms");
-    println!("  staged parallel (K=25)    : {staged_parallel_ms:9.1} ms  ({per_gen:.1} ms/gen)");
+    println!(
+        "generation evaluation ({GENERATIONS} generations of {POP}; median of {REPEATS}, ±IQR/median):"
+    );
+    println!("  legacy serial (K=1)       : {legacy_ms:9.1} ms ±{legacy_spread:.2}");
+    println!("  staged serial (K=25)      : {staged_serial_ms:9.1} ms ±{staged_serial_spread:.2}");
+    println!(
+        "  staged parallel (K=25)    : {staged_parallel_ms:9.1} ms ±{staged_parallel_spread:.2}  ({per_gen:.1} ms/gen, {threads} threads)"
+    );
     println!("  speedup (legacy/parallel) : {speedup:9.2}x");
 
-    let threads = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-
     let mut records = String::new();
-    let mut amortized_by_m: Vec<(usize, f64)> = Vec::new();
+    // (M, eager, amortized) medians, for the gates.
+    let mut by_m: Vec<(usize, f64, f64)> = Vec::new();
     println!();
     println!("record cost (one insert incl. Γ update; K = 25 amortized):");
     for (i, &m) in sweep.iter().enumerate() {
-        let eager = record_cost_us(m, 1);
-        let amortized = record_cost_us(m, 25);
-        amortized_by_m.push((m, amortized));
+        let (mut eager, mut amortized) = (vec![], vec![]);
+        for _ in 0..REPEATS {
+            eager.push(record_cost_us(m, 1));
+            amortized.push(record_cost_us(m, 25));
+        }
+        let (eager, eager_spread) = summarize(&mut eager);
+        let (amortized, amortized_spread) = summarize(&mut amortized);
+        let ratio = eager / amortized;
+        by_m.push((m, eager, amortized));
         println!(
-            "  M = {m:>7}: eager {eager:9.1} us/record, amortized {amortized:9.1} us/record ({:.1}x)",
-            eager / amortized
+            "  M = {m:>7}: eager {eager:9.1} us/record ±{eager_spread:.2}, amortized {amortized:9.1} us/record ±{amortized_spread:.2} ({ratio:.1}x)"
         );
         if i > 0 {
             records.push(',');
         }
         let _ = write!(
             records,
-            "\n    {{\"dataset_m\": {m}, \"eager_us_per_record\": {}, \"amortized_us_per_record\": {}, \"ratio\": {}}}",
+            "\n    {{\"dataset_m\": {m}, \"eager_us_per_record\": {}, \"eager_spread\": {}, \"amortized_us_per_record\": {}, \"amortized_spread\": {}, \"ratio\": {}}}",
             json_f(eager),
+            json_f(eager_spread),
             json_f(amortized),
-            json_f(eager / amortized)
+            json_f(amortized_spread),
+            json_f(ratio)
         );
     }
 
     let json = format!(
-        "{{\n  \"benchmark\": \"surrogate_batch_pipeline\",\n  \"mode\": \"{mode}\",\n  \"config\": {{\"objectives\": 4, \"pop\": {POP}, \"pretrain_m\": {PRETRAIN_M}, \"generations\": {GENERATIONS}, \"reselect_every\": 25, \"threads\": {threads}}},\n  \"generation_eval_ms\": {{\"legacy_serial\": {}, \"staged_serial\": {}, \"staged_parallel\": {}, \"speedup_legacy_over_parallel\": {}}},\n  \"record_cost\": [{records}\n  ]\n}}\n",
+        "{{\n  \"benchmark\": \"surrogate_batch_pipeline\",\n  \"mode\": \"{mode}\",\n  \"config\": {{\"objectives\": 4, \"pop\": {POP}, \"pretrain_m\": {PRETRAIN_M}, \"generations\": {GENERATIONS}, \"reselect_every\": 25, \"threads\": {threads}, \"repeats\": {REPEATS}}},\n  \"generation_eval_ms\": {{\"legacy_serial\": {}, \"staged_serial\": {}, \"staged_parallel\": {}, \"speedup_legacy_over_parallel\": {}}},\n  \"generation_eval_spread\": {{\"legacy_serial\": {}, \"staged_serial\": {}, \"staged_parallel\": {}}},\n  \"record_cost\": [{records}\n  ]\n}}\n",
         json_f(legacy_ms),
         json_f(staged_serial_ms),
         json_f(staged_parallel_ms),
         json_f(speedup),
+        json_f(legacy_spread),
+        json_f(staged_serial_spread),
+        json_f(staged_parallel_spread),
     );
     let path = dovado_bench::results_dir().join("BENCH_surrogate.json");
     if let Err(e) = std::fs::write(&path, &json) {
@@ -209,21 +260,27 @@ fn main() {
     println!();
     println!("wrote {}", path.display());
 
+    let at = |m: usize| {
+        by_m.iter()
+            .find(|&&(rows, ..)| rows == m)
+            .map(|&(_, eager, amortized)| (eager, amortized))
+    };
+    // Exact-mode gate: a reselection after one insert extends the
+    // running LOO sums by one row and column, so eager recording costs
+    // a small multiple of amortized, where rescoring every pair cost
+    // ~25× more.
+    let (eager, amortized) = at(GATE_M).expect("every sweep includes the gate size");
+    let gate = eager / amortized;
+    println!("eager/amortized record cost at M = {GATE_M}: {gate:.2}x (gate < {GATE_MAX_RATIO})");
     assert!(
-        speedup >= 1.0,
-        "staged parallel pipeline slower than legacy serial loop"
+        gate < GATE_MAX_RATIO,
+        "eager reselection costs {gate:.1}x amortized at M = {GATE_M} — LOO-CV rescoring regressed toward O(M²) per reselection"
     );
     // The sub-quadratic acceptance gate: growing the dataset 10× (10⁴ →
     // 10⁵ rows) must not cost anywhere near the 100× a quadratic hot path
     // would. The truncated/incremental path is ~flat in M, so even a
     // generous margin catches a regression to O(M²).
-    let cost_at = |m: usize| {
-        amortized_by_m
-            .iter()
-            .find(|&&(rows, _)| rows == m)
-            .map(|&(_, us)| us)
-    };
-    if let (Some(big), Some(small)) = (cost_at(100_000), cost_at(10_000)) {
+    if let (Some((_, big)), Some((_, small))) = (at(100_000), at(10_000)) {
         let growth = big / small;
         println!("amortized cost growth 10^4 -> 10^5 rows: {growth:.2}x");
         assert!(
