@@ -12,21 +12,66 @@
 //! * `evaluate` — single design-point evaluation (design automation).
 //! * `explore` — design space exploration (NSGA-II, optional surrogate).
 //! * `demo <case>` — run a packaged paper case study.
+//! * `worker` — serve the `--workers` frame protocol over stdio.
+//! * `serve`, `submit`, `status`, `shutdown` — the multi-tenant daemon
+//!   and its client.
+//!
+//! # Flags
+//!
+//! One declarative table, `COMMANDS`, lists every flag of every
+//! subcommand as a row: name, optional alias, and arity — a switch, a
+//! value (a later occurrence replaces an earlier one), or repeated (every
+//! occurrence counts). One parser, `Args::read`, reads argv once against
+//! a subcommand's rows and rejects an unknown flag, a stray positional
+//! argument, or a flag missing its value (a value never starts with
+//! `--`) before any work runs. Subcommands share rows in groups:
+//!
+//! * `DESIGN` (`evaluate`, `explore`, `submit`): `--source`…,
+//!   `--project`, `--top`, `--part`, `--period`;
+//! * `LOCAL_RUN` (`evaluate`, `explore`): `--step`, `--synth-directive`,
+//!   `--impl-directive`, `--no-incremental`, `--jobs`, `--workers`,
+//!   `--store`, `--trace-out`;
+//! * `JOB` (`explore`, `submit`): `--param`…, `--metric`,
+//!   `--generations`, `--pop`, `--seed`, `--surrogate`, `--explorer`
+//!   (alias `--algorithm`);
+//! * `ADDR` (`submit`, `status`, `shutdown`): `--addr`.
+//!
+//! Every other group belongs to the one subcommand it is named after.
+//!
+//! `explore` and `submit` read `DESIGN` and `JOB` into one [`JobSpec`],
+//! and [`JobSpec::build`] — which the serve daemon calls on every
+//! submitted job — turns it into the exploration. Only the defaults
+//! differ (explore: 15 generations of population 20; submit: 5 of 8),
+//! and what surrounds the build: `explore` adds the flow options,
+//! `--deadline`, a parallel schedule and persistence, while `submit`
+//! ships the spec to a daemon.
+//!
+//! Local runs take their tool backend from one `KIND:SEED` spec:
+//! `DOVADO_BACKEND` picks the kind and the seed is the evaluator's
+//! default, so `explore` runs what `submit --no-store --backend
+//! KIND:13654736` runs in the daemon.
 
+use crate::backend::{RemoteBackend, ToolBackend};
 use crate::casestudies;
-use crate::dse::{Dovado, DseConfig, SurrogateConfig};
-use crate::engine::Evaluator;
-use crate::flow::{EvalConfig, FlowStep, HdlSource};
+use crate::dse::DseConfig;
+use crate::engine::{validate_jobs, validate_store_capacity, validate_workers, Evaluator};
+use crate::error::DovadoError;
+use crate::flow::{load_project_tree, EvalConfig, FlowStep, HdlSource};
 use crate::metrics::{Metric, MetricSet};
+use crate::obs::{EventBus, ObsEvent};
 use crate::persist::PersistConfig;
 use crate::point::DesignPoint;
-use crate::space::{Domain, ParameterSpace};
+use crate::serve::{protocol, Client, JobSpec, Json, ServeConfig, Server};
+use crate::space::Domain;
+use crate::worker::{attach_lifecycle, backend_from_spec, process_fleet};
 use dovado_eda::EvalStore;
 use dovado_fpga::{Catalog, ResourceKind};
 use dovado_hdl::Language;
 use dovado_moo::{Nsga2Config, Termination};
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::str::FromStr;
+use std::sync::Arc;
 
 /// CLI entry point: executes `args` (without the program name), writing
 /// human output to `out`. Returns the process exit code.
@@ -72,17 +117,19 @@ USAGE:
   dovado evaluate (--source <file>... --top <module> | --project <dir> [--top <module>])
                   [--part <part>]
                   [--set NAME=VALUE]... [--period <ns>] [--step synth|impl]
-                  [--synth-directive <d>] [--impl-directive <d>]
+                  [--synth-directive <d>] [--impl-directive <d>] [--no-incremental]
                   [--jobs <n>] [--workers <n>] [--store <dir>]
                   [--trace-out <file>]
   dovado explore  (--source <file>... --top <module> | --project <dir> [--top <module>])
-                  [--part <part>]
+                  [--part <part>] [--period <ns>] [--step synth|impl]
+                  [--synth-directive <d>] [--impl-directive <d>] [--no-incremental]
                   --param NAME=<spec>... [--metric <m>,<m>,...]
                   [--generations <n>] [--pop <n>] [--seed <n>]
                   [--surrogate <M>] [--deadline <simulated-s>] [--plot]
                   [--explorer nsga2|random|wsga|exhaustive|sa|bayes|auto]
                   [--csv <file>] [--jobs <n>] [--workers <n>]
-                  [--store <dir>] [--resume <dir>] [--trace-out <file>]
+                  [--store <dir>] [--resume <dir>] [--store-capacity <n>]
+                  [--trace-out <file>]
   dovado demo <cv32e40p|corundum|neorv32|tirex>
   dovado worker   (internal: serve the distributed-evaluation protocol
                   over stdio; spawned by --workers, not run by hand)
@@ -107,6 +154,9 @@ USAGE:
   from the dependency graph (the unique uninstantiated module); pass
   --top to pick one when several roots exist.
 
+  --no-incremental runs every implementation from scratch instead of
+  reusing the previous run's checkpoint (the incremental flow).
+
   --jobs caps the worker threads used for parallel tool runs and batch
   surrogate decisions; the default is all available cores. Results are
   identical for any value — parallelism never changes answers.
@@ -125,6 +175,8 @@ USAGE:
   --store also journals optimizer state each generation so an
   interrupted run can be continued with --resume <dir>, which replays
   the journal and produces the same result as an uninterrupted run.
+  --store-capacity bounds that store at <n> entries, evicting the least
+  recently used; eviction only ever costs recomputation.
 
   --trace-out writes the run's observability spine — every attempt,
   store hit, generation boundary, and surrogate decision in canonical
@@ -148,7 +200,10 @@ USAGE:
   capacity-bounded evaluation store across tenants (--root; eviction
   under --store-capacity only ever causes re-computation, never wrong
   answers). Slots are granted tenant-fairly by stride scheduling
-  weighted by --priority.
+  weighted by --priority. Submitted with --no-store and --backend
+  KIND:13654736 (the seed local runs use), a job writes the trace explore
+  writes for the same job flags; submit defaults to 5 generations of
+  population 8.
 
 PARAM SPECS:
   lo:hi          integer range            (e.g. DEPTH=2:1000)
@@ -160,6 +215,176 @@ PARAM SPECS:
 METRICS: lut, ff, bram, uram, dsp, carry, io, bufg, fmax, power
 "
     .to_string()
+}
+
+/// How a flag consumes argv.
+enum Arity {
+    /// Takes no value.
+    Switch,
+    /// Takes one value; a later occurrence replaces an earlier one.
+    Value,
+    /// Takes one value per occurrence, and every occurrence counts.
+    Repeated,
+}
+
+use Arity::{Repeated, Switch, Value};
+
+/// One row of the flag table.
+struct Flag {
+    name: &'static str,
+    alias: Option<&'static str>,
+    arity: Arity,
+}
+
+const fn flag(name: &'static str, arity: Arity) -> Flag {
+    Flag {
+        name,
+        alias: None,
+        arity,
+    }
+}
+
+/// Where the design comes from: `evaluate`, `explore`, `submit`.
+const DESIGN: &[Flag] = &[
+    flag("--source", Repeated),
+    flag("--project", Value),
+    flag("--top", Value),
+    flag("--part", Value),
+    flag("--period", Value),
+];
+
+/// Options of a run on this host: `evaluate`, `explore`.
+const LOCAL_RUN: &[Flag] = &[
+    flag("--step", Value),
+    flag("--synth-directive", Value),
+    flag("--impl-directive", Value),
+    flag("--no-incremental", Switch),
+    flag("--jobs", Value),
+    flag("--workers", Value),
+    flag("--store", Value),
+    flag("--trace-out", Value),
+];
+
+/// The exploration job `explore` and `submit` share ([`read_job`]).
+const JOB: &[Flag] = &[
+    flag("--param", Repeated),
+    flag("--metric", Value),
+    flag("--generations", Value),
+    flag("--pop", Value),
+    flag("--seed", Value),
+    flag("--surrogate", Value),
+    Flag {
+        name: "--explorer",
+        // `--algorithm` predates the portfolio.
+        alias: Some("--algorithm"),
+        arity: Value,
+    },
+];
+
+/// The daemon a client subcommand talks to.
+const ADDR: &[Flag] = &[flag("--addr", Value)];
+
+const EVALUATE: &[Flag] = &[flag("--set", Repeated)];
+
+const EXPLORE: &[Flag] = &[
+    flag("--deadline", Value),
+    flag("--plot", Switch),
+    flag("--csv", Value),
+    flag("--resume", Value),
+    flag("--store-capacity", Value),
+];
+
+const SERVE: &[Flag] = &[
+    flag("--listen", Value),
+    flag("--slots", Value),
+    flag("--root", Value),
+    flag("--store-capacity", Value),
+];
+
+const SUBMIT: &[Flag] = &[
+    flag("--tenant", Value),
+    flag("--priority", Value),
+    flag("--backend", Value),
+    flag("--no-store", Switch),
+    flag("--trace-out", Value),
+];
+
+/// The flag table: every subcommand that takes flags, with its rows.
+const COMMANDS: &[(&str, &[&[Flag]])] = &[
+    ("evaluate", &[DESIGN, LOCAL_RUN, EVALUATE]),
+    ("explore", &[DESIGN, LOCAL_RUN, JOB, EXPLORE]),
+    ("serve", &[SERVE]),
+    ("submit", &[ADDR, DESIGN, JOB, SUBMIT]),
+    ("status", &[ADDR]),
+    ("shutdown", &[ADDR]),
+];
+
+/// A subcommand's argv, read once against its rows of `COMMANDS`.
+struct Args {
+    /// The flags given, in argv order, under their names (not aliases),
+    /// with their values (`None` for a switch): every occurrence of a
+    /// repeated flag, the last of any other.
+    given: Vec<(&'static str, Option<String>)>,
+}
+
+impl Args {
+    fn read(cmd: &str, argv: &[String]) -> Result<Args, String> {
+        let (_, groups) = COMMANDS
+            .iter()
+            .find(|(name, _)| *name == cmd)
+            .expect("every flagged subcommand has a row group");
+        let mut given = Vec::new();
+        let mut argv = argv.iter();
+        while let Some(arg) = argv.next() {
+            let Some(flag) = groups
+                .iter()
+                .flat_map(|group| group.iter())
+                .find(|f| f.name == arg.as_str() || f.alias == Some(arg.as_str()))
+            else {
+                return Err(if arg.starts_with("--") {
+                    format!("{cmd}: unknown flag `{arg}`")
+                } else {
+                    format!("unexpected argument `{arg}`")
+                });
+            };
+            let value = match flag.arity {
+                Switch => None,
+                Value | Repeated => match argv.next() {
+                    Some(v) if !v.starts_with("--") => Some(v.clone()),
+                    _ => return Err(format!("{arg}: missing value")),
+                },
+            };
+            if let Value = flag.arity {
+                given.retain(|(name, _)| *name != flag.name);
+            }
+            given.push((flag.name, value));
+        }
+        Ok(Args { given })
+    }
+
+    fn switch(&self, name: &str) -> bool {
+        self.given.iter().any(|(n, _)| *n == name)
+    }
+
+    /// Every value given for `name`, in argv order.
+    fn values<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a str> {
+        self.given
+            .iter()
+            .filter(move |(n, _)| *n == name)
+            .filter_map(|(_, v)| v.as_deref())
+    }
+
+    fn value(&self, name: &str) -> Option<&str> {
+        let (_, value) = self.given.iter().find(|(n, _)| *n == name)?;
+        value.as_deref()
+    }
+
+    /// The value of `name` parsed as a number.
+    fn number<T: FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        self.value(name)
+            .map(|v| v.parse().map_err(|_| format!("{name}: not a number")))
+            .transpose()
+    }
 }
 
 fn cmd_parts(out: &mut String) -> Result<(), String> {
@@ -227,184 +452,184 @@ fn cmd_parse(files: &[String], out: &mut String) -> Result<(), String> {
     Ok(())
 }
 
-/// Shared flags of evaluate/explore.
-struct CommonArgs {
-    sources: Vec<HdlSource>,
-    top: String,
-    eval: EvalConfig,
-}
-
-fn parse_common(args: &[String]) -> Result<(CommonArgs, Vec<(String, String)>), String> {
-    let mut sources = Vec::new();
-    let mut top = None;
-    let mut project: Option<String> = None;
-    let mut eval = EvalConfig::default();
-    let mut rest: Vec<(String, String)> = Vec::new();
-
-    let mut i = 0usize;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let value = |i: usize| -> Result<String, String> {
-            args.get(i + 1)
-                .cloned()
-                .ok_or_else(|| format!("{flag}: missing value"))
-        };
-        match flag {
-            "--source" => {
-                let path = value(i)?;
-                let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
-                let lang = language_of(&path)?;
-                let name = path.rsplit('/').next().unwrap_or(&path).to_string();
-                sources.push(HdlSource::new(name, lang, text));
-                i += 2;
-            }
-            "--project" => {
-                project = Some(value(i)?);
-                i += 2;
-            }
-            "--top" => {
-                top = Some(value(i)?);
-                i += 2;
-            }
-            "--part" => {
-                eval.part = value(i)?;
-                i += 2;
-            }
-            "--period" => {
-                eval.target_period_ns = value(i)?
-                    .parse()
-                    .map_err(|_| "--period: not a number".to_string())?;
-                i += 2;
-            }
-            "--step" => {
-                eval.step = match value(i)?.as_str() {
-                    "synth" | "synthesis" => FlowStep::Synthesis,
-                    "impl" | "implementation" => FlowStep::Implementation,
-                    other => return Err(format!("--step: unknown step `{other}`")),
-                };
-                i += 2;
-            }
-            "--synth-directive" => {
-                eval.synth_directive = value(i)?;
-                i += 2;
-            }
-            "--impl-directive" => {
-                eval.impl_directive = value(i)?;
-                i += 2;
-            }
-            "--no-incremental" => {
-                eval.incremental = false;
-                i += 1;
-            }
-            _ => {
-                // Deferred to the subcommand (may take a value).
-                if flag.starts_with("--") {
-                    let v = args.get(i + 1).cloned().unwrap_or_default();
-                    let takes_value = !v.starts_with("--") && !v.is_empty();
-                    rest.push((
-                        flag.to_string(),
-                        if takes_value { v } else { String::new() },
-                    ));
-                    i += if takes_value { 2 } else { 1 };
-                } else {
-                    return Err(format!("unexpected argument `{flag}`"));
-                }
-            }
-        }
-    }
-    if let Some(dir) = &project {
+/// Reads the design flags: `--source` files (each named by its base
+/// name) or a `--project` tree, and the top module.
+fn read_design(args: &Args) -> Result<(Vec<HdlSource>, String), String> {
+    let top = args.value("--top");
+    if let Some(dir) = args.value("--project") {
         // A project tree is a complete source set: catalog it, take the
         // dependency-ordered sources, and let the graph infer the top
         // unless --top overrides it.
-        if !sources.is_empty() {
+        if args.value("--source").is_some() {
             return Err("--project and --source are mutually exclusive".into());
         }
-        let (tree_sources, tree_top) =
-            crate::flow::load_project_tree(std::path::Path::new(dir), top.as_deref())
-                .map_err(|e| format!("--project: {e}"))?;
-        sources = tree_sources;
-        top = Some(tree_top);
+        return load_project_tree(Path::new(dir), top).map_err(|e| format!("--project: {e}"));
     }
+    let sources = args
+        .values("--source")
+        .map(|path| {
+            let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+            let name = path.rsplit('/').next().unwrap_or(path);
+            Ok(HdlSource::new(name, language_of(path)?, text))
+        })
+        .collect::<Result<Vec<_>, String>>()?;
     if sources.is_empty() {
         return Err("missing --source (or --project)".into());
     }
-    let top = top.ok_or_else(|| "missing --top".to_string())?;
-    Ok((CommonArgs { sources, top, eval }, rest))
+    let top = top.ok_or("missing --top")?;
+    Ok((sources, top.to_string()))
 }
 
-/// Parses a `--jobs` value: worker-thread cap for parallel phases
-/// (batch tool runs, batch surrogate decisions). Without the flag, all
-/// available cores are used. Validation lives in the engine
-/// ([`crate::engine::validate_jobs`]) so every entry point — CLI or
-/// library — rejects a zero-worker pool the same way instead of letting
-/// it reach the thread-pool builder.
-fn parse_jobs(value: &str) -> Result<usize, String> {
-    let n: usize = value
-        .parse()
-        .map_err(|_| "--jobs: not a number".to_string())?;
-    crate::engine::validate_jobs(n).map_err(|e| e.to_string())
+/// Reads the job flags `explore` and `submit` share into `spec`; a flag
+/// not given keeps `spec`'s value (the subcommand's default).
+fn read_job(args: &Args, mut spec: JobSpec) -> Result<JobSpec, String> {
+    let (sources, top) = read_design(args)?;
+    spec.sources = sources.into_iter().map(|s| (s.name, s.content)).collect();
+    spec.top = top;
+    spec.part = args.value("--part").map(str::to_string);
+    spec.period_ns = args.number("--period")?;
+    spec.params = args
+        .values("--param")
+        .map(|param| {
+            param
+                .split_once('=')
+                .map(|(name, domain)| (name.to_string(), domain.to_string()))
+                .ok_or_else(|| format!("--param: want NAME=SPEC, got `{param}`"))
+        })
+        .collect::<Result<_, _>>()?;
+    if spec.params.is_empty() {
+        return Err("at least one --param is required".into());
+    }
+    spec.metrics = args.value("--metric").map(str::to_string);
+    spec.generations = args.number("--generations")?.unwrap_or(spec.generations);
+    spec.pop = args.number("--pop")?.unwrap_or(spec.pop);
+    spec.seed = args.number("--seed")?.unwrap_or(spec.seed);
+    spec.surrogate = args.number("--surrogate")?;
+    if let Some(explorer) = args.value("--explorer") {
+        spec.explorer = explorer.to_string();
+    }
+    Ok(spec)
 }
 
-/// Parses a `--workers` value: the distributed fleet size. Shares the
-/// engine's pool-size validator with `--jobs`
-/// ([`crate::engine::validate_workers`]), so a zero-worker fleet is
-/// rejected with the same wording at every entry point.
-fn parse_workers(value: &str) -> Result<usize, String> {
-    let n: usize = value
-        .parse()
-        .map_err(|_| "--workers: not a number".to_string())?;
-    crate::engine::validate_workers(n).map_err(|e| e.to_string())
+/// The tool-flow options of a local run over the evaluator defaults.
+fn flow_config(args: &Args) -> Result<EvalConfig, String> {
+    let mut eval = EvalConfig::default();
+    if let Some(step) = args.value("--step") {
+        eval.step = match step {
+            "synth" | "synthesis" => FlowStep::Synthesis,
+            "impl" | "implementation" => FlowStep::Implementation,
+            other => return Err(format!("--step: unknown step `{other}`")),
+        };
+    }
+    if let Some(directive) = args.value("--synth-directive") {
+        eval.synth_directive = directive.to_string();
+    }
+    if let Some(directive) = args.value("--impl-directive") {
+        eval.impl_directive = directive.to_string();
+    }
+    eval.incremental = !args.switch("--no-incremental");
+    Ok(eval)
 }
 
-/// Parses a `--store-capacity` value: the entry-count bound on the
-/// persistent store. Shares the engine's validator
-/// ([`crate::engine::validate_store_capacity`]) with the programmatic
-/// path, so a zero-entry bound is rejected with the same wording at
-/// every entry point.
-fn parse_store_capacity(value: &str) -> Result<usize, String> {
-    let n: usize = value
-        .parse()
-        .map_err(|_| "--store-capacity: not a number".to_string())?;
-    crate::engine::validate_store_capacity(Some(n)).map_err(|e| e.to_string())?;
-    Ok(n)
-}
-
-/// Builds a distributed worker fleet for `--workers`: `workers` child
-/// processes running `dovado worker` (or in-process serve threads with
-/// the internal `--worker-transport thread`, used by tests, which must
-/// not re-exec their own binary). The fault plan stays coordinator-side;
-/// workers are always clean.
-fn build_fleet(
-    eval: &EvalConfig,
-    workers: usize,
-    transport: &str,
-) -> Result<std::sync::Arc<crate::backend::RemoteBackend>, String> {
+/// The backend spec of every local run, `KIND:SEED`: `DOVADO_BACKEND`
+/// picks the kind — `mock` for the scripted mock, unset (or `sim`) for
+/// the simulated Vivado, anything else is rejected rather than silently
+/// simulated — and the seed is the evaluator's default.
+fn local_backend_spec() -> Result<String, String> {
     let kind = match std::env::var("DOVADO_BACKEND").ok().as_deref() {
         Some("mock") => "mock",
         None | Some("") | Some("sim") => "vivado-sim",
         Some(other) => return Err(format!("DOVADO_BACKEND: unknown backend `{other}`")),
     };
-    let spec = format!("{kind}:{}", eval.seed);
-    let remote = match transport {
-        "thread" => crate::worker::thread_fleet(&spec, workers),
-        "process" => {
-            let exe = std::env::current_exe().map_err(|e| format!("--workers: {e}"))?;
-            crate::worker::process_fleet(
-                vec![exe.to_string_lossy().into_owned(), "worker".into()],
-                &spec,
-                workers,
-            )
+    Ok(format!("{kind}:{}", EvalConfig::default().seed))
+}
+
+/// Where a local run's tool calls go: the backend a spec names, in this
+/// process under an optional `--jobs` thread cap, or on a `--workers`
+/// fleet of `dovado worker` child processes.
+struct LocalRun {
+    backend: Arc<dyn ToolBackend>,
+    jobs: Option<usize>,
+    workers: Option<usize>,
+    fleet: Option<Arc<RemoteBackend>>,
+}
+
+impl LocalRun {
+    fn new(args: &Args, spec: &str) -> Result<LocalRun, String> {
+        let err = |e: DovadoError| e.to_string();
+        let jobs = args.number("--jobs")?.map(validate_jobs);
+        let jobs = jobs.transpose().map_err(err)?;
+        let workers = args.number("--workers")?.map(validate_workers);
+        let workers = workers.transpose().map_err(err)?;
+        if jobs.is_some() && workers.is_some() {
+            return Err("--jobs and --workers are mutually exclusive".into());
         }
-        other => {
-            return Err(format!(
-                "--worker-transport: unknown transport `{other}` (want thread|process)"
-            ))
+        let fleet = match workers {
+            Some(n) => {
+                let exe = std::env::current_exe().map_err(|e| format!("--workers: {e}"))?;
+                let command = vec![exe.to_string_lossy().into_owned(), "worker".into()];
+                let fleet =
+                    process_fleet(command, spec, n).map_err(|e| format!("--workers: {e}"))?;
+                Some(Arc::new(fleet))
+            }
+            None => None,
+        };
+        let backend: Arc<dyn ToolBackend> = match &fleet {
+            Some(fleet) => fleet.clone(),
+            None => Arc::from(
+                backend_from_spec(spec).ok_or_else(|| format!("unknown backend spec `{spec}`"))?,
+            ),
+        };
+        Ok(LocalRun {
+            backend,
+            jobs,
+            workers,
+            fleet,
+        })
+    }
+
+    /// Forwards the fleet's lifecycle events to the run's spine.
+    fn attach(&self, spine: &EventBus) {
+        if let Some(fleet) = &self.fleet {
+            attach_lifecycle(fleet, spine);
         }
     }
-    .map_err(|e| format!("--workers: {e}"))?;
-    Ok(std::sync::Arc::new(
-        remote.with_fault_plan(eval.faults.clone()),
-    ))
+
+    /// Runs `op` in a thread pool capped at `--jobs`, or directly (all
+    /// cores) when no cap was asked for.
+    fn install<R>(&self, op: impl FnOnce() -> R) -> Result<R, String> {
+        match self.jobs {
+            None => Ok(op()),
+            Some(n) => {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(n)
+                    .build()
+                    .map_err(|e| format!("--jobs: {e}"))?;
+                Ok(pool.install(op))
+            }
+        }
+    }
+
+    /// One summary line of the fleet's lifecycle side channel, if any.
+    fn report_fleet(&self, spine: &EventBus, out: &mut String) {
+        let Some(workers) = self.workers else { return };
+        let events = spine.worker_events();
+        let count = |k: &str| {
+            events
+                .iter()
+                .filter(|e| matches!(e, ObsEvent::Worker { kind, .. } if *kind == k))
+                .count()
+        };
+        let _ = writeln!(
+            out,
+            "{:<13}: {workers} worker(s): {} spawned, {} steal(s), {} death(s), {} requeue(d)",
+            "fleet",
+            count("spawned"),
+            count("stole"),
+            count("died"),
+            count("requeued"),
+        );
+    }
 }
 
 /// The `worker` subcommand: serve the distributed-evaluation frame
@@ -415,118 +640,44 @@ fn cmd_worker() -> Result<(), String> {
     crate::worker::serve_stdio().map_err(|e| format!("worker: {e}"))
 }
 
-/// One summary line for the worker fleet's lifecycle side channel.
-fn worker_summary(bus: &crate::obs::EventBus, workers: usize) -> String {
-    let events = bus.worker_events();
-    let count = |k: &str| {
-        events
-            .iter()
-            .filter(|e| matches!(e, crate::obs::ObsEvent::Worker { kind, .. } if *kind == k))
-            .count()
-    };
-    format!(
-        "{workers} worker(s): {} spawned, {} steal(s), {} death(s), {} requeue(d)",
-        count("spawned"),
-        count("stole"),
-        count("died"),
-        count("requeued"),
-    )
-}
-
-/// Runs `op` under a scoped thread pool capped at `jobs` workers, or
-/// directly (all cores) when no cap was requested.
-fn run_with_jobs<R>(jobs: Option<usize>, op: impl FnOnce() -> R) -> Result<R, String> {
-    match jobs {
-        None => Ok(op()),
-        Some(n) => {
-            let n = crate::engine::validate_jobs(n).map_err(|e| e.to_string())?;
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(n)
-                .build()
-                .map_err(|e| format!("--jobs: {e}"))?;
-            Ok(pool.install(op))
-        }
-    }
-}
-
-/// Selects the tool backend from `DOVADO_BACKEND`: `mock` runs every
-/// tool call on the scripted mock; unset (or `sim`) keeps the default
-/// simulated Vivado. Anything else is rejected rather than silently
-/// simulated.
-fn backend_from_env(
-    eval: &EvalConfig,
-) -> Result<Option<std::sync::Arc<dyn crate::backend::ToolBackend>>, String> {
-    match std::env::var("DOVADO_BACKEND").ok().as_deref() {
-        Some("mock") => Ok(Some(std::sync::Arc::new(
-            crate::backend::MockBackend::with_faults(eval.seed, eval.faults.clone()),
-        ))),
-        None | Some("") | Some("sim") => Ok(None),
-        Some(other) => Err(format!("DOVADO_BACKEND: unknown backend `{other}`")),
-    }
-}
-
 /// Serializes a spine snapshot as JSON Lines to `path`.
 fn write_trace_file(path: &str, snapshot: &crate::obs::SpineSnapshot) -> Result<(), String> {
     std::fs::write(path, crate::obs::jsonl_string(snapshot)).map_err(|e| format!("{path}: {e}"))
 }
 
-fn cmd_evaluate(args: &[String], out: &mut String) -> Result<(), String> {
-    let (common, rest) = parse_common(args)?;
-    let mut assignments: Vec<(String, i64)> = Vec::new();
-    let mut jobs: Option<usize> = None;
-    let mut workers: Option<usize> = None;
-    let mut transport = "process".to_string();
-    let mut store_dir: Option<String> = None;
-    let mut trace_out: Option<String> = None;
-    for (flag, value) in &rest {
-        match flag.as_str() {
-            "--set" => {
-                let (k, v) = value
-                    .split_once('=')
-                    .ok_or_else(|| format!("--set: want NAME=VALUE, got `{value}`"))?;
-                let vi: i64 = v
-                    .parse()
-                    .map_err(|_| format!("--set: non-integer value `{v}`"))?;
-                assignments.push((k.to_string(), vi));
-            }
-            "--jobs" => jobs = Some(parse_jobs(value)?),
-            "--workers" => workers = Some(parse_workers(value)?),
-            "--worker-transport" => transport = value.clone(),
-            "--store" => store_dir = Some(value.clone()),
-            "--trace-out" => trace_out = Some(value.clone()),
-            other => return Err(format!("evaluate: unknown flag `{other}`")),
-        }
+fn cmd_evaluate(argv: &[String], out: &mut String) -> Result<(), String> {
+    let args = Args::read("evaluate", argv)?;
+    let (sources, top) = read_design(&args)?;
+    let mut eval = flow_config(&args)?;
+    if let Some(part) = args.value("--part") {
+        eval.part = part.to_string();
     }
-    if jobs.is_some() && workers.is_some() {
-        return Err("--jobs and --workers are mutually exclusive".into());
+    if let Some(period) = args.number("--period")? {
+        eval.target_period_ns = period;
     }
-
-    let remote = match workers {
-        Some(w) => Some(build_fleet(&common.eval, w, &transport)?),
-        None => None,
-    };
-    let mut evaluator = match (&remote, backend_from_env(&common.eval)?) {
-        (Some(fleet), _) => {
-            let backend: std::sync::Arc<dyn crate::backend::ToolBackend> = fleet.clone();
-            Evaluator::with_backend(common.sources, &common.top, common.eval, backend)
-        }
-        (None, Some(backend)) => {
-            Evaluator::with_backend(common.sources, &common.top, common.eval, backend)
-        }
-        (None, None) => Evaluator::new(common.sources, &common.top, common.eval),
+    let mut assignments: Vec<(&str, i64)> = Vec::new();
+    for set in args.values("--set") {
+        let (k, v) = set
+            .split_once('=')
+            .ok_or_else(|| format!("--set: want NAME=VALUE, got `{set}`"))?;
+        let v = v
+            .parse()
+            .map_err(|_| format!("--set: non-integer value `{v}`"))?;
+        assignments.push((k, v));
     }
-    .map_err(|e| e.to_string())?;
-    if let Some(fleet) = &remote {
-        crate::worker::attach_lifecycle(fleet, evaluator.spine());
-    }
-    if let Some(dir) = &store_dir {
-        let store =
-            EvalStore::open(std::path::Path::new(dir)).map_err(|e| format!("--store: {e}"))?;
+    let point = DesignPoint::from_pairs(&assignments);
+    let run = LocalRun::new(&args, &local_backend_spec()?)?;
+    let mut evaluator = Evaluator::with_backend(sources, &top, eval, run.backend.clone())
+        .map_err(|e| e.to_string())?;
+    run.attach(evaluator.spine());
+    let store_dir = args.value("--store");
+    if let Some(dir) = store_dir {
+        let store = EvalStore::open(Path::new(dir)).map_err(|e| format!("--store: {e}"))?;
         evaluator.attach_store(store);
     }
-    let pairs: Vec<(&str, i64)> = assignments.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-    let point = DesignPoint::from_pairs(&pairs);
-    let eval = run_with_jobs(jobs, || evaluator.evaluate(&point))?.map_err(|e| e.to_string())?;
+    let eval = run
+        .install(|| evaluator.evaluate(&point))?
+        .map_err(|e| e.to_string())?;
 
     let _ = writeln!(out, "design point : {point}");
     for kind in ResourceKind::ALL {
@@ -554,170 +705,69 @@ fn cmd_evaluate(args: &[String], out: &mut String) -> Result<(), String> {
         };
         let _ = writeln!(out, "{:<13}: {served}", "answered by");
     }
-    if let Some(w) = workers {
-        let _ = writeln!(
-            out,
-            "{:<13}: {}",
-            "fleet",
-            worker_summary(evaluator.spine(), w)
-        );
-    }
-    if let Some(path) = &trace_out {
+    run.report_fleet(evaluator.spine(), out);
+    if let Some(path) = args.value("--trace-out") {
         write_trace_file(path, &evaluator.snapshot())?;
         let _ = writeln!(out, "wrote {path}");
     }
     Ok(())
 }
 
-fn cmd_explore(args: &[String], out: &mut String) -> Result<(), String> {
-    let (common, rest) = parse_common(args)?;
-    let mut space = ParameterSpace::new();
-    let mut metrics: Option<MetricSet> = None;
-    let mut generations = 15u32;
-    let mut pop = 20usize;
-    let mut seed = 0u64;
-    let mut surrogate: Option<usize> = None;
-    let mut deadline: Option<f64> = None;
-    let mut plot = false;
-    let mut explorer = crate::dse::Explorer::Nsga2;
-    let mut csv_path: Option<String> = None;
-    let mut jobs: Option<usize> = None;
-    let mut workers: Option<usize> = None;
-    let mut transport = "process".to_string();
-    let mut store_dir: Option<String> = None;
-    let mut store_capacity: Option<usize> = None;
-    let mut resume_dir: Option<String> = None;
-    let mut trace_out: Option<String> = None;
-
-    for (flag, value) in &rest {
-        match flag.as_str() {
-            "--param" => {
-                let (name, spec) = value
-                    .split_once('=')
-                    .ok_or_else(|| format!("--param: want NAME=SPEC, got `{value}`"))?;
-                space = space.with(name, parse_domain(spec)?);
-            }
-            "--metric" => metrics = Some(parse_metrics(value)?),
-            "--generations" => {
-                generations = value
-                    .parse()
-                    .map_err(|_| "--generations: not a number".to_string())?
-            }
-            "--pop" => {
-                pop = value
-                    .parse()
-                    .map_err(|_| "--pop: not a number".to_string())?
-            }
-            "--seed" => {
-                seed = value
-                    .parse()
-                    .map_err(|_| "--seed: not a number".to_string())?
-            }
-            "--surrogate" => {
-                surrogate = Some(
-                    value
-                        .parse()
-                        .map_err(|_| "--surrogate: not a number".to_string())?,
-                )
-            }
-            "--deadline" => {
-                deadline = Some(
-                    value
-                        .parse()
-                        .map_err(|_| "--deadline: not a number".to_string())?,
-                )
-            }
-            "--plot" => plot = true,
-            "--csv" => csv_path = Some(value.clone()),
-            "--jobs" => jobs = Some(parse_jobs(value)?),
-            "--workers" => workers = Some(parse_workers(value)?),
-            "--worker-transport" => transport = value.clone(),
-            "--store" => store_dir = Some(value.clone()),
-            "--store-capacity" => store_capacity = Some(parse_store_capacity(value)?),
-            "--resume" => resume_dir = Some(value.clone()),
-            "--trace-out" => trace_out = Some(value.clone()),
-            // `--algorithm` predates the portfolio and stays as an alias.
-            "--explorer" | "--algorithm" => {
-                explorer = crate::dse::Explorer::parse_token(value)
-                    .ok_or_else(|| format!("{flag}: unknown explorer `{value}`"))?
-            }
-            other => return Err(format!("explore: unknown flag `{other}`")),
+/// The persistence `--store`, `--resume` and `--store-capacity` ask for.
+fn persist_config(args: &Args) -> Result<Option<PersistConfig>, String> {
+    let store_capacity =
+        validate_store_capacity(args.number("--store-capacity")?).map_err(|e| e.to_string())?;
+    let (store, resume) = (args.value("--store"), args.value("--resume"));
+    if matches!((store, resume), (Some(s), Some(r)) if s != r) {
+        return Err("--store and --resume point at different directories".into());
+    }
+    let Some(dir) = resume.or(store) else {
+        if store_capacity.is_some() {
+            return Err("--store-capacity requires --store (or --resume)".into());
         }
-    }
-    if space.dim() == 0 {
-        return Err("explore: at least one --param is required".into());
-    }
-    if jobs.is_some() && workers.is_some() {
-        return Err("--jobs and --workers are mutually exclusive".into());
-    }
-    let metrics = metrics.unwrap_or_else(MetricSet::area_frequency);
-    if store_capacity.is_some() && store_dir.is_none() && resume_dir.is_none() {
-        return Err("--store-capacity requires --store (or --resume)".into());
-    }
-    let persist = match (&store_dir, &resume_dir) {
-        (None, None) => None,
-        (Some(s), Some(r)) if s != r => {
-            return Err("--store and --resume point at different directories".into())
-        }
-        (s, r) => {
-            let dir = r.clone().or_else(|| s.clone()).unwrap();
-            Some(PersistConfig {
-                dir: PathBuf::from(dir),
-                resume: resume_dir.is_some(),
-                journal_every: 1,
-                store_capacity,
-            })
-        }
+        return Ok(None);
     };
+    Ok(Some(PersistConfig {
+        dir: PathBuf::from(dir),
+        resume: resume.is_some(),
+        journal_every: 1,
+        store_capacity,
+    }))
+}
 
-    let remote = match workers {
-        Some(w) => Some(build_fleet(&common.eval, w, &transport)?),
-        None => None,
-    };
-    let tool = match (&remote, backend_from_env(&common.eval)?) {
-        (Some(fleet), _) => {
-            let backend: std::sync::Arc<dyn crate::backend::ToolBackend> = fleet.clone();
-            Dovado::with_backend(common.sources, &common.top, space, common.eval, backend)
-        }
-        (None, Some(backend)) => {
-            Dovado::with_backend(common.sources, &common.top, space, common.eval, backend)
-        }
-        (None, None) => Dovado::new(common.sources, &common.top, space, common.eval),
-    }
-    .map_err(|e| e.to_string())?;
-    if let Some(fleet) = &remote {
-        crate::worker::attach_lifecycle(fleet, tool.evaluator().spine());
-    }
-    let termination = match deadline {
-        Some(d) => Termination::Any(vec![
-            Termination::Generations(generations),
+fn cmd_explore(argv: &[String], out: &mut String) -> Result<(), String> {
+    let args = Args::read("explore", argv)?;
+    let spec = read_job(
+        &args,
+        JobSpec {
+            generations: 15,
+            pop: 20,
+            backend: local_backend_spec()?,
+            ..JobSpec::default()
+        },
+    )?;
+    let eval = flow_config(&args)?;
+    let deadline: Option<f64> = args.number("--deadline")?;
+    let persist = persist_config(&args)?;
+    let run = LocalRun::new(&args, &spec.backend)?;
+    let (tool, mut cfg) = spec
+        .build(eval, run.backend.clone())
+        .map_err(|e| e.to_string())?;
+    run.attach(tool.evaluator().spine());
+    cfg.parallel = true;
+    cfg.workers = run.workers;
+    if let Some(d) = deadline {
+        cfg.termination = Termination::Any(vec![
+            Termination::Generations(spec.generations),
             Termination::SoftDeadline(d),
-        ]),
-        None => Termination::Generations(generations),
-    };
-    let report = run_with_jobs(jobs, || {
-        let cfg = DseConfig {
-            explorer,
-            algorithm: Nsga2Config {
-                pop_size: pop,
-                seed,
-                ..Default::default()
-            },
-            termination,
-            metrics,
-            surrogate: surrogate.map(|m| SurrogateConfig {
-                pretrain_samples: m,
-                ..Default::default()
-            }),
-            parallel: true,
-            workers,
-        };
-        match &persist {
+        ]);
+    }
+    let report = run
+        .install(|| match &persist {
             Some(p) => tool.explore_persistent(&cfg, p),
             None => tool.explore(&cfg),
-        }
-    })?
-    .map_err(|e| e.to_string())?;
+        })?
+        .map_err(|e| e.to_string())?;
 
     let _ = writeln!(out, "{}", report.summary());
     if let Some(sel) = &report.selection {
@@ -731,13 +781,7 @@ fn cmd_explore(args: &[String], out: &mut String) -> Result<(), String> {
         };
         let _ = writeln!(out, "explorer     : {} (auto: {race})", sel.explorer);
     }
-    if let Some(w) = workers {
-        let _ = writeln!(
-            out,
-            "fleet        : {}",
-            worker_summary(tool.evaluator().spine(), w)
-        );
-    }
+    run.report_fleet(tool.evaluator().spine(), out);
     if persist.is_some() {
         let served = if report.trace.store_hits > 0 {
             format!(
@@ -760,14 +804,14 @@ fn cmd_explore(args: &[String], out: &mut String) -> Result<(), String> {
     let _ = writeln!(out);
     let _ = writeln!(out, "{}", report.configuration_table());
     let _ = writeln!(out, "{}", report.metric_table());
-    if plot && report.metrics.len() >= 2 {
+    if args.switch("--plot") && report.metrics.len() >= 2 {
         let _ = writeln!(
             out,
             "{}",
             report.scatter(0, report.metrics.len() - 1, 56, 14)
         );
     }
-    if let Some(path) = csv_path {
+    if let Some(path) = args.value("--csv") {
         let mut w = crate::csv::CsvWriter::new();
         let mut header: Vec<String> = vec!["label".into()];
         if let Some(first) = report.pareto.first() {
@@ -782,10 +826,10 @@ fn cmd_explore(args: &[String], out: &mut String) -> Result<(), String> {
             row.extend(e.values.iter().map(|v| format!("{v:.3}")));
             w.row(&row);
         }
-        std::fs::write(&path, w.finish()).map_err(|e| format!("{path}: {e}"))?;
+        std::fs::write(path, w.finish()).map_err(|e| format!("{path}: {e}"))?;
         let _ = writeln!(out, "wrote {path}");
     }
-    if let Some(path) = &trace_out {
+    if let Some(path) = args.value("--trace-out") {
         write_trace_file(path, &report.spine)?;
         let _ = writeln!(out, "wrote {path}");
     }
@@ -835,31 +879,19 @@ fn cmd_demo(args: &[String], out: &mut String) -> Result<(), String> {
 /// `shutdown` request arrives. The listening line goes straight to
 /// stdout (not the buffered writer) so wrappers can scrape the bound
 /// address before the daemon blocks.
-fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let mut cfg = crate::serve::ServeConfig::default();
-    let mut i = 0usize;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let value = args
-            .get(i + 1)
-            .ok_or_else(|| format!("{flag}: missing value"))?;
-        match flag {
-            "--listen" => cfg.addr = value.clone(),
-            "--slots" => {
-                cfg.slots = value
-                    .parse()
-                    .map_err(|_| "--slots: not a number".to_string())?;
-            }
-            "--root" => cfg.root = Some(PathBuf::from(value)),
-            "--store-capacity" => cfg.store_capacity = Some(parse_store_capacity(value)?),
-            other => return Err(format!("serve: unknown flag `{other}`")),
-        }
-        i += 2;
-    }
+fn cmd_serve(argv: &[String]) -> Result<(), String> {
+    let args = Args::read("serve", argv)?;
+    let defaults = ServeConfig::default();
+    let cfg = ServeConfig {
+        addr: args.value("--listen").map_or(defaults.addr, str::to_string),
+        slots: args.number("--slots")?.unwrap_or(defaults.slots),
+        root: args.value("--root").map(PathBuf::from),
+        store_capacity: args.number("--store-capacity")?,
+    };
     if cfg.store_capacity.is_some() && cfg.root.is_none() {
         return Err("serve: --store-capacity requires --root".into());
     }
-    let mut server = crate::serve::Server::start(cfg).map_err(|e| e.to_string())?;
+    let mut server = Server::start(cfg).map_err(|e| e.to_string())?;
     println!(
         "dovado serve: listening on {} ({} slot(s))",
         server.addr(),
@@ -871,27 +903,10 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Parses the `--addr` flag shared by the client-side subcommands,
-/// returning `(addr, remaining args)`.
-fn split_addr(cmd: &str, args: &[String]) -> Result<(String, Vec<String>), String> {
-    let mut addr = None;
-    let mut rest = Vec::new();
-    let mut i = 0usize;
-    while i < args.len() {
-        if args[i] == "--addr" {
-            addr = Some(
-                args.get(i + 1)
-                    .ok_or_else(|| "--addr: missing value".to_string())?
-                    .clone(),
-            );
-            i += 2;
-        } else {
-            rest.push(args[i].clone());
-            i += 1;
-        }
-    }
-    let addr = addr.ok_or_else(|| format!("{cmd}: --addr is required"))?;
-    Ok((addr, rest))
+/// The daemon address of a client-side subcommand.
+fn daemon_addr<'a>(cmd: &str, args: &'a Args) -> Result<&'a str, String> {
+    args.value("--addr")
+        .ok_or_else(|| format!("{cmd}: --addr is required"))
 }
 
 /// The `submit` subcommand: send one job to a serve daemon, stream its
@@ -899,100 +914,24 @@ fn split_addr(cmd: &str, args: &[String]) -> Result<(String, Vec<String>), Strin
 /// the streamed event lines are sorted into canonical key order and
 /// written as a trace v2 file byte-compatible with `explore
 /// --trace-out`.
-fn cmd_submit(args: &[String], out: &mut String) -> Result<(), String> {
-    use crate::serve::{protocol, Client, JobSpec, Json};
-    let (addr, rest) = split_addr("submit", args)?;
-    let mut spec = JobSpec::default();
-    let mut tenant = "anonymous".to_string();
-    let mut priority = 1u32;
-    let mut project: Option<String> = None;
-    let mut trace_out: Option<String> = None;
-    let mut i = 0usize;
-    while i < rest.len() {
-        let flag = rest[i].as_str();
-        if flag == "--no-store" {
-            spec.use_store = false;
-            i += 1;
-            continue;
-        }
-        let value = rest
-            .get(i + 1)
-            .ok_or_else(|| format!("{flag}: missing value"))?;
-        match flag {
-            "--source" => {
-                let text = std::fs::read_to_string(value).map_err(|e| format!("{value}: {e}"))?;
-                spec.sources.push((value.clone(), text));
-            }
-            "--project" => project = Some(value.clone()),
-            "--top" => spec.top = value.clone(),
-            "--part" => spec.part = Some(value.clone()),
-            "--period" => {
-                spec.period_ns = Some(value.parse().map_err(|_| "--period: not a number")?);
-            }
-            "--param" => {
-                let (name, domain) = value
-                    .split_once('=')
-                    .ok_or_else(|| format!("--param: want NAME=SPEC, got `{value}`"))?;
-                parse_domain(domain)?;
-                spec.params.push((name.to_string(), domain.to_string()));
-            }
-            "--metric" => {
-                parse_metrics(value)?;
-                spec.metrics = Some(value.clone());
-            }
-            "--generations" => {
-                spec.generations = value.parse().map_err(|_| "--generations: not a number")?;
-            }
-            "--pop" => spec.pop = value.parse().map_err(|_| "--pop: not a number")?,
-            "--seed" => spec.seed = value.parse().map_err(|_| "--seed: not a number")?,
-            "--surrogate" => {
-                spec.surrogate = Some(value.parse().map_err(|_| "--surrogate: not a number")?);
-            }
-            "--explorer" | "--algorithm" => {
-                crate::dse::Explorer::parse_token(value)
-                    .ok_or_else(|| format!("{flag}: unknown explorer `{value}`"))?;
-                spec.explorer = value.clone();
-            }
-            "--backend" => spec.backend = value.clone(),
-            "--tenant" => tenant = value.clone(),
-            "--priority" => {
-                priority = value.parse().map_err(|_| "--priority: not a number")?;
-            }
-            "--trace-out" => trace_out = Some(value.clone()),
-            other => return Err(format!("submit: unknown flag `{other}`")),
-        }
-        i += 2;
+fn cmd_submit(argv: &[String], out: &mut String) -> Result<(), String> {
+    let args = Args::read("submit", argv)?;
+    let addr = daemon_addr("submit", &args)?;
+    let mut spec = read_job(&args, JobSpec::default())?;
+    if let Some(backend) = args.value("--backend") {
+        spec.backend = backend.to_string();
     }
-    if let Some(dir) = &project {
-        // Ship the whole cataloged tree to the daemon in compile order;
-        // the graph supplies the top unless --top overrode it.
-        if !spec.sources.is_empty() {
-            return Err("submit: --project and --source are mutually exclusive".into());
-        }
-        let cat = dovado_hdl::catalog::SourceCatalog::walk(std::path::Path::new(dir))
-            .map_err(|e| format!("--project: {e}"))?;
-        for f in cat.compile_order() {
-            spec.sources.push((f.path.clone(), f.text.clone()));
-        }
-        if spec.top.is_empty() {
-            spec.top = cat.infer_top().map_err(|e| format!("--project: {e}"))?;
-        }
-    }
-    if spec.sources.is_empty() {
-        return Err("submit: at least one --source (or --project) is required".into());
-    }
-    if spec.top.is_empty() {
-        return Err("submit: --top is required".into());
-    }
-    if spec.params.is_empty() {
-        return Err("submit: at least one --param is required".into());
-    }
-    let mut client = Client::connect(&addr).map_err(|e| format!("{addr}: {e}"))?;
-    client.hello(&tenant)?;
-    let job = client.submit(&tenant, priority, &spec)?;
+    spec.use_store = !args.switch("--no-store");
+    // Check the spec's space, metrics and explorer before connecting.
+    spec.plan().map_err(|e| e.to_string())?;
+    let tenant = args.value("--tenant").unwrap_or("anonymous");
+    let priority = args.number("--priority")?.unwrap_or(1);
+    let mut client = Client::connect(addr).map_err(|e| format!("{addr}: {e}"))?;
+    client.hello(tenant)?;
+    let job = client.submit(tenant, priority, &spec)?;
     let _ = writeln!(out, "submitted {job} as {tenant}");
     let outcome = client.stream_until_done()?;
-    if let Some(path) = trace_out {
+    if let Some(path) = args.value("--trace-out") {
         let mut events: Vec<(crate::obs::EventKey, String)> = outcome
             .lines
             .iter()
@@ -1010,7 +949,7 @@ fn cmd_submit(args: &[String], out: &mut String) -> Result<(), String> {
             text.push_str(summary);
             text.push('\n');
         }
-        std::fs::write(&path, text).map_err(|e| format!("{path}: {e}"))?;
+        std::fs::write(path, text).map_err(|e| format!("{path}: {e}"))?;
     }
     let totals = protocol::fold_stream(outcome.lines.iter().map(String::as_str));
     let _ = writeln!(
@@ -1055,12 +994,10 @@ fn cmd_submit(args: &[String], out: &mut String) -> Result<(), String> {
 }
 
 /// The `status` subcommand: print the daemon's one-line JSON status.
-fn cmd_status(args: &[String], out: &mut String) -> Result<(), String> {
-    let (addr, rest) = split_addr("status", args)?;
-    if let Some(extra) = rest.first() {
-        return Err(format!("status: unknown flag `{extra}`"));
-    }
-    let mut client = crate::serve::Client::connect(&addr).map_err(|e| format!("{addr}: {e}"))?;
+fn cmd_status(argv: &[String], out: &mut String) -> Result<(), String> {
+    let args = Args::read("status", argv)?;
+    let addr = daemon_addr("status", &args)?;
+    let mut client = Client::connect(addr).map_err(|e| format!("{addr}: {e}"))?;
     client
         .send_line("{\"cmd\":\"status\"}")
         .map_err(|e| format!("send: {e}"))?;
@@ -1073,12 +1010,10 @@ fn cmd_status(args: &[String], out: &mut String) -> Result<(), String> {
 }
 
 /// The `shutdown` subcommand: stop a running daemon.
-fn cmd_shutdown(args: &[String], out: &mut String) -> Result<(), String> {
-    let (addr, rest) = split_addr("shutdown", args)?;
-    if let Some(extra) = rest.first() {
-        return Err(format!("shutdown: unknown flag `{extra}`"));
-    }
-    let mut client = crate::serve::Client::connect(&addr).map_err(|e| format!("{addr}: {e}"))?;
+fn cmd_shutdown(argv: &[String], out: &mut String) -> Result<(), String> {
+    let args = Args::read("shutdown", argv)?;
+    let addr = daemon_addr("shutdown", &args)?;
+    let mut client = Client::connect(addr).map_err(|e| format!("{addr}: {e}"))?;
     client.shutdown()?;
     let _ = writeln!(out, "daemon at {addr} is shutting down");
     Ok(())
@@ -1733,5 +1668,94 @@ mod tests {
     fn demo_unknown_case() {
         let mut out = String::new();
         assert_eq!(run(&args(&["demo", "warpdrive"]), &mut out), 1);
+    }
+
+    #[test]
+    fn malformed_command_lines_fail_before_exploring() {
+        let path = write_temp("bad.sv", FIFO);
+        let explore = |extra: &[&str]| {
+            let mut a = args(&["explore", "--source", &path, "--top", "fifo_v3"]);
+            a.extend(args(&[
+                "--param",
+                "DEPTH=2:8",
+                "--generations",
+                "2",
+                "--pop",
+                "4",
+            ]));
+            a.extend(args(extra));
+            a
+        };
+        let submit = |extra: &[&str]| {
+            let mut a = args(&["submit", "--addr", "127.0.0.1:1", "--source", &path]);
+            a.extend(args(&["--top", "fifo_v3", "--param", "DEPTH=2:8"]));
+            a.extend(args(extra));
+            a
+        };
+        // (argv, text the error must contain)
+        let rows = [
+            (explore(&["--csv"]), "--csv: missing value"),
+            (
+                explore(&["--trace-out", "--plot"]),
+                "--trace-out: missing value",
+            ),
+            (explore(&["--plot", "oops"]), "unexpected argument `oops`"),
+            (submit(&["--no-store", "x"]), "unexpected argument `x`"),
+            (explore(&["--algorithm"]), "--algorithm: missing value"),
+            (
+                explore(&["--param", "depth=4:16"]),
+                "duplicate parameter `depth`",
+            ),
+            (explore(&["--pop", "1"]), "--pop: NSGA-II needs"),
+            (explore(&["--pop", "0"]), "--pop: NSGA-II needs"),
+        ];
+        for (argv, expected) in rows {
+            let mut out = String::new();
+            assert_eq!(run(&argv, &mut out), 1, "{argv:?}\n{out}");
+            assert!(out.contains(expected), "{argv:?}\n{out}");
+            assert!(!out.contains("non-dominated"), "explored anyway: {argv:?}");
+        }
+    }
+
+    #[test]
+    fn arity_decides_which_occurrences_count() {
+        let argv = args(&[
+            "--param",
+            "A=1:2",
+            "--seed",
+            "1",
+            "--plot",
+            "--param",
+            "B=3:4",
+            "--algorithm",
+            "sa",
+            "--seed",
+            "2",
+        ]);
+        let parsed = Args::read("explore", &argv).unwrap();
+        assert_eq!(
+            parsed.values("--param").collect::<Vec<_>>(),
+            ["A=1:2", "B=3:4"]
+        );
+        assert_eq!(parsed.value("--seed"), Some("2"));
+        assert_eq!(parsed.value("--explorer"), Some("sa"));
+        assert!(parsed.switch("--plot") && !parsed.switch("--csv"));
+    }
+
+    #[test]
+    fn usage_lists_every_flag_in_the_table() {
+        let usage = usage();
+        for (cmd, groups) in COMMANDS {
+            // The subcommand's synopsis: its `dovado CMD` lines.
+            let start = usage.find(&format!("\n  dovado {cmd} ")).unwrap() + 1;
+            let synopsis = usage[start..].split("\n  dovado ").next().unwrap();
+            let synopsis = synopsis.split("\n\n").next().unwrap();
+            for flag in groups.iter().flat_map(|g| g.iter()) {
+                assert!(synopsis.contains(flag.name), "{cmd}: {}", flag.name);
+                if let Some(alias) = flag.alias {
+                    assert!(usage.contains(alias), "usage lacks {alias}");
+                }
+            }
+        }
     }
 }

@@ -464,6 +464,13 @@ impl Dovado {
         let batch = cfg.algorithm.pop_size;
         let seed = cfg.algorithm.seed;
         Ok(match kind {
+            // NSGA-II mates pairs; refuse what `Nsga2Explorer::start`
+            // would assert on.
+            Explorer::Nsga2 if batch < 2 => {
+                return Err(DovadoError::Config(format!(
+                    "--pop: NSGA-II needs a population of at least 2, got {batch}"
+                )))
+            }
             Explorer::Nsga2 => Box::new(Nsga2Explorer::start(problem, &cfg.algorithm)),
             Explorer::RandomSearch => Box::new(RandomExplorer::start(&*problem, batch, seed)),
             Explorer::WeightedSum(weights) => {

@@ -25,9 +25,17 @@
 //! clients dedup by key.
 
 use super::json::{escape, Json};
-use crate::flow::FlowStep;
+use crate::backend::ToolBackend;
+use crate::cli::{language_of, parse_domain, parse_metrics};
+use crate::dse::{Dovado, DseConfig, Explorer, SurrogateConfig};
+use crate::error::{DovadoError, DovadoResult};
+use crate::flow::{EvalConfig, FlowStep, HdlSource};
+use crate::metrics::MetricSet;
 use crate::obs::{CandidateScore, EventKey, ObsEvent, Totals};
+use crate::space::ParameterSpace;
 use crate::trace::{AttemptOutcome, FlowEvent, TraceSummary};
+use dovado_moo::{Nsga2Config, Termination};
+use std::sync::Arc;
 
 /// Version of the serve request/response framing. Bump on any change to
 /// request shapes or response fields (the *event* lines are versioned
@@ -211,6 +219,80 @@ impl JobSpec {
             self.use_store
         ));
         out
+    }
+
+    /// Builds the exploration this spec describes: a [`Dovado`] for its
+    /// sources, top and parameter space on `backend`, and a serial
+    /// [`DseConfig`] that stops after `generations`. `eval` carries the
+    /// tool-flow options a spec has no field for (the CLI's `--step`,
+    /// directives and `--no-incremental`); the spec's part and period
+    /// override it.
+    ///
+    /// `dovado explore` and the serve daemon both build through here, so
+    /// a served job and a standalone run of the same flags are one run.
+    pub fn build(
+        &self,
+        mut eval: EvalConfig,
+        backend: Arc<dyn ToolBackend>,
+    ) -> DovadoResult<(Dovado, DseConfig)> {
+        let (space, cfg) = self.plan()?;
+        let mut sources = Vec::with_capacity(self.sources.len());
+        for (name, content) in &self.sources {
+            let language = language_of(name).map_err(DovadoError::Config)?;
+            sources.push(HdlSource::new(name.clone(), language, content.clone()));
+        }
+        if let Some(part) = &self.part {
+            eval.part = part.clone();
+        }
+        if let Some(period) = self.period_ns {
+            eval.target_period_ns = period;
+        }
+        let tool = Dovado::with_backend(sources, &self.top, space, eval, backend)?;
+        Ok((tool, cfg))
+    }
+
+    /// The spec's parameter space and exploration config, checked — the
+    /// part of [`JobSpec::build`] that needs no sources.
+    pub(crate) fn plan(&self) -> DovadoResult<(ParameterSpace, DseConfig)> {
+        let config = DovadoError::Config;
+        let mut space = ParameterSpace::new();
+        for (name, domain) in &self.params {
+            let domain =
+                parse_domain(domain).map_err(|e| config(format!("--param {name}: {e}")))?;
+            // `ParameterSpace::with` asserts names are unique ignoring
+            // case; refuse a duplicate instead.
+            if space
+                .params()
+                .iter()
+                .any(|p| p.name.eq_ignore_ascii_case(name))
+            {
+                return Err(config(format!("--param: duplicate parameter `{name}`")));
+            }
+            space = space.with(name, domain);
+        }
+        let metrics = match &self.metrics {
+            Some(m) => parse_metrics(m).map_err(|e| config(format!("--metric: {e}")))?,
+            None => MetricSet::area_frequency(),
+        };
+        let explorer = Explorer::parse_token(&self.explorer)
+            .ok_or_else(|| config(format!("--explorer: unknown explorer `{}`", self.explorer)))?;
+        let cfg = DseConfig {
+            explorer,
+            algorithm: Nsga2Config {
+                pop_size: self.pop,
+                seed: self.seed,
+                ..Nsga2Config::default()
+            },
+            termination: Termination::Generations(self.generations),
+            metrics,
+            surrogate: self.surrogate.map(|m| SurrogateConfig {
+                pretrain_samples: m,
+                ..SurrogateConfig::default()
+            }),
+            parallel: false,
+            workers: None,
+        };
+        Ok((space, cfg))
     }
 }
 

@@ -6,17 +6,17 @@
 //!
 //! `submit` registers a job handle (phase `queued`) and spawns one
 //! runner thread. The runner blocks in [`Scheduler::acquire`] until the
-//! fair-share order and a free slot admit it, builds a [`Dovado`]
-//! instance from the submitted [`JobSpec`], optionally points its
-//! evaluator at the daemon's **shared** sharded [`EvalStore`], publishes
-//! the run's [`EventBus`] on the handle (phase `running`), and drives
-//! [`Dovado::explore_monitored`]. The monitor observes every generation
-//! boundary: it wakes streaming connections and vetoes the run when the
-//! job's [`CancelToken`] has fired, so cancellation lands at the next
-//! generation boundary with [`DovadoError::Cancelled`]. Whatever the
-//! exit path — done, failed, cancelled, cancelled-while-queued — the
-//! slot permit releases on drop and the tenant's ledger is charged from
-//! the run's exact [`Totals`].
+//! fair-share order and a free slot admit it, builds the exploration
+//! with [`JobSpec::build`] (exactly as `dovado explore` does), optionally
+//! points its evaluator at the daemon's **shared** sharded [`EvalStore`],
+//! publishes the run's [`EventBus`] on the handle (phase `running`), and
+//! drives [`Dovado::explore_monitored`](crate::Dovado::explore_monitored).
+//! The monitor observes every generation boundary: it wakes streaming
+//! connections and vetoes the run when the job's [`CancelToken`] has
+//! fired, so cancellation lands at the next generation boundary with
+//! [`DovadoError::Cancelled`]. Whatever the exit path — done, failed,
+//! cancelled, cancelled-while-queued — the slot permit releases on drop
+//! and the tenant's ledger is charged from the run's exact [`Totals`].
 //!
 //! # Streaming
 //!
@@ -36,18 +36,13 @@
 use super::json::{escape, number};
 use super::protocol::{parse_request, JobSpec, Request, SERVE_PROTOCOL_VERSION};
 use super::scheduler::{CancelToken, Scheduler};
-use crate::backend::ToolBackend;
-use crate::cli;
-use crate::dse::{Dovado, DseConfig, ExploreMonitor, Explorer, SurrogateConfig};
+use crate::dse::ExploreMonitor;
 use crate::error::{DovadoError, DovadoResult};
-use crate::flow::{EvalConfig, HdlSource};
-use crate::metrics::MetricSet;
+use crate::flow::EvalConfig;
 use crate::obs::{event_json, summary_json, trace_header, EventBus, EventKey, Totals};
 use crate::results::DseReport;
-use crate::space::ParameterSpace;
 use crate::worker::backend_from_spec;
 use dovado_eda::EvalStore;
-use dovado_moo::{Nsga2Config, Termination};
 use std::collections::{BTreeSet, HashMap};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -468,33 +463,15 @@ fn run_job(inner: Arc<ServerInner>, job: Arc<JobHandle>) {
     }
 }
 
-/// Builds the Dovado instance for `job` and explores to completion,
-/// with the job's cancel token checked at every generation boundary.
+/// Builds the job's exploration from its spec ([`JobSpec::build`]) and
+/// runs it to completion, with the job's cancel token checked at every
+/// generation boundary. The spec's config stays serial: `slots` is the
+/// daemon's parallelism.
 fn execute_job(inner: &Arc<ServerInner>, job: &Arc<JobHandle>) -> DovadoResult<DseReport> {
     let spec = &job.spec;
-    let mut sources = Vec::with_capacity(spec.sources.len());
-    for (name, content) in &spec.sources {
-        let language = cli::language_of(name).map_err(DovadoError::Config)?;
-        sources.push(HdlSource::new(name.clone(), language, content.clone()));
-    }
-    let mut space = ParameterSpace::new();
-    for (name, domain) in &spec.params {
-        space = space.with(
-            name,
-            cli::parse_domain(domain).map_err(DovadoError::Config)?,
-        );
-    }
-    let mut eval = EvalConfig::default();
-    if let Some(part) = &spec.part {
-        eval.part = part.clone();
-    }
-    if let Some(period) = spec.period_ns {
-        eval.target_period_ns = period;
-    }
     let backend = backend_from_spec(&spec.backend)
         .ok_or_else(|| DovadoError::Config(format!("unknown backend spec `{}`", spec.backend)))?;
-    let backend: Arc<dyn ToolBackend> = Arc::from(backend);
-    let mut tool = Dovado::with_backend(sources, &spec.top, space, eval, backend)?;
+    let (mut tool, cfg) = spec.build(EvalConfig::default(), Arc::from(backend))?;
     if spec.use_store {
         let store = inner.store.clone().ok_or_else(|| {
             DovadoError::Config(
@@ -511,29 +488,6 @@ fn execute_job(inner: &Arc<ServerInner>, job: &Arc<JobHandle>) -> DovadoResult<D
         state.phase = JobPhase::Running;
         job.cv.notify_all();
     }
-    let metrics = match &spec.metrics {
-        Some(m) => cli::parse_metrics(m).map_err(DovadoError::Config)?,
-        None => MetricSet::area_frequency(),
-    };
-    let explorer = Explorer::parse_token(&spec.explorer)
-        .ok_or_else(|| DovadoError::Config(format!("unknown explorer `{}`", spec.explorer)))?;
-    let cfg = DseConfig {
-        explorer,
-        algorithm: Nsga2Config {
-            pop_size: spec.pop,
-            seed: spec.seed,
-            ..Nsga2Config::default()
-        },
-        termination: Termination::Generations(spec.generations),
-        metrics,
-        surrogate: spec.surrogate.map(|m| SurrogateConfig {
-            pretrain_samples: m,
-            ..SurrogateConfig::default()
-        }),
-        // Jobs evaluate serially: `slots` is the daemon's parallelism.
-        parallel: false,
-        workers: None,
-    };
     let monitor = JobMonitor {
         job: Arc::clone(job),
     };

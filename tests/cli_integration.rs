@@ -185,3 +185,56 @@ fn bad_flag_reports_usage_hint() {
     assert!(out.contains("unknown flag"));
     assert!(out.contains("dovado help"));
 }
+
+#[test]
+fn served_job_matches_a_standalone_run() {
+    let mut server = dovado::serve::Server::start(dovado::ServeConfig::default()).unwrap();
+    let src = temp_file("served.sv", FIFO);
+    let dir = src.parent().unwrap();
+    let (served, standalone) = (dir.join("served.jsonl"), dir.join("standalone.jsonl"));
+    // `explore` runs on DOVADO_BACKEND's kind at the evaluator's default
+    // tool seed; the submitted job names that backend explicitly.
+    assert_eq!(dovado::EvalConfig::default().seed, 13654736);
+    let kind = match std::env::var("DOVADO_BACKEND").as_deref() {
+        Ok("mock") => "mock",
+        _ => "vivado-sim",
+    };
+    let backend = format!("{kind}:13654736");
+    let job = args(&[
+        "--source",
+        src.to_str().unwrap(),
+        "--top",
+        "fifo_v3",
+        "--param",
+        "DEPTH=2:64:2",
+        "--metric",
+        "lut,ff,fmax",
+        "--generations",
+        "3",
+        "--pop",
+        "8",
+    ]);
+    let addr = server.addr().to_string();
+    let submit = args(&[
+        "submit",
+        "--addr",
+        &addr,
+        "--no-store",
+        "--backend",
+        &backend,
+    ]);
+    let explore = args(&["explore"]);
+    for (mut argv, trace) in [(submit, &served), (explore, &standalone)] {
+        argv.extend(job.iter().cloned());
+        argv.extend(args(&["--trace-out", trace.to_str().unwrap()]));
+        let mut out = String::new();
+        assert_eq!(run(&argv, &mut out), 0, "{out}");
+    }
+    let served = std::fs::read(&served).unwrap();
+    assert!(!served.is_empty());
+    assert!(
+        served == std::fs::read(&standalone).unwrap(),
+        "traces differ"
+    );
+    server.shutdown();
+}

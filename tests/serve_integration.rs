@@ -363,6 +363,42 @@ fn cancellation_lands_at_a_generation_boundary_and_frees_the_slot() {
 }
 
 #[test]
+fn malformed_jobs_fail_and_free_their_slot() {
+    let mut server = Server::start(ServeConfig {
+        slots: 1,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    // Parameter names are case-insensitive, and NSGA-II needs a mating
+    // pair: each job must fail with a config error, not kill its runner.
+    let mut duplicate = fifo_spec(5, 2, false);
+    duplicate.params.push(("depth".into(), "4:16".into()));
+    let mut lone = fifo_spec(5, 2, false);
+    lone.pop = 1;
+    for (spec, message) in [(duplicate, "duplicate parameter `depth`"), (lone, "--pop")] {
+        let mut client = connect(&server, "alice");
+        client.submit("alice", 1, &spec).unwrap();
+        // A runner that died would leave the stream open forever.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(client.stream_until_done()));
+        let outcome = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("stream_until_done returns")
+            .unwrap();
+        assert_eq!(outcome.status(), "failed");
+        let error = outcome.done.get("error").and_then(Json::as_str);
+        assert!(error.unwrap_or("").contains(message), "{error:?}");
+    }
+    // The one slot is free again, and a well-formed job runs in it.
+    let status = connect(&server, "admin").status().unwrap();
+    assert_eq!(status.get("free").and_then(Json::as_u64), Some(1));
+    let mut next = connect(&server, "bob");
+    next.submit("bob", 1, &fifo_spec(9, 2, false)).unwrap();
+    assert_eq!(next.stream_until_done().unwrap().status(), "done");
+    server.shutdown();
+}
+
+#[test]
 fn reconnect_attaches_and_replays_the_stream() {
     let mut server = Server::start(ServeConfig::default()).unwrap();
     let spec = fifo_spec(17, 4, false);
