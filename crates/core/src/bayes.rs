@@ -187,13 +187,13 @@ impl dovado_moo::Explorer for BayesExplorer {
             external_cost: problem.external_cost(),
         });
     }
-    fn snapshot(&self) -> ExplorerSnapshot {
+    fn snapshot_tail(&self, archive_from: usize, history_from: usize) -> ExplorerSnapshot {
         ExplorerSnapshot::Bayes(BayesSnapshot {
             generation: self.generation,
             evaluations: self.evaluations,
             rng_state: self.rng.state(),
-            archive: self.archive.clone(),
-            history: self.history.clone(),
+            archive: self.archive[archive_from..].to_vec(),
+            history: self.history[history_from..].to_vec(),
         })
     }
     fn front(&self) -> Vec<Individual> {

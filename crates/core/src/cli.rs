@@ -730,7 +730,6 @@ fn persist_config(args: &Args) -> Result<Option<PersistConfig>, String> {
     Ok(Some(PersistConfig {
         dir: PathBuf::from(dir),
         resume: resume.is_some(),
-        journal_every: 1,
         store_capacity,
     }))
 }

@@ -19,7 +19,7 @@ use crate::fitness::{DseProblem, FitnessStats};
 use crate::flow::{EvalConfig, FlowStep, HdlSource};
 use crate::metrics::{Evaluation, MetricSet};
 use crate::obs::CandidateScore;
-use crate::persist::{self, Journal, PersistConfig, SurrogateJournal};
+use crate::persist::{self, Journal, JournalWriter, PersistConfig, SurrogateJournal};
 use crate::point::DesignPoint;
 use crate::results::{DseReport, ParetoEntry, PointResult};
 use crate::space::ParameterSpace;
@@ -355,8 +355,9 @@ impl Dovado {
     /// `persist.dir/store/` (a warm store answers repeats with zero tool
     /// runs), and the full exploration state — whichever explorer runs,
     /// portfolio selection included — is journaled to
-    /// `persist.dir/journal.dovado` at every `persist.journal_every`-th
-    /// generation boundary with atomic rename and a checksum. With
+    /// `persist.dir/journal.dovado` at every generation boundary, as
+    /// checksummed records appended to an atomically written base (see
+    /// [`crate::persist`]). With
     /// `persist.resume` set, the run restarts from the journal and
     /// continues bitwise-identically to an uninterrupted run (same
     /// Pareto front, dataset and fitness counters; only wall-clock
@@ -717,13 +718,15 @@ impl Dovado {
     /// [`Dovado::explore`] and [`Dovado::explore_persistent`]: one
     /// start/step loop, with the write-ahead journal as optional
     /// configuration rather than a separate code path. When persistence
-    /// is on, the full exploration state is snapshotted at generation
-    /// boundaries; the simulated host crash is drawn only *after* a
-    /// snapshot lands durably, so an interrupted run always resumes with
-    /// at least one generation of progress — a crash/resume loop
-    /// terminates even when every boundary re-crashes. Without
-    /// persistence no journal is written and no crash is drawn, so the
-    /// fault stream is consumed identically to earlier unjournaled runs.
+    /// is on, one [`JournalWriter`] records the exploration state at
+    /// every generation boundary, copying only the archive and history
+    /// entries added since its previous record; the simulated host crash
+    /// is drawn only *after* a boundary's write lands, so an interrupted
+    /// run always resumes with at least one generation of progress — a
+    /// crash/resume loop terminates even when every boundary re-crashes.
+    /// Without persistence no journal is written and no crash is drawn,
+    /// so the fault stream is consumed identically to earlier
+    /// unjournaled runs.
     #[allow(clippy::too_many_arguments)]
     fn run_explorer(
         &self,
@@ -735,12 +738,18 @@ impl Dovado {
         selection: Option<&SelectionRecord>,
         mut engine: Box<dyn EngineExplorer>,
     ) -> DovadoResult<OptResult> {
-        let fingerprint = persist_cfg.map(|_| self.persist_fingerprint(cfg));
+        let mut journal = persist_cfg.map(|p| {
+            (
+                JournalWriter::new(p.journal_path()),
+                self.persist_fingerprint(cfg),
+            )
+        });
         loop {
             if engine.should_stop(&*problem, termination) {
-                if let (Some(p), Some(f)) = (persist_cfg, &fingerprint) {
-                    let journal = Self::journal_of(problem, engine.as_ref(), selection, f, true);
-                    persist::write_journal(&p.journal_path(), &journal)?;
+                if let Some((writer, f)) = &mut journal {
+                    writer.write(|tail| {
+                        Self::journal_of(problem, engine.as_ref(), selection, f, true, tail)
+                    })?;
                 }
                 break;
             }
@@ -752,22 +761,21 @@ impl Dovado {
                     generation: engine.generation() as u64,
                     evaluations: engine.evaluations(),
                 });
-            if let (Some(p), Some(f)) = (persist_cfg, &fingerprint) {
-                if engine.generation().is_multiple_of(p.journal_every.max(1)) {
-                    let journal = Self::journal_of(problem, engine.as_ref(), selection, f, false);
-                    persist::write_journal(&p.journal_path(), &journal)?;
-                    if let Some(injector) = problem.evaluator().injector() {
-                        if injector.fires(FaultKind::HostCrash) {
-                            problem
-                                .evaluator()
-                                .spine()
-                                .emit_next(crate::obs::ObsEvent::Fault {
-                                    kind: "host_crash".to_string(),
-                                });
-                            return Err(DovadoError::Interrupted {
-                                generation: engine.generation(),
+            if let Some((writer, f)) = &mut journal {
+                writer.write(|tail| {
+                    Self::journal_of(problem, engine.as_ref(), selection, f, false, tail)
+                })?;
+                if let Some(injector) = problem.evaluator().injector() {
+                    if injector.fires(FaultKind::HostCrash) {
+                        problem
+                            .evaluator()
+                            .spine()
+                            .emit_next(crate::obs::ObsEvent::Fault {
+                                kind: "host_crash".to_string(),
                             });
-                        }
+                        return Err(DovadoError::Interrupted {
+                            generation: engine.generation(),
+                        });
                     }
                 }
             }
@@ -921,8 +929,7 @@ impl Dovado {
 
     /// Everything that identifies one exploration run for resume
     /// purposes. Deliberately excludes `parallel` and `workers`
-    /// (a parallel or distributed run is bitwise a sequential one) and
-    /// the journal cadence.
+    /// (a parallel or distributed run is bitwise a sequential one).
     fn persist_fingerprint(&self, cfg: &DseConfig) -> String {
         self.evaluator
             .content_key()
@@ -937,13 +944,16 @@ impl Dovado {
             .hex()
     }
 
-    /// Captures the whole exploration state at a generation boundary.
+    /// Captures the exploration state at a generation boundary, with the
+    /// engine's archive and history cut to their entries past `tail`
+    /// (archive and history lengths the journal already holds).
     fn journal_of(
         problem: &DseProblem,
         engine: &dyn EngineExplorer,
         selection: Option<&SelectionRecord>,
         fingerprint: &str,
         complete: bool,
+        tail: (usize, usize),
     ) -> Journal {
         let surrogate = problem.surrogate().map(|c| SurrogateJournal {
             bandwidth: c.model().bandwidth,
@@ -960,7 +970,7 @@ impl Dovado {
             trace: problem.evaluator().trace_summary(),
             runs: problem.evaluator().total_runs(),
             stats: problem.stats,
-            snapshot: engine.snapshot(),
+            snapshot: engine.snapshot_tail(tail.0, tail.1),
             selection: selection.cloned(),
             surrogate,
         }
@@ -1275,6 +1285,85 @@ endmodule"#;
             }
             std::fs::remove_dir_all(&dir).unwrap();
         }
+    }
+
+    #[test]
+    fn journal_writer_round_trips_every_boundary_of_every_explorer() {
+        // Drive each engine (auto included) by hand, with and without the
+        // surrogate, and read the journal back after every boundary's
+        // write: it must hold the whole state that boundary captured, bit
+        // for bit, whether the write was a full one or an append.
+        let dir = persist_dir("writer-roundtrip");
+        std::fs::create_dir_all(&dir).unwrap();
+        let d = dovado();
+        let compact = |name: &str, journal: &Journal| {
+            let path = dir.join(name);
+            persist::write_journal(&path, journal).unwrap();
+            std::fs::read(path).unwrap()
+        };
+        for explorer in [
+            Explorer::Nsga2,
+            Explorer::RandomSearch,
+            Explorer::WeightedSum(None),
+            Explorer::Exhaustive { limit: 200 },
+            Explorer::SimulatedAnnealing,
+            Explorer::Bayes,
+            Explorer::Auto,
+        ] {
+            for surrogate in [false, true] {
+                let cfg = DseConfig {
+                    explorer: explorer.clone(),
+                    surrogate: surrogate.then(|| SurrogateConfig {
+                        pretrain_samples: 10,
+                        ..Default::default()
+                    }),
+                    ..small_cfg()
+                };
+                let (kind, selection) = match &cfg.explorer {
+                    Explorer::Auto => {
+                        let (kind, record) = d.select_explorer(&cfg, &d.evaluator, false).unwrap();
+                        (kind, Some(record))
+                    }
+                    other => (other.clone(), None),
+                };
+                let mut problem = DseProblem::new(
+                    d.evaluator.clone(),
+                    d.space.clone(),
+                    cfg.metrics.clone(),
+                    cfg.surrogate.as_ref(),
+                )
+                .unwrap();
+                let mut engine = d.build_explorer(&kind, &cfg, &mut problem).unwrap();
+                let termination = Dovado::effective_termination(&kind, &cfg.termination);
+                let path = dir.join(format!(
+                    "{}-{surrogate}.dovado",
+                    cfg.explorer.canonical_name()
+                ));
+                let mut writer = JournalWriter::new(&path);
+                let mut boundaries = 0;
+                loop {
+                    let complete = engine.should_stop(&problem, &termination);
+                    if !complete {
+                        engine.step(&mut problem);
+                    }
+                    let capture = |tail| {
+                        let sel = selection.as_ref();
+                        Dovado::journal_of(&problem, engine.as_ref(), sel, "fp", complete, tail)
+                    };
+                    writer.write(capture).unwrap();
+                    let read = persist::read_journal(&path).unwrap();
+                    let whole = capture((0, 0));
+                    assert_eq!(read, whole, "{cfg:?} at boundary {boundaries}");
+                    assert_eq!(compact("read", &read), compact("whole", &whole));
+                    boundaries += 1;
+                    if complete {
+                        break;
+                    }
+                }
+                assert!(boundaries > 2, "{cfg:?}");
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

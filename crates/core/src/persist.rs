@@ -10,7 +10,7 @@
 //!   the design point). A warm store answers repeat evaluations without
 //!   a single tool run; a corrupt or version-mismatched entry reads as a
 //!   *miss*, never as a wrong answer.
-//! * `journal.dovado` — a snapshot of the whole exploration state at a
+//! * `journal.dovado` — the whole exploration state at the latest
 //!   generation boundary: the explorer engine (a tagged
 //!   [`ExplorerSnapshot`]: population/archive/history, raw RNG state,
 //!   enumeration cursor or annealing temperature as the kind demands),
@@ -18,18 +18,59 @@
 //!   selection of an `--explorer auto` run, and — when the approximation
 //!   model is on — the surrogate dataset, selected bandwidth, Γ, and the
 //!   amortized-reselection phase. `explore --resume` rebuilds the run
-//!   from this snapshot and continues bitwise-identically.
+//!   from it and continues bitwise-identically.
 //!
-//! Both artifacts use the checksummed envelope and atomic-rename
-//! discipline of [`dovado_eda::store`]; floats are serialized as exact
-//! bit patterns (`f64::to_bits` hex), so a journal round-trip is
-//! bitwise, not approximately equal.
+//! # Journal layout
+//!
+//! ```text
+//! dovado-journal 4
+//! record <len> <payload fnv1a> <header fnv1a>
+//! <payload: len bytes>
+//! record <len> <payload fnv1a> <header fnv1a>
+//! <payload: len bytes>
+//! ...
+//! ```
+//!
+//! Every record is length-framed and carries two checksums: one over its
+//! payload and one over the header fields before it, so a damaged length
+//! is caught too. The first record is the *base*: the whole state. Each
+//! later record carries the small state whole — counters, RNG,
+//! population, fitness and trace ledgers, selection and the surrogate
+//! section — but only the archive and history entries added since the
+//! record before it; its `archive <from> <n>` and `history <from> <n>`
+//! lines name where those entries start. [`read_journal`] folds the
+//! records in order.
+//!
+//! One [`JournalWriter`] serves one run. Its first boundary replaces the
+//! file with a single base record (temp file + rename), and so does any
+//! boundary at which the bytes appended since the last full write exceed
+//! that write's size; every other boundary appends one record. A run of
+//! G generations thus makes O(log G) full writes and writes a few times
+//! the final compact journal's bytes in total, instead of one full
+//! rewrite per boundary. A process never appends to a file it did not
+//! start itself: a resumed run's first boundary is a full write.
+//!
+//! **Torn tail.** A crash during an append can leave the last record cut
+//! short by the end of the file. Reading drops it: the records before it
+//! are the previous boundary's complete state, exactly what a crash
+//! before a full write's rename leaves. Any complete record whose
+//! checksums do not match, or whose archive/history offsets do not
+//! continue the records before it, refuses the whole journal, as does a
+//! base record that is cut short.
+//!
+//! Version 4 introduced this layout; a v3 journal refuses to resume —
+//! rerun the exploration from its store, which answers every paid-for
+//! point without a tool run. Store entries use the checksummed envelope
+//! and atomic-rename discipline of [`dovado_eda::store`]. Floats are
+//! serialized as exact bit patterns (`f64::to_bits` hex), so a journal
+//! round-trip is bitwise, not approximately equal.
 
 use crate::error::{DovadoError, DovadoResult};
 use crate::fitness::FitnessStats;
 use crate::flow::{EvalConfig, HdlSource};
 use crate::metrics::Evaluation;
-use dovado_eda::store::{atomic_write, decode_checked, encode_checked};
+use dovado_eda::hash::fnv1a;
+use dovado_eda::store::atomic_write;
 use dovado_eda::EvalKey;
 use dovado_fpga::{ResourceKind, ResourceSet};
 use dovado_moo::{
@@ -38,6 +79,7 @@ use dovado_moo::{
 };
 use dovado_surrogate::ControlStats;
 use std::fs;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Journal format version. Bump on any change to the journal payload
@@ -45,11 +87,15 @@ use std::path::{Path, PathBuf};
 /// (v2 added the `trace` line: trace counters + successful runs, so
 /// resume can splice whole-run totals onto the observability spine.
 /// v3 made the engine snapshot a tagged per-explorer section and added
-/// the `selection` block recording an `auto` run's portfolio decision.)
-pub const JOURNAL_FORMAT_VERSION: u32 = 3;
+/// the `selection` block recording an `auto` run's portfolio decision.
+/// v4 made the file a base record followed by appended records.)
+pub const JOURNAL_FORMAT_VERSION: u32 = 4;
 
-/// Envelope tag of the exploration journal.
+/// First-line tag of the exploration journal.
 const JOURNAL_TAG: &str = "dovado-journal";
+
+/// Tag opening every record header line.
+const RECORD_TAG: &str = "record";
 
 /// Where exploration state persists and whether to resume from it.
 #[derive(Debug, Clone)]
@@ -58,8 +104,6 @@ pub struct PersistConfig {
     pub dir: PathBuf,
     /// Resume from an existing journal instead of starting fresh.
     pub resume: bool,
-    /// Journal every this many generations (1 = every boundary).
-    pub journal_every: u32,
     /// Entry-count bound for the evaluation store. `None` — the explicit
     /// default — keeps the store unbounded; `Some(n)` evicts the
     /// least-recently-touched entries past `n` (evictions only ever
@@ -70,13 +114,12 @@ pub struct PersistConfig {
 }
 
 impl PersistConfig {
-    /// Persistence rooted at `dir`, starting fresh, journaling every
-    /// generation boundary, with an unbounded store.
+    /// Persistence rooted at `dir`, starting fresh, with an unbounded
+    /// store.
     pub fn new(dir: impl Into<PathBuf>) -> PersistConfig {
         PersistConfig {
             dir: dir.into(),
             resume: false,
-            journal_every: 1,
             store_capacity: None,
         }
     }
@@ -312,42 +355,35 @@ fn push_rng(out: &mut String, state: &[u64; 4]) {
     ));
 }
 
-fn push_history(out: &mut String, history: &[GenStats]) {
-    out.push_str(&format!("history {}\n", history.len()));
-    for g in history {
-        out.push_str(&format!(
-            "{} {} {} {}\n",
-            g.generation,
-            g.evaluations,
-            g.front_size,
-            f64_hex(g.external_cost)
-        ));
-    }
-}
-
-fn push_individuals(out: &mut String, tag: &str, inds: &[Individual]) {
-    out.push_str(&format!("{tag} {}\n", inds.len()));
+/// A `<header> <n>` line followed by one line per individual.
+fn push_individuals(out: &mut String, header: &str, inds: &[Individual]) {
+    out.push_str(&format!("{header} {}\n", inds.len()));
     for ind in inds {
         out.push_str(&individual_line(ind));
         out.push('\n');
     }
 }
 
-fn serialize_snapshot(out: &mut String, snap: &ExplorerSnapshot) {
+/// The explorer section. The variant's own fields come first; the
+/// history and archive close every variant, labelled with the index
+/// their first entry has in the whole run (`history_from`,
+/// `archive_from`), since a record may carry only their tails.
+fn serialize_snapshot(
+    out: &mut String,
+    snap: &ExplorerSnapshot,
+    archive_from: usize,
+    history_from: usize,
+) {
     out.push_str(&format!("explorer {}\n", snap.kind()));
     match snap {
         ExplorerSnapshot::Nsga2(s) => {
             push_counters(out, s.generation, s.evaluations);
             push_rng(out, &s.rng_state);
-            push_history(out, &s.history);
             push_individuals(out, "population", &s.population);
-            push_individuals(out, "archive", &s.archive);
         }
         ExplorerSnapshot::Random(s) => {
             push_counters(out, s.generation, s.evaluations);
             push_rng(out, &s.rng_state);
-            push_history(out, &s.history);
-            push_individuals(out, "archive", &s.archive);
         }
         ExplorerSnapshot::Exhaustive(s) => {
             push_counters(out, s.generation, s.evaluations);
@@ -358,15 +394,11 @@ fn serialize_snapshot(out: &mut String, snap: &ExplorerSnapshot) {
                     out.push_str(&format!("cursor 1 {}\n", toks.join(" ")));
                 }
             }
-            push_history(out, &s.history);
-            push_individuals(out, "archive", &s.archive);
         }
         ExplorerSnapshot::WeightedSum(s) => {
             push_counters(out, s.generation, s.evaluations);
             push_rng(out, &s.rng_state);
-            push_history(out, &s.history);
             push_individuals(out, "population", &s.population);
-            push_individuals(out, "archive", &s.archive);
         }
         ExplorerSnapshot::Annealing(s) => {
             push_counters(out, s.generation, s.evaluations);
@@ -375,19 +407,30 @@ fn serialize_snapshot(out: &mut String, snap: &ExplorerSnapshot) {
             out.push_str(&format!("current {}\n", toks.join(" ")));
             out.push_str(&format!("energy {}\n", f64_hex(s.energy)));
             out.push_str(&format!("temperature {}\n", f64_hex(s.temperature)));
-            push_history(out, &s.history);
-            push_individuals(out, "archive", &s.archive);
         }
         ExplorerSnapshot::Bayes(s) => {
             push_counters(out, s.generation, s.evaluations);
             push_rng(out, &s.rng_state);
-            push_history(out, &s.history);
-            push_individuals(out, "archive", &s.archive);
         }
     }
+    let (archive, history) = snap.archive_and_history();
+    out.push_str(&format!("history {history_from} {}\n", history.len()));
+    for g in history {
+        out.push_str(&format!(
+            "{} {} {} {}\n",
+            g.generation,
+            g.evaluations,
+            g.front_size,
+            f64_hex(g.external_cost)
+        ));
+    }
+    push_individuals(out, &format!("archive {archive_from}"), archive);
 }
 
-fn serialize_journal(j: &Journal) -> String {
+/// One record's payload: `j` whole, except that its snapshot's archive
+/// and history hold only the entries past `archive_from` and
+/// `history_from` (both 0 for a base record).
+fn serialize_record(j: &Journal, archive_from: usize, history_from: usize) -> String {
     let s = &j.stats;
     let mut out = String::new();
     out.push_str(&format!("fingerprint {}\n", j.fingerprint));
@@ -415,7 +458,7 @@ fn serialize_journal(j: &Journal) -> String {
         f64_hex(t.backoff_s),
         j.runs
     ));
-    serialize_snapshot(&mut out, &j.snapshot);
+    serialize_snapshot(&mut out, &j.snapshot, archive_from, history_from);
     match &j.selection {
         None => out.push_str("selection 0\n"),
         Some(rec) => {
@@ -467,9 +510,12 @@ fn serialize_journal(j: &Journal) -> String {
     out
 }
 
-/// Line cursor over the journal payload.
+/// Line cursor over one record's payload. Parsing the explorer section
+/// also notes where the record's archive and history tails start.
 struct Cursor<'a> {
     lines: std::str::Lines<'a>,
+    archive_from: usize,
+    history_from: usize,
 }
 
 impl<'a> Cursor<'a> {
@@ -493,9 +539,19 @@ impl<'a> Cursor<'a> {
     }
 }
 
-fn parse_journal(payload: &str) -> Option<Journal> {
+/// One decoded record: a journal whose snapshot holds the archive and
+/// history entries past `archive_from` and `history_from` only.
+struct Record {
+    journal: Journal,
+    archive_from: usize,
+    history_from: usize,
+}
+
+fn parse_record(payload: &str) -> Option<Record> {
     let mut c = Cursor {
         lines: payload.lines(),
+        archive_from: 0,
+        history_from: 0,
     };
     let fingerprint = c.tagged("fingerprint")?.to_string();
     let complete = match c.tagged("complete")? {
@@ -591,16 +647,23 @@ fn parse_journal(payload: &str) -> Option<Journal> {
         }
         _ => return None,
     };
-    Some(Journal {
-        fingerprint,
-        complete,
-        tool_time_s,
-        stats,
-        trace,
-        runs,
-        snapshot,
-        selection,
-        surrogate,
+    if c.next().is_some() {
+        return None;
+    }
+    Some(Record {
+        journal: Journal {
+            fingerprint,
+            complete,
+            tool_time_s,
+            stats,
+            trace,
+            runs,
+            snapshot,
+            selection,
+            surrogate,
+        },
+        archive_from: c.archive_from,
+        history_from: c.history_from,
     })
 }
 
@@ -619,62 +682,44 @@ fn parse_rng(c: &mut Cursor) -> Option<[u64; 4]> {
     (rng.len() == 4).then(|| [rng[0], rng[1], rng[2], rng[3]])
 }
 
-fn parse_history(c: &mut Cursor) -> Option<Vec<GenStats>> {
-    let n_history: usize = c.tagged("history")?.parse().ok()?;
-    let mut history = Vec::with_capacity(n_history);
-    for _ in 0..n_history {
-        let toks: Vec<&str> = c.next()?.split_whitespace().collect();
-        if toks.len() != 4 {
-            return None;
-        }
-        history.push(GenStats {
-            generation: toks[0].parse().ok()?,
-            evaluations: toks[1].parse().ok()?,
-            front_size: toks[2].parse().ok()?,
-            external_cost: f64_from_hex(toks[3])?,
-        });
-    }
-    Some(history)
-}
-
-fn parse_individuals(c: &mut Cursor, tag: &str) -> Option<Vec<Individual>> {
-    let n: usize = c.tagged(tag)?.parse().ok()?;
-    let mut inds = Vec::with_capacity(n);
+/// The `n` lines of `n` individuals.
+fn parse_individual_lines(c: &mut Cursor, n: usize) -> Option<Vec<Individual>> {
+    let mut inds = Vec::with_capacity(n.min(1 << 16));
     for _ in 0..n {
         inds.push(parse_individual(c.next()?)?);
     }
     Some(inds)
 }
 
+fn parse_population(c: &mut Cursor) -> Option<Vec<Individual>> {
+    let n: usize = c.tagged("population")?.parse().ok()?;
+    parse_individual_lines(c, n)
+}
+
 fn parse_snapshot(c: &mut Cursor) -> Option<ExplorerSnapshot> {
     let kind = c.tagged("explorer")?;
-    Some(match kind {
+    // The variant's own fields; the shared history and archive sections
+    // follow and are filled in below.
+    let mut snap = match kind {
         "nsga2" => {
             let (generation, evaluations) = parse_counters(c)?;
-            let rng_state = parse_rng(c)?;
-            let history = parse_history(c)?;
-            let population = parse_individuals(c, "population")?;
-            let archive = parse_individuals(c, "archive")?;
             ExplorerSnapshot::Nsga2(Nsga2Snapshot {
                 generation,
                 evaluations,
-                rng_state,
-                population,
-                archive,
-                history,
+                rng_state: parse_rng(c)?,
+                population: parse_population(c)?,
+                archive: Vec::new(),
+                history: Vec::new(),
             })
         }
         "random" => {
             let (generation, evaluations) = parse_counters(c)?;
-            let rng_state = parse_rng(c)?;
-            let history = parse_history(c)?;
-            let archive = parse_individuals(c, "archive")?;
             ExplorerSnapshot::Random(RandomSnapshot {
                 generation,
                 evaluations,
-                rng_state,
-                archive,
-                history,
+                rng_state: parse_rng(c)?,
+                archive: Vec::new(),
+                history: Vec::new(),
             })
         }
         "exhaustive" => {
@@ -692,29 +737,23 @@ fn parse_snapshot(c: &mut Cursor) -> Option<ExplorerSnapshot> {
                 ),
                 _ => return None,
             };
-            let history = parse_history(c)?;
-            let archive = parse_individuals(c, "archive")?;
             ExplorerSnapshot::Exhaustive(ExhaustiveSnapshot {
                 generation,
                 evaluations,
                 cursor,
-                archive,
-                history,
+                archive: Vec::new(),
+                history: Vec::new(),
             })
         }
         "wsga" => {
             let (generation, evaluations) = parse_counters(c)?;
-            let rng_state = parse_rng(c)?;
-            let history = parse_history(c)?;
-            let population = parse_individuals(c, "population")?;
-            let archive = parse_individuals(c, "archive")?;
             ExplorerSnapshot::WeightedSum(WsgaSnapshot {
                 generation,
                 evaluations,
-                rng_state,
-                population,
-                archive,
-                history,
+                rng_state: parse_rng(c)?,
+                population: parse_population(c)?,
+                archive: Vec::new(),
+                history: Vec::new(),
             })
         }
         "sa" => {
@@ -725,72 +764,271 @@ fn parse_snapshot(c: &mut Cursor) -> Option<ExplorerSnapshot> {
                 .split_whitespace()
                 .map(|t| t.parse().ok())
                 .collect::<Option<_>>()?;
-            let energy = f64_from_hex(c.tagged("energy")?)?;
-            let temperature = f64_from_hex(c.tagged("temperature")?)?;
-            let history = parse_history(c)?;
-            let archive = parse_individuals(c, "archive")?;
             ExplorerSnapshot::Annealing(AnnealingSnapshot {
                 generation,
                 evaluations,
                 rng_state,
                 current,
-                energy,
-                temperature,
-                archive,
-                history,
+                energy: f64_from_hex(c.tagged("energy")?)?,
+                temperature: f64_from_hex(c.tagged("temperature")?)?,
+                archive: Vec::new(),
+                history: Vec::new(),
             })
         }
         "bayes" => {
             let (generation, evaluations) = parse_counters(c)?;
-            let rng_state = parse_rng(c)?;
-            let history = parse_history(c)?;
-            let archive = parse_individuals(c, "archive")?;
             ExplorerSnapshot::Bayes(BayesSnapshot {
                 generation,
                 evaluations,
-                rng_state,
-                archive,
-                history,
+                rng_state: parse_rng(c)?,
+                archive: Vec::new(),
+                history: Vec::new(),
             })
         }
         _ => return None,
-    })
+    };
+    let h = c.tagged_u64s("history", 2)?;
+    c.history_from = usize::try_from(h[0]).ok()?;
+    let n = usize::try_from(h[1]).ok()?;
+    let mut history = Vec::with_capacity(n.min(1 << 16));
+    for _ in 0..n {
+        let toks: Vec<&str> = c.next()?.split_whitespace().collect();
+        if toks.len() != 4 {
+            return None;
+        }
+        history.push(GenStats {
+            generation: toks[0].parse().ok()?,
+            evaluations: toks[1].parse().ok()?,
+            front_size: toks[2].parse().ok()?,
+            external_cost: f64_from_hex(toks[3])?,
+        });
+    }
+    let a = c.tagged_u64s("archive", 2)?;
+    c.archive_from = usize::try_from(a[0]).ok()?;
+    let archive = parse_individual_lines(c, usize::try_from(a[1]).ok()?)?;
+    let (snap_archive, snap_history) = snap.archive_and_history_mut();
+    *snap_archive = archive;
+    *snap_history = history;
+    Some(snap)
 }
 
-/// Atomically writes the journal (tmp file + rename, checksummed
-/// envelope): a crash mid-write leaves the previous snapshot intact.
-pub fn write_journal(path: &Path, journal: &Journal) -> DovadoResult<()> {
-    let text = encode_checked(
-        JOURNAL_TAG,
-        JOURNAL_FORMAT_VERSION,
-        &serialize_journal(journal),
+/// Folds `next` onto the state the records before it describe: its
+/// small state replaces `prev`'s and its archive and history tails
+/// extend `prev`'s. `None` when the tails do not start where `prev`'s
+/// archive and history end, or the record belongs to another run or
+/// explorer.
+fn fold(mut prev: Journal, mut next: Record) -> Option<Journal> {
+    if next.journal.fingerprint != prev.fingerprint
+        || next.journal.snapshot.kind() != prev.snapshot.kind()
+    {
+        return None;
+    }
+    let (archive, history) = prev.snapshot.archive_and_history_mut();
+    if (archive.len(), history.len()) != (next.archive_from, next.history_from) {
+        return None;
+    }
+    let (tail_archive, tail_history) = next.journal.snapshot.archive_and_history_mut();
+    archive.append(tail_archive);
+    history.append(tail_history);
+    std::mem::swap(archive, tail_archive);
+    std::mem::swap(history, tail_history);
+    Some(next.journal)
+}
+
+/// The journal's first line, naming the format version.
+fn journal_header() -> String {
+    format!("{JOURNAL_TAG} {JOURNAL_FORMAT_VERSION}\n")
+}
+
+/// Frames one record payload: header line, then the payload bytes.
+fn frame_record(payload: &str) -> String {
+    let fields = format!(
+        "{RECORD_TAG} {} {:016x}",
+        payload.len(),
+        fnv1a(payload.as_bytes())
     );
-    atomic_write(path, text.as_bytes()).map_err(|e| {
-        DovadoError::Config(format!("journal write to {} failed: {e}", path.display()))
-    })
+    format!("{fields} {:016x}\n{payload}", fnv1a(fields.as_bytes()))
 }
 
-/// Reads and verifies a journal. A missing file, failed checksum,
-/// version mismatch, or structural damage all refuse loudly — resume
-/// must never continue from a half-trusted snapshot.
+/// What the bytes at a record boundary hold.
+enum Frame<'a> {
+    /// A whole record with matching checksums: its payload, then the
+    /// bytes after it.
+    Whole(&'a str, &'a [u8]),
+    /// A record the end of the file cuts short.
+    Torn,
+    /// A complete header or record that fails its checks.
+    Damaged,
+}
+
+fn next_frame(bytes: &[u8]) -> Frame<'_> {
+    let Some(eol) = bytes.iter().position(|&b| b == b'\n') else {
+        // No complete header line: a header cut short, unless the bytes
+        // cannot begin one.
+        let tag = format!("{RECORD_TAG} ");
+        return if bytes.starts_with(tag.as_bytes()) || tag.as_bytes().starts_with(bytes) {
+            Frame::Torn
+        } else {
+            Frame::Damaged
+        };
+    };
+    let Some((len, sum)) = std::str::from_utf8(&bytes[..eol])
+        .ok()
+        .and_then(parse_record_header)
+    else {
+        return Frame::Damaged;
+    };
+    let rest = &bytes[eol + 1..];
+    if rest.len() < len {
+        return Frame::Torn;
+    }
+    let (payload, after) = rest.split_at(len);
+    if fnv1a(payload) != sum {
+        return Frame::Damaged;
+    }
+    match std::str::from_utf8(payload) {
+        Ok(payload) => Frame::Whole(payload, after),
+        Err(_) => Frame::Damaged,
+    }
+}
+
+/// `record <len> <payload sum> <header sum>` → `(len, payload sum)`,
+/// when the header sum matches the fields before it.
+fn parse_record_header(line: &str) -> Option<(usize, u64)> {
+    let (fields, check) = line.rsplit_once(' ')?;
+    if u64::from_str_radix(check, 16).ok()? != fnv1a(fields.as_bytes()) {
+        return None;
+    }
+    let mut toks = fields
+        .strip_prefix(RECORD_TAG)?
+        .strip_prefix(' ')?
+        .split(' ');
+    let len = toks.next()?.parse().ok()?;
+    let sum = u64::from_str_radix(toks.next()?, 16).ok()?;
+    toks.next().is_none().then_some((len, sum))
+}
+
+fn journal_io_error(path: &Path, e: std::io::Error) -> DovadoError {
+    DovadoError::Config(format!("journal write to {} failed: {e}", path.display()))
+}
+
+/// Atomically writes `journal` as a compact journal of one base record
+/// (tmp file + rename): a crash mid-write leaves the previous journal
+/// intact.
+pub fn write_journal(path: &Path, journal: &Journal) -> DovadoResult<()> {
+    let text = journal_header() + &frame_record(&serialize_record(journal, 0, 0));
+    atomic_write(path, text.as_bytes()).map_err(|e| journal_io_error(path, e))
+}
+
+/// Writes one run's journal, one [`JournalWriter::write`] per generation
+/// boundary (see the module docs for the layout and the full-write rule).
+#[derive(Debug)]
+pub struct JournalWriter {
+    path: PathBuf,
+    /// Archive and history lengths the file holds; `None` until this
+    /// writer's first full write.
+    held: Option<(usize, usize)>,
+    /// Size of the last full write.
+    base_bytes: usize,
+    /// Bytes appended since the last full write.
+    appended_bytes: usize,
+}
+
+impl JournalWriter {
+    /// A writer for the journal at `path`. It never appends to a file it
+    /// did not write itself: its first boundary is a full write.
+    pub fn new(path: impl Into<PathBuf>) -> JournalWriter {
+        JournalWriter {
+            path: path.into(),
+            held: None,
+            base_bytes: 0,
+            appended_bytes: 0,
+        }
+    }
+
+    /// Journals one boundary. `capture((archive_from, history_from))`
+    /// returns the exploration state with the snapshot's archive and
+    /// history cut to their entries past those lengths — `(0, 0)` when
+    /// this boundary is a full write — so a boundary copies only what
+    /// the generations since the previous one added.
+    pub fn write(&mut self, capture: impl FnOnce((usize, usize)) -> Journal) -> DovadoResult<()> {
+        let append_from = self.held.filter(|_| self.appended_bytes <= self.base_bytes);
+        let (archive_from, history_from) = append_from.unwrap_or((0, 0));
+        let journal = capture((archive_from, history_from));
+        let (archive, history) = journal.snapshot.archive_and_history();
+        let held = (archive_from + archive.len(), history_from + history.len());
+        let record = frame_record(&serialize_record(&journal, archive_from, history_from));
+        if append_from.is_some() {
+            fs::OpenOptions::new()
+                .append(true)
+                .open(&self.path)
+                .and_then(|mut f| f.write_all(record.as_bytes()))
+                .map_err(|e| journal_io_error(&self.path, e))?;
+            self.appended_bytes += record.len();
+        } else {
+            let text = journal_header() + &record;
+            atomic_write(&self.path, text.as_bytes())
+                .map_err(|e| journal_io_error(&self.path, e))?;
+            self.base_bytes = text.len();
+            self.appended_bytes = 0;
+        }
+        self.held = Some(held);
+        Ok(())
+    }
+}
+
+/// Reads and verifies a journal, folding its records in order. A final
+/// record the end of the file cuts short is dropped (a crash mid-append;
+/// the records before it are the previous boundary). A missing file, a
+/// version mismatch, a torn base record, and any complete record with a
+/// failed checksum, mismatched offsets or structural damage all refuse
+/// loudly — resume must never continue from a half-trusted snapshot.
 pub fn read_journal(path: &Path) -> DovadoResult<Journal> {
-    let text = fs::read_to_string(path).map_err(|e| {
+    let bytes = fs::read(path).map_err(|e| {
         DovadoError::Config(format!("no resumable journal at {}: {e}", path.display()))
     })?;
-    let payload = decode_checked(JOURNAL_TAG, JOURNAL_FORMAT_VERSION, &text).ok_or_else(|| {
-        DovadoError::Config(format!(
-            "journal at {} is corrupt or from an incompatible version \
-             (wanted {JOURNAL_TAG} v{JOURNAL_FORMAT_VERSION})",
-            path.display()
-        ))
-    })?;
-    parse_journal(payload).ok_or_else(|| {
-        DovadoError::Config(format!(
-            "journal at {} passed its checksum but did not parse \
-             (truncated payload?)",
-            path.display()
-        ))
-    })
+    let refuse = |why: String| DovadoError::Config(format!("journal at {} {why}", path.display()));
+    let mut rest = bytes
+        .strip_prefix(journal_header().as_bytes())
+        .ok_or_else(|| {
+            refuse(format!(
+                "is corrupt or from an incompatible version (wanted {JOURNAL_TAG} \
+                 v{JOURNAL_FORMAT_VERSION}); rerun the exploration with its store \
+                 instead of resuming it"
+            ))
+        })?;
+    let mut folded: Option<Journal> = None;
+    let mut n = 0;
+    while !rest.is_empty() {
+        let (payload, after) = match next_frame(rest) {
+            Frame::Whole(payload, after) => (payload, after),
+            Frame::Torn if folded.is_some() => break,
+            Frame::Torn => return Err(refuse("has a torn base record".into())),
+            Frame::Damaged => {
+                return Err(refuse(format!(
+                    "is corrupt: record {n} fails its checksum or header"
+                )))
+            }
+        };
+        let record = parse_record(payload).ok_or_else(|| {
+            refuse(format!(
+                "passed its checksum but record {n} did not parse (truncated payload?)"
+            ))
+        })?;
+        folded = Some(match folded {
+            None if (record.archive_from, record.history_from) == (0, 0) => record.journal,
+            None => return Err(refuse("has a base record that does not start at 0".into())),
+            Some(prev) => fold(prev, record).ok_or_else(|| {
+                refuse(format!(
+                    "is corrupt: record {n} does not continue the records before it \
+                     (archive/history offsets, run or explorer differ)"
+                ))
+            })?,
+        });
+        rest = after;
+        n += 1;
+    }
+    folded.ok_or_else(|| refuse("holds no record".into()))
 }
 
 #[cfg(test)]
@@ -1085,5 +1323,296 @@ mod tests {
             base,
             evaluator_key(&src, "a", &EvalConfig::default(), "mock")
         );
+    }
+
+    // ---- appended journal ---------------------------------------------
+
+    /// `j` with its snapshot's archive and history cut to the entries
+    /// past `archive_from` and `history_from`: what an engine's
+    /// `snapshot_tail` hands the writer.
+    fn tail_of(j: &Journal, archive_from: usize, history_from: usize) -> Journal {
+        let mut tail = j.clone();
+        let (archive, history) = tail.snapshot.archive_and_history_mut();
+        archive.drain(..archive_from);
+        history.drain(..history_from);
+        tail
+    }
+
+    /// Equality down to the float bits: the compact encoding spells every
+    /// float as its bit pattern, so equal text means equal bits, `-0.0`
+    /// included, where `PartialEq` alone would take `0.0` for it.
+    fn assert_bitwise(got: &Journal, want: &Journal) {
+        assert_eq!(got, want);
+        assert_eq!(serialize_record(got, 0, 0), serialize_record(want, 0, 0));
+    }
+
+    fn boundary_individual(g: usize, i: usize) -> Individual {
+        let x = (g * 7 + i) as f64;
+        Individual {
+            genome: vec![g as i64, -(i as i64)],
+            raw: vec![x * 0.5, -0.0],
+            min_objs: vec![-0.0, x],
+            rank: i,
+            crowding: if i == 0 { f64::INFINITY } else { 1.0 / x },
+        }
+    }
+
+    /// The state after boundary `g` of a run of explorer kind `kind`
+    /// (0..6): the archive grows by `g % 4` entries (sometimes none) and
+    /// the history by one per boundary, and everything else changes.
+    fn boundary_journal(kind: usize, g: usize, selection: bool, surrogate: bool) -> Journal {
+        let archive: Vec<Individual> = (0..=g)
+            .flat_map(|k| (0..k % 4).map(move |i| boundary_individual(k, i)))
+            .collect();
+        let history: Vec<GenStats> = (0..=g)
+            .map(|k| GenStats {
+                generation: k as u32,
+                evaluations: 8 * k as u64,
+                front_size: k % 3,
+                external_cost: if k == 0 { -0.0 } else { k as f64 * 1.25 },
+            })
+            .collect();
+        let population: Vec<Individual> = (0..3).map(|i| boundary_individual(g + 100, i)).collect();
+        let (generation, evaluations) = (g as u32, archive.len() as u64);
+        let rng_state = [g as u64, u64::MAX - g as u64, 7, 42];
+        let snapshot = match kind {
+            0 => ExplorerSnapshot::Nsga2(Nsga2Snapshot {
+                generation,
+                evaluations,
+                rng_state,
+                population,
+                archive,
+                history,
+            }),
+            1 => ExplorerSnapshot::Random(RandomSnapshot {
+                generation,
+                evaluations,
+                rng_state,
+                archive,
+                history,
+            }),
+            2 => ExplorerSnapshot::Exhaustive(ExhaustiveSnapshot {
+                generation,
+                evaluations,
+                cursor: g.is_multiple_of(2).then(|| vec![g as i64, -3]),
+                archive,
+                history,
+            }),
+            3 => ExplorerSnapshot::WeightedSum(WsgaSnapshot {
+                generation,
+                evaluations,
+                rng_state,
+                population,
+                archive,
+                history,
+            }),
+            4 => ExplorerSnapshot::Annealing(AnnealingSnapshot {
+                generation,
+                evaluations,
+                rng_state,
+                current: vec![g as i64, 1],
+                energy: -(g as f64),
+                temperature: if g == 0 { -0.0 } else { 0.9f64.powi(g as i32) },
+                archive,
+                history,
+            }),
+            _ => ExplorerSnapshot::Bayes(BayesSnapshot {
+                generation,
+                evaluations,
+                rng_state,
+                archive,
+                history,
+            }),
+        };
+        let sample = sample_journal(true);
+        Journal {
+            tool_time_s: g as f64 * 10.5,
+            stats: FitnessStats {
+                tool_runs: g as u64,
+                ..sample.stats
+            },
+            runs: g as u64,
+            snapshot,
+            selection: sample.selection.filter(|_| selection),
+            surrogate: sample
+                .surrogate
+                .filter(|_| surrogate)
+                .map(|sj| SurrogateJournal {
+                    inserts_since_retrain: g % 25,
+                    dataset_csv: format!("{}{g},-0.5\n", sj.dataset_csv),
+                    ..sj
+                }),
+            ..sample
+        }
+    }
+
+    /// Byte offsets of the record headers in a journal file.
+    fn record_starts(bytes: &[u8]) -> Vec<usize> {
+        let mut pos = journal_header().len();
+        let mut starts = Vec::new();
+        while pos < bytes.len() {
+            starts.push(pos);
+            let eol = pos + bytes[pos..].iter().position(|&b| b == b'\n').unwrap();
+            let header = std::str::from_utf8(&bytes[pos..eol]).unwrap();
+            let (len, _) = parse_record_header(header).unwrap();
+            pos = eol + 1 + len;
+        }
+        starts
+    }
+
+    fn journal_test_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("dovado-journal-{tag}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    #[test]
+    fn writer_round_trips_every_boundary_for_every_explorer_kind() {
+        let dir = journal_test_dir("writer");
+        for kind in 0..6 {
+            for (selection, surrogate) in
+                [(false, false), (true, false), (false, true), (true, true)]
+            {
+                let path = dir.join(format!("j{kind}-{selection}-{surrogate}.dovado"));
+                let mut writer = JournalWriter::new(&path);
+                let (mut full_writes, mut appends) = (0, 0);
+                for g in 0..24 {
+                    let journal = Journal {
+                        complete: g == 23,
+                        ..boundary_journal(kind, g, selection, surrogate)
+                    };
+                    writer.write(|(a, h)| tail_of(&journal, a, h)).unwrap();
+                    assert_bitwise(&read_journal(&path).unwrap(), &journal);
+                    match record_starts(&fs::read(&path).unwrap()).len() {
+                        1 => full_writes += 1,
+                        _ => appends += 1,
+                    }
+                }
+                assert!(
+                    full_writes >= 2 && appends > full_writes,
+                    "kind {kind}: {full_writes} full writes, {appends} appends"
+                );
+            }
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A journal of a base record and three appended ones in `dir`, and
+    /// the state each record completes.
+    fn appended_journal(dir: &Path) -> (PathBuf, Vec<Journal>) {
+        let path = dir.join("appended.dovado");
+        let mut writer = JournalWriter::new(&path);
+        let states: Vec<Journal> = (8..12)
+            .map(|g| boundary_journal(0, g, true, true))
+            .collect();
+        for state in &states {
+            writer.write(|(a, h)| tail_of(state, a, h)).unwrap();
+        }
+        assert_eq!(record_starts(&fs::read(&path).unwrap()).len(), states.len());
+        (path, states)
+    }
+
+    #[test]
+    fn torn_tail_reads_as_the_previous_boundary() {
+        let dir = journal_test_dir("torn");
+        let (path, states) = appended_journal(&dir);
+        let bytes = fs::read(&path).unwrap();
+        let starts = record_starts(&bytes);
+        let cut_path = dir.join("cut.dovado");
+        // A cut exactly at a record boundary is that boundary's state.
+        for (k, &start) in starts.iter().enumerate().skip(1) {
+            fs::write(&cut_path, &bytes[..start]).unwrap();
+            assert_bitwise(&read_journal(&cut_path).unwrap(), &states[k - 1]);
+        }
+        // A cut anywhere inside the last record, header or payload, drops
+        // it: the records before it are the previous boundary.
+        let previous = &states[states.len() - 2];
+        for cut in starts[starts.len() - 1] + 1..bytes.len() {
+            fs::write(&cut_path, &bytes[..cut]).unwrap();
+            assert_bitwise(&read_journal(&cut_path).unwrap(), previous);
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_flipped_byte_in_any_complete_record_refuses() {
+        let dir = journal_test_dir("flip");
+        let (path, _) = appended_journal(&dir);
+        let bytes = fs::read(&path).unwrap();
+        let flipped_path = dir.join("flipped.dovado");
+        for pos in 0..bytes.len() {
+            let mut flipped = bytes.clone();
+            flipped[pos] ^= 0x01;
+            fs::write(&flipped_path, &flipped).unwrap();
+            assert!(
+                read_journal(&flipped_path).is_err(),
+                "a flipped byte at {pos} of {} was accepted",
+                bytes.len()
+            );
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn offsets_that_do_not_continue_the_records_before_refuse() {
+        let dir = journal_test_dir("offsets");
+        let (path, states) = appended_journal(&dir);
+        let bytes = fs::read(&path).unwrap();
+        let last = *record_starts(&bytes).last().unwrap();
+        let (prev, cur) = (&states[states.len() - 2], &states[states.len() - 1]);
+        let (archive, history) = prev.snapshot.archive_and_history();
+        let (a, h) = (archive.len(), history.len());
+        assert!(
+            cur.snapshot.archive_and_history().0.len() > a,
+            "the last record must add archive entries"
+        );
+        let bad_path = dir.join("bad.dovado");
+        // Well-framed records, checksums intact, offsets off by one.
+        for (archive_from, history_from) in [(a + 1, h), (a - 1, h), (a, h + 1), (a, h - 1)] {
+            let record = frame_record(&serialize_record(
+                &tail_of(cur, archive_from, history_from),
+                archive_from,
+                history_from,
+            ));
+            let mut damaged = bytes[..last].to_vec();
+            damaged.extend_from_slice(record.as_bytes());
+            fs::write(&bad_path, &damaged).unwrap();
+            let err = read_journal(&bad_path).unwrap_err().to_string();
+            assert!(err.contains("offsets"), "{err}");
+        }
+        // The last record appended twice repeats entries already held.
+        let mut replayed = bytes.clone();
+        replayed.extend_from_slice(&bytes[last..]);
+        fs::write(&bad_path, &replayed).unwrap();
+        let err = read_journal(&bad_path).unwrap_err().to_string();
+        assert!(err.contains("offsets"), "{err}");
+        // A base record must start at 0.
+        let tail_base =
+            journal_header() + &frame_record(&serialize_record(&tail_of(cur, a, h), a, h));
+        fs::write(&bad_path, tail_base).unwrap();
+        assert!(read_journal(&bad_path).is_err());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_torn_base_record_refuses() {
+        let dir = journal_test_dir("torn-base");
+        let path = dir.join("base.dovado");
+        write_journal(&path, &boundary_journal(3, 9, true, true)).unwrap();
+        let bytes = fs::read(&path).unwrap();
+        let header = journal_header().len();
+        let cut_path = dir.join("cut.dovado");
+        for cut in header..bytes.len() {
+            fs::write(&cut_path, &bytes[..cut]).unwrap();
+            assert!(
+                read_journal(&cut_path).is_err(),
+                "cut at {cut} was accepted"
+            );
+        }
+        fs::write(&cut_path, &bytes[..header + 20]).unwrap();
+        let err = read_journal(&cut_path).unwrap_err().to_string();
+        assert!(err.contains("torn base record"), "{err}");
+        fs::remove_dir_all(&dir).unwrap();
     }
 }

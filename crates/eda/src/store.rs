@@ -39,7 +39,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Version of the on-disk entry encoding. Bump whenever the serialized
 /// entry schema changes shape; old entries then read as misses instead of
@@ -218,6 +218,33 @@ impl StoreIndex {
     fn coldest(&self) -> Option<String> {
         self.order.iter().next().map(|(_, hex)| hex.clone())
     }
+
+    /// The index over exactly the `valid` entries (sorted, deduplicated):
+    /// entries this index knew keep their recency, and discovered ones
+    /// queue in sorted-hex order behind a fresh tick, so the rebuilt
+    /// order is deterministic.
+    fn rebuilt(&self, valid: &[String]) -> StoreIndex {
+        let mut rebuilt = StoreIndex {
+            clock: self.clock,
+            ..StoreIndex::default()
+        };
+        let mut known: Vec<(u64, String)> = Vec::new();
+        let mut discovered: Vec<String> = Vec::new();
+        for hex in valid {
+            match self.ticks.get(hex) {
+                Some(&tick) => known.push((tick, hex.clone())),
+                None => discovered.push(hex.clone()),
+            }
+        }
+        known.sort();
+        for (_, hex) in known {
+            rebuilt.touch(&hex);
+        }
+        for hex in discovered {
+            rebuilt.touch(&hex);
+        }
+        rebuilt
+    }
 }
 
 /// A sharded directory of checksummed evaluation entries, optionally
@@ -227,7 +254,9 @@ impl StoreIndex {
 /// hook, so concurrent readers and writers cooperate on one bookkeeping
 /// view. Independently-opened handles over the same directory each keep
 /// their own view; [`EvalStore::compact`] resynchronizes a handle with the
-/// disk.
+/// disk. Only a bounded store keeps the recency index: an unbounded one
+/// never evicts, so opening it scans no shard and `get`/`put` do no
+/// bookkeeping.
 #[derive(Clone)]
 pub struct EvalStore {
     dir: PathBuf,
@@ -278,18 +307,24 @@ impl EvalStore {
         // Seed the recency index from disk in sorted-hex order, so a
         // freshly-opened bounded store evicts deterministically even
         // before any entry has been touched.
-        let mut hexes: Vec<String> = store
-            .scan_entries()
-            .into_iter()
-            .map(|(hex, _)| hex)
-            .collect();
-        hexes.sort();
-        let mut index = store.index.lock().expect("store index poisoned");
-        for hex in hexes {
-            index.touch(&hex);
+        if let Some(mut index) = store.recency() {
+            let mut hexes: Vec<String> = store
+                .scan_entries()
+                .into_iter()
+                .map(|(hex, _)| hex)
+                .collect();
+            hexes.sort();
+            for hex in hexes {
+                index.touch(&hex);
+            }
         }
-        drop(index);
         Ok(store)
+    }
+
+    /// The recency index, which only a bounded store keeps.
+    fn recency(&self) -> Option<MutexGuard<'_, StoreIndex>> {
+        self.capacity
+            .map(|_| self.index.lock().expect("store index poisoned"))
     }
 
     /// The directory this store lives in.
@@ -337,46 +372,36 @@ impl EvalStore {
     pub fn get(&self, key: &EvalKey) -> Option<String> {
         let hex = key.hex();
         let path = self.entry_path(key);
-        match read_valid_entry(&path) {
-            ReadOutcome::Valid(payload) => {
-                self.index.lock().expect("store index poisoned").touch(&hex);
-                return Some(payload);
-            }
+        let found = match read_valid_entry(&path) {
+            ReadOutcome::Valid(payload) => Some(payload),
             ReadOutcome::Corrupt => {
                 let _ = fs::remove_file(&path);
-                self.index
-                    .lock()
-                    .expect("store index poisoned")
-                    .forget(&hex);
-                return None;
-            }
-            ReadOutcome::Absent => {}
-        }
-        // Legacy flat layout: serve and migrate into the shard.
-        let legacy = self.legacy_entry_path(&hex);
-        match read_valid_entry(&legacy) {
-            ReadOutcome::Valid(payload) => {
-                let _ = fs::create_dir_all(self.shard_dir(&hex));
-                let _ = fs::rename(&legacy, &path);
-                self.index.lock().expect("store index poisoned").touch(&hex);
-                Some(payload)
-            }
-            ReadOutcome::Corrupt => {
-                let _ = fs::remove_file(&legacy);
-                self.index
-                    .lock()
-                    .expect("store index poisoned")
-                    .forget(&hex);
                 None
             }
+            // Legacy flat layout: serve and migrate into the shard.
             ReadOutcome::Absent => {
-                self.index
-                    .lock()
-                    .expect("store index poisoned")
-                    .forget(&hex);
-                None
+                let legacy = self.legacy_entry_path(&hex);
+                match read_valid_entry(&legacy) {
+                    ReadOutcome::Valid(payload) => {
+                        let _ = fs::create_dir_all(self.shard_dir(&hex));
+                        let _ = fs::rename(&legacy, &path);
+                        Some(payload)
+                    }
+                    ReadOutcome::Corrupt => {
+                        let _ = fs::remove_file(&legacy);
+                        None
+                    }
+                    ReadOutcome::Absent => None,
+                }
+            }
+        };
+        if let Some(mut index) = self.recency() {
+            match found {
+                Some(_) => index.touch(&hex),
+                None => index.forget(&hex),
             }
         }
+        found
     }
 
     /// Stores `payload` under `key` (atomic replace of any prior entry),
@@ -386,12 +411,12 @@ impl EvalStore {
         let text = encode_checked(ENTRY_TAG, STORE_FORMAT_VERSION, payload);
         fs::create_dir_all(self.shard_dir(&hex))?;
         atomic_write(&self.entry_path(key), text.as_bytes())?;
-        let evicted = {
-            let mut index = self.index.lock().expect("store index poisoned");
+        if let Some(mut index) = self.recency() {
             index.touch(&hex);
-            self.evict_over_capacity(&mut index)
-        };
-        self.notify_evictions(&evicted);
+            let evicted = self.evict_over_capacity(&mut index);
+            drop(index);
+            self.notify_evictions(&evicted);
+        }
         Ok(())
     }
 
@@ -434,9 +459,10 @@ impl EvalStore {
     /// * deletes entries that fail envelope validation (they could only
     ///   ever read as misses),
     /// * migrates valid legacy unsharded entries into their shards,
-    /// * rebuilds this handle's recency index from the surviving entries
-    ///   (preserving known recency, discovering foreign writes), and
-    /// * re-enforces the capacity bound, evicting coldest-first.
+    /// * for a bounded store, rebuilds this handle's recency index from
+    ///   the surviving entries (preserving known recency, discovering
+    ///   foreign writes) and re-enforces the capacity bound, evicting
+    ///   coldest-first.
     ///
     /// Like eviction, compaction can only produce future misses, never
     /// wrong answers: it removes whole entries and never rewrites one.
@@ -473,32 +499,12 @@ impl EvalStore {
 
         valid.sort();
         valid.dedup();
-        let evicted = {
-            let mut index = self.index.lock().expect("store index poisoned");
-            // Rebuild: keep the recency of entries this handle knew,
-            // enqueue discovered ones in sorted-hex order behind a fresh
-            // tick so the rebuilt order is deterministic.
-            let mut rebuilt = StoreIndex {
-                clock: index.clock,
-                ..StoreIndex::default()
-            };
-            let mut known: Vec<(u64, String)> = Vec::new();
-            let mut discovered: Vec<String> = Vec::new();
-            for hex in &valid {
-                match index.ticks.get(hex) {
-                    Some(&tick) => known.push((tick, hex.clone())),
-                    None => discovered.push(hex.clone()),
-                }
+        let evicted = match self.recency() {
+            Some(mut index) => {
+                *index = index.rebuilt(&valid);
+                self.evict_over_capacity(&mut index)
             }
-            known.sort();
-            for (_, hex) in known {
-                rebuilt.touch(&hex);
-            }
-            for hex in discovered {
-                rebuilt.touch(&hex);
-            }
-            *index = rebuilt;
-            self.evict_over_capacity(&mut index)
+            None => Vec::new(),
         };
         stats.evicted = evicted.len();
         stats.retained = valid.len() - stats.evicted;
@@ -823,6 +829,23 @@ mod tests {
         assert_eq!(stats.evicted, 4);
         assert_eq!(stats.retained, 2);
         assert_eq!(bounded.len(), 2);
+    }
+
+    #[test]
+    fn unbounded_stores_keep_no_recency_index() {
+        let dir = tmpdir("no-index");
+        let first = EvalStore::open(&dir).unwrap();
+        let a = EvalKey::from_parts(&["a"]);
+        first.put(&a, "A").unwrap();
+        // Reopening scans no shard; gets, puts and compaction do no
+        // bookkeeping, since an unbounded store never evicts.
+        let store = EvalStore::open(&dir).unwrap();
+        assert_eq!(store.get(&a).unwrap(), "A");
+        store.put(&EvalKey::from_parts(&["b"]), "B").unwrap();
+        assert_eq!(store.compact().unwrap().retained, 2);
+        for handle in [&first, &store] {
+            assert_eq!(handle.index.lock().unwrap().len(), 0);
+        }
     }
 
     #[test]

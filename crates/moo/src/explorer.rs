@@ -71,9 +71,18 @@ pub trait Explorer {
     /// Runs one full generation against the problem.
     fn step(&mut self, problem: &mut dyn Problem);
 
+    /// Captures the engine's mid-run state with the archive and history
+    /// cut to their entries past the first `archive_from` and
+    /// `history_from`. Both only ever grow, so a caller that already
+    /// holds the earlier entries (the journal writer) copies only what
+    /// the latest generations added.
+    fn snapshot_tail(&self, archive_from: usize, history_from: usize) -> ExplorerSnapshot;
+
     /// Captures the engine's complete mid-run state. Feeding the snapshot
     /// back through the engine's `resume` constructor continues bitwise.
-    fn snapshot(&self) -> ExplorerSnapshot;
+    fn snapshot(&self) -> ExplorerSnapshot {
+        self.snapshot_tail(0, 0)
+    }
 
     /// The current non-dominated set over everything evaluated so far.
     fn front(&self) -> Vec<Individual>;
@@ -223,20 +232,39 @@ impl ExplorerSnapshot {
         }
     }
 
+    /// The archive and the per-generation history, whatever the variant:
+    /// the two parts of every explorer's state that only ever grow.
+    pub fn archive_and_history(&self) -> (&[Individual], &[GenStats]) {
+        match self {
+            ExplorerSnapshot::Nsga2(s) => (&s.archive, &s.history),
+            ExplorerSnapshot::Random(s) => (&s.archive, &s.history),
+            ExplorerSnapshot::Exhaustive(s) => (&s.archive, &s.history),
+            ExplorerSnapshot::WeightedSum(s) => (&s.archive, &s.history),
+            ExplorerSnapshot::Annealing(s) => (&s.archive, &s.history),
+            ExplorerSnapshot::Bayes(s) => (&s.archive, &s.history),
+        }
+    }
+
+    /// Mutable access to the archive and the per-generation history,
+    /// whatever the variant.
+    pub fn archive_and_history_mut(&mut self) -> (&mut Vec<Individual>, &mut Vec<GenStats>) {
+        match self {
+            ExplorerSnapshot::Nsga2(s) => (&mut s.archive, &mut s.history),
+            ExplorerSnapshot::Random(s) => (&mut s.archive, &mut s.history),
+            ExplorerSnapshot::Exhaustive(s) => (&mut s.archive, &mut s.history),
+            ExplorerSnapshot::WeightedSum(s) => (&mut s.archive, &mut s.history),
+            ExplorerSnapshot::Annealing(s) => (&mut s.archive, &mut s.history),
+            ExplorerSnapshot::Bayes(s) => (&mut s.archive, &mut s.history),
+        }
+    }
+
     /// Mutable access to the per-generation history, whatever the
     /// variant. External costs in the history track wall-clock-like
     /// tool spend, which varies with store capacity and repeated work;
     /// callers comparing optimizer *state* across runs normalize it
     /// through this accessor.
     pub fn history_mut(&mut self) -> &mut Vec<GenStats> {
-        match self {
-            ExplorerSnapshot::Nsga2(s) => &mut s.history,
-            ExplorerSnapshot::Random(s) => &mut s.history,
-            ExplorerSnapshot::Exhaustive(s) => &mut s.history,
-            ExplorerSnapshot::WeightedSum(s) => &mut s.history,
-            ExplorerSnapshot::Annealing(s) => &mut s.history,
-            ExplorerSnapshot::Bayes(s) => &mut s.history,
-        }
+        self.archive_and_history_mut().1
     }
 }
 
@@ -384,13 +412,13 @@ impl Explorer for RandomExplorer {
             external_cost: problem.external_cost(),
         });
     }
-    fn snapshot(&self) -> ExplorerSnapshot {
+    fn snapshot_tail(&self, archive_from: usize, history_from: usize) -> ExplorerSnapshot {
         ExplorerSnapshot::Random(RandomSnapshot {
             generation: self.generation,
             evaluations: self.evaluations,
             rng_state: self.rng.state(),
-            archive: self.archive.clone(),
-            history: self.history.clone(),
+            archive: self.archive[archive_from..].to_vec(),
+            history: self.history[history_from..].to_vec(),
         })
     }
     fn front(&self) -> Vec<Individual> {
@@ -513,13 +541,13 @@ impl Explorer for ExhaustiveExplorer {
             external_cost: problem.external_cost(),
         });
     }
-    fn snapshot(&self) -> ExplorerSnapshot {
+    fn snapshot_tail(&self, archive_from: usize, history_from: usize) -> ExplorerSnapshot {
         ExplorerSnapshot::Exhaustive(ExhaustiveSnapshot {
             generation: self.generation,
             evaluations: self.evaluations,
             cursor: self.cursor.clone(),
-            archive: self.archive.clone(),
-            history: self.history.clone(),
+            archive: self.archive[archive_from..].to_vec(),
+            history: self.history[history_from..].to_vec(),
         })
     }
     fn front(&self) -> Vec<Individual> {
@@ -684,14 +712,14 @@ impl Explorer for WsgaExplorer {
             external_cost: problem.external_cost(),
         });
     }
-    fn snapshot(&self) -> ExplorerSnapshot {
+    fn snapshot_tail(&self, archive_from: usize, history_from: usize) -> ExplorerSnapshot {
         ExplorerSnapshot::WeightedSum(WsgaSnapshot {
             generation: self.generation,
             evaluations: self.evaluations,
             rng_state: self.rng.state(),
             population: self.pop.clone(),
-            archive: self.archive.clone(),
-            history: self.history.clone(),
+            archive: self.archive[archive_from..].to_vec(),
+            history: self.history[history_from..].to_vec(),
         })
     }
     fn front(&self) -> Vec<Individual> {
@@ -840,7 +868,7 @@ impl Explorer for AnnealingExplorer {
             external_cost: problem.external_cost(),
         });
     }
-    fn snapshot(&self) -> ExplorerSnapshot {
+    fn snapshot_tail(&self, archive_from: usize, history_from: usize) -> ExplorerSnapshot {
         ExplorerSnapshot::Annealing(AnnealingSnapshot {
             generation: self.generation,
             evaluations: self.evaluations,
@@ -848,8 +876,8 @@ impl Explorer for AnnealingExplorer {
             current: self.current.clone(),
             energy: self.energy,
             temperature: self.temperature,
-            archive: self.archive.clone(),
-            history: self.history.clone(),
+            archive: self.archive[archive_from..].to_vec(),
+            history: self.history[history_from..].to_vec(),
         })
     }
     fn front(&self) -> Vec<Individual> {

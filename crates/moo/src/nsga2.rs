@@ -361,14 +361,14 @@ impl Explorer for Nsga2Explorer {
         });
     }
 
-    fn snapshot(&self) -> ExplorerSnapshot {
+    fn snapshot_tail(&self, archive_from: usize, history_from: usize) -> ExplorerSnapshot {
         ExplorerSnapshot::Nsga2(Nsga2Snapshot {
             generation: self.generation,
             evaluations: self.evaluations,
             rng_state: self.rng.state(),
             population: self.pop.clone(),
-            archive: self.archive.clone(),
-            history: self.history.clone(),
+            archive: self.archive[archive_from..].to_vec(),
+            history: self.history[history_from..].to_vec(),
         })
     }
 

@@ -8,7 +8,9 @@
 //! The crash generation is randomized through the fault-plan seed; CI
 //! sweeps it via the `DOVADO_CRASH_SEED` environment variable.
 
-use dovado::persist::read_journal;
+use dovado::casestudies::corundum;
+use dovado::dse::ExploreMonitor;
+use dovado::persist::{read_journal, write_journal};
 use dovado::{
     Domain, Dovado, DovadoError, DseConfig, DseReport, EvalConfig, HdlSource, Metric, MetricSet,
     ParameterSpace, PersistConfig, SurrogateConfig,
@@ -17,7 +19,9 @@ use dovado_eda::FaultPlan;
 use dovado_fpga::ResourceKind;
 use dovado_hdl::Language;
 use dovado_moo::{Nsga2Config, Termination};
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 
 const FIFO_SV: &str = r#"
 module fifo_v3 #(
@@ -598,4 +602,160 @@ fn warm_store_rerun_performs_zero_tool_runs() {
     assert_eq!(warm.trace.attempts, 0, "warm run must not touch the tool");
     assert!(warm.trace.store_hits > 0);
     assert_reports_bitwise(&cold, &warm);
+}
+
+/// Byte offsets of a journal's record headers — what
+/// `grep -b -a '^record '` prints; no payload line starts with `record `.
+fn record_starts(journal: &[u8]) -> Vec<usize> {
+    let mut starts = Vec::new();
+    let mut pos = 0;
+    for line in journal.split_inclusive(|&b| b == b'\n') {
+        if line.starts_with(b"record ") {
+            starts.push(pos);
+        }
+        pos += line.len();
+    }
+    starts
+}
+
+/// Copies the journal file at every generation boundary (the monitor
+/// runs right after the boundary's write lands) and, in `finish`, as the
+/// run's final boundary left it.
+struct JournalCopies {
+    path: PathBuf,
+    copies: Mutex<Vec<Vec<u8>>>,
+}
+
+impl JournalCopies {
+    fn new(persist: &PersistConfig) -> JournalCopies {
+        JournalCopies {
+            path: persist.journal_path(),
+            copies: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Every copy, plus the file as the finished run left it.
+    fn finish(self) -> Vec<Vec<u8>> {
+        let mut copies = self.copies.into_inner().unwrap();
+        copies.push(std::fs::read(&self.path).unwrap());
+        copies
+    }
+}
+
+impl ExploreMonitor for JournalCopies {
+    fn on_generation(&self, _generation: u64, _evaluations: u64) -> bool {
+        let bytes = std::fs::read(&self.path).unwrap();
+        self.copies.lock().unwrap().push(bytes);
+        true
+    }
+}
+
+#[test]
+fn resume_from_every_record_boundary_matches_uninterrupted() {
+    // A crash between two boundaries leaves a journal ending at a record
+    // boundary, or — mid-append — inside its last record. Cut every
+    // journal the run wrote at each record boundary past the base, and
+    // each appended journal inside its last record; a fresh process
+    // resuming from any cut (empty store, so it pays the tool again)
+    // must finish bitwise the uninterrupted run.
+    for surrogate in [false, true] {
+        let cfg = cfg(surrogate, false);
+        let base_dir = fresh_dir(&format!("cut-base-{surrogate}"));
+        let persist = PersistConfig::new(&base_dir);
+        let copies = JournalCopies::new(&persist);
+        let baseline = tool(FaultPlan::none())
+            .explore_monitored(&cfg, Some(&persist), &copies)
+            .unwrap();
+        let mut cuts = BTreeSet::new();
+        for journal in copies.finish() {
+            let starts = record_starts(&journal);
+            for &start in &starts[1..] {
+                cuts.insert(journal[..start].to_vec());
+            }
+            if let [_, .., last] = starts[..] {
+                cuts.insert(journal[..(last + journal.len()) / 2].to_vec());
+            }
+        }
+        assert!(
+            cuts.len() > GENERATIONS as usize,
+            "only {} distinct cuts",
+            cuts.len()
+        );
+        for (i, cut) in cuts.iter().enumerate() {
+            let dir = fresh_dir(&format!("cut-{surrogate}-{i}"));
+            let resume = PersistConfig {
+                resume: true,
+                ..PersistConfig::new(&dir)
+            };
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(resume.journal_path(), cut).unwrap();
+            let resumed = tool(FaultPlan::none())
+                .explore_persistent(&cfg, &resume)
+                .unwrap();
+            assert_reports_bitwise(&baseline, &resumed);
+            assert_final_journals_match(&base_dir, &dir);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+        std::fs::remove_dir_all(&base_dir).unwrap();
+    }
+}
+
+#[test]
+fn a_long_run_makes_logarithmically_many_full_journal_writes() {
+    // The shape of the benchmark's warm exploration: NSGA-II over
+    // Corundum, a population of 32, 60 generations. A full write leaves
+    // one record and an append adds one; the writer must make O(log G)
+    // full writes and write at most 4x the final compact journal, where
+    // rewriting the whole journal at every boundary makes 61 full writes
+    // and writes ~32x.
+    const LONG: u32 = 60;
+    let study = corundum::case_study();
+    let tool = study
+        .dovado_with(EvalConfig {
+            part: study.part.to_string(),
+            ..EvalConfig::default()
+        })
+        .unwrap();
+    let cfg = DseConfig {
+        algorithm: Nsga2Config {
+            pop_size: 32,
+            seed: 31,
+            ..Default::default()
+        },
+        termination: Termination::Generations(LONG),
+        metrics: study.metrics.clone(),
+        ..DseConfig::default()
+    };
+    let dir = fresh_dir("long");
+    let persist = PersistConfig::new(&dir);
+    let copies = JournalCopies::new(&persist);
+    tool.explore_monitored(&cfg, Some(&persist), &copies)
+        .unwrap();
+    let copies = copies.finish();
+    assert_eq!(copies.len(), LONG as usize + 1, "one write per boundary");
+    let (mut full_writes, mut written, mut prev) = (0u32, 0usize, 0usize);
+    for journal in &copies {
+        if record_starts(journal).len() == 1 {
+            full_writes += 1;
+            written += journal.len();
+        } else {
+            assert!(journal.len() > prev, "an append grows the file");
+            written += journal.len() - prev;
+        }
+        prev = journal.len();
+    }
+    let compact = dir.join("compact.dovado");
+    write_journal(&compact, &read_journal(&persist.journal_path()).unwrap()).unwrap();
+    let compact_bytes = std::fs::metadata(&compact).unwrap().len() as usize;
+    let log2_boundaries = f64::from(LONG + 1).log2().ceil() as u32;
+    assert!(
+        full_writes <= log2_boundaries + 2,
+        "{full_writes} full writes over {} boundaries",
+        copies.len()
+    );
+    assert!(
+        written <= 4 * compact_bytes,
+        "wrote {written} bytes for a {compact_bytes}-byte journal"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
 }
