@@ -12,14 +12,15 @@
 //! are paid for with real evaluations.
 //!
 //! The engine implements [`dovado_moo::Explorer`], so journaling, tracing,
-//! cancellation and parallel schedules all apply. Its snapshot is
-//! [`BayesSnapshot`]: the dataset is *derived* state, rebuilt from the
-//! archive in insertion order on resume, which keeps the journal format
-//! free of surrogate internals while still resuming bitwise.
+//! cancellation and parallel schedules all apply. Beyond its ledger it
+//! journals only its RNG ([`SearchState::Bayes`]): the dataset is
+//! *derived* state, rebuilt from the archive in insertion order on
+//! resume, which keeps the journal format free of surrogate internals
+//! while still resuming bitwise.
 
-use dovado_moo::explorer::{evaluate_genomes, finish_archive, front_of, BayesSnapshot};
+use dovado_moo::explorer::evaluate_genomes;
 use dovado_moo::ops::sampling::random_population;
-use dovado_moo::{ExplorerSnapshot, GenStats, Individual, IntVar, Objective, OptResult, Problem};
+use dovado_moo::{IntVar, Ledger, Objective, OptResult, Problem, SearchState};
 use dovado_surrogate::{Bounds, Dataset, Kernel, NadarayaWatson};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -55,70 +56,45 @@ pub struct BayesExplorer {
     objectives: Vec<Objective>,
     nw: NadarayaWatson,
     dataset: Dataset,
-    archive: Vec<Individual>,
-    history: Vec<GenStats>,
-    generation: u32,
-    evaluations: u64,
+    ledger: Ledger,
 }
 
 impl BayesExplorer {
     /// Starts a fresh run: evaluates one random batch to seed the model.
     pub fn start(problem: &mut dyn Problem, batch: usize, seed: u64) -> BayesExplorer {
-        let batch = batch.max(1);
         let mut rng = StdRng::seed_from_u64(seed);
-        let vars = problem.variables().to_vec();
+        let genomes = random_population(problem.variables(), batch.max(1), &mut rng);
         let objectives = problem.objectives().to_vec();
-        let genomes = random_population(&vars, batch, &mut rng);
         let seedlings = evaluate_genomes(problem, &objectives, genomes);
-        let evaluations = seedlings.len() as u64;
-        let mut dataset = dataset_for(&vars);
-        for ind in &seedlings {
-            dataset.insert(ind.genome.clone(), vec![scalar_objective(&ind.min_objs)]);
-        }
-        let history = vec![GenStats {
-            generation: 0,
-            evaluations,
-            front_size: front_of(&seedlings).len(),
-            external_cost: problem.external_cost(),
-        }];
-        BayesExplorer {
-            batch,
-            rng,
-            nw: NadarayaWatson {
-                kernel: Kernel::Gaussian,
-                bandwidth: ACQUISITION_BANDWIDTH,
-            },
-            dataset,
-            archive: seedlings,
-            history,
-            generation: 0,
-            evaluations,
-            vars,
-            objectives,
-        }
+        let mut ledger = Ledger::default();
+        ledger.record(&seedlings);
+        ledger.close_on_archive(problem.external_cost());
+        Self::resume(&*problem, batch, ledger, rng.state())
     }
 
-    /// Rebuilds the explorer from a journal snapshot; the NW training set
-    /// is replayed from the archive in insertion order.
-    pub fn resume(problem: &dyn Problem, batch: usize, snap: BayesSnapshot) -> BayesExplorer {
+    /// Rebuilds the explorer from a journaled ledger and RNG state; the
+    /// NW training set is replayed from the archive in insertion order.
+    pub fn resume(
+        problem: &dyn Problem,
+        batch: usize,
+        ledger: Ledger,
+        rng: [u64; 4],
+    ) -> BayesExplorer {
         let vars = problem.variables().to_vec();
         let mut dataset = dataset_for(&vars);
-        for ind in &snap.archive {
+        for ind in &ledger.archive {
             dataset.insert(ind.genome.clone(), vec![scalar_objective(&ind.min_objs)]);
         }
         BayesExplorer {
             batch: batch.max(1),
-            rng: StdRng::from_state(snap.rng_state),
+            rng: StdRng::from_state(rng),
             objectives: problem.objectives().to_vec(),
             nw: NadarayaWatson {
                 kernel: Kernel::Gaussian,
                 bandwidth: ACQUISITION_BANDWIDTH,
             },
             dataset,
-            archive: snap.archive,
-            history: snap.history,
-            generation: snap.generation,
-            evaluations: snap.evaluations,
+            ledger,
             vars,
         }
     }
@@ -137,20 +113,19 @@ impl BayesExplorer {
 }
 
 impl dovado_moo::Explorer for BayesExplorer {
-    fn name(&self) -> &'static str {
-        "bayes"
+    fn ledger(&self) -> &Ledger {
+        &self.ledger
     }
-    fn generation(&self) -> u32 {
-        self.generation
-    }
-    fn evaluations(&self) -> u64 {
-        self.evaluations
+    fn state(&self) -> SearchState {
+        SearchState::Bayes {
+            rng: self.rng.state(),
+        }
     }
     fn step(&mut self, problem: &mut dyn Problem) {
         // Score a pool of random candidates against the model...
         let pool = random_population(&self.vars, self.batch * POOL_FACTOR, &mut self.rng);
         let (mut y_lo, mut y_hi) = (f64::INFINITY, f64::NEG_INFINITY);
-        for ind in &self.archive {
+        for ind in &self.ledger.archive {
             let y = scalar_objective(&ind.min_objs);
             y_lo = y_lo.min(y);
             y_hi = y_hi.max(y);
@@ -173,39 +148,16 @@ impl dovado_moo::Explorer for BayesExplorer {
             .map(|(_, g)| g)
             .collect();
         let inds = evaluate_genomes(problem, &self.objectives, chosen);
-        self.evaluations += inds.len() as u64;
         for ind in &inds {
             self.dataset
                 .insert(ind.genome.clone(), vec![scalar_objective(&ind.min_objs)]);
         }
-        self.archive.extend(inds);
-        self.generation += 1;
-        self.history.push(GenStats {
-            generation: self.generation,
-            evaluations: self.evaluations,
-            front_size: front_of(&self.archive).len(),
-            external_cost: problem.external_cost(),
-        });
-    }
-    fn snapshot_tail(&self, archive_from: usize, history_from: usize) -> ExplorerSnapshot {
-        ExplorerSnapshot::Bayes(BayesSnapshot {
-            generation: self.generation,
-            evaluations: self.evaluations,
-            rng_state: self.rng.state(),
-            archive: self.archive[archive_from..].to_vec(),
-            history: self.history[history_from..].to_vec(),
-        })
-    }
-    fn front(&self) -> Vec<Individual> {
-        front_of(&self.archive)
+        self.ledger.record(&inds);
+        self.ledger.generation += 1;
+        self.ledger.close_on_archive(problem.external_cost());
     }
     fn into_result(self: Box<Self>) -> OptResult {
-        finish_archive(
-            self.archive,
-            self.generation,
-            self.evaluations,
-            self.history,
-        )
+        self.ledger.finish(None)
     }
 }
 
@@ -247,10 +199,11 @@ mod tests {
         let mut p2 = Schaffer::new();
         let mut e = BayesExplorer::start(&mut p2, 6, 9);
         while !e.should_stop(&p2, &term) {
-            let ExplorerSnapshot::Bayes(snap) = e.snapshot() else {
+            let snap = e.snapshot();
+            let SearchState::Bayes { rng } = snap.state else {
                 unreachable!()
             };
-            e = BayesExplorer::resume(&p2, 6, snap);
+            e = BayesExplorer::resume(&p2, 6, snap.ledger, rng);
             e.step(&mut p2);
         }
         let resumed = Box::new(e).into_result();

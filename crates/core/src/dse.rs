@@ -26,7 +26,8 @@ use crate::space::ParameterSpace;
 use dovado_eda::{EvalStore, FaultKind};
 use dovado_moo::{
     AnnealingExplorer, ExhaustiveExplorer, Explorer as EngineExplorer, ExplorerSnapshot,
-    Individual, Nsga2Config, Nsga2Explorer, OptResult, RandomExplorer, Termination, WsgaExplorer,
+    Individual, Nsga2Config, Nsga2Explorer, OptResult, RandomExplorer, SearchState, Termination,
+    WsgaExplorer,
 };
 use dovado_surrogate::{Dataset, Kernel, SurrogateController, ThresholdPolicy};
 use std::fs;
@@ -43,7 +44,12 @@ const RACE_GENERATIONS: u32 = 3;
 const RACE_POP: usize = 8;
 
 /// Candidate set raced by `--explorer auto`, in canonical order.
-const RACE_CANDIDATES: [&str; 4] = ["nsga2", "random", "sa", "bayes"];
+const RACE_CANDIDATES: [Explorer; 4] = [
+    Explorer::Nsga2,
+    Explorer::RandomSearch,
+    Explorer::SimulatedAnnealing,
+    Explorer::Bayes,
+];
 
 /// Which exploration strategy drives the search.
 ///
@@ -94,8 +100,9 @@ impl Explorer {
         }
     }
 
-    /// Parses a CLI `--explorer` token (aliases included); `None` for an
-    /// unknown token.
+    /// Parses a CLI `--explorer` token (aliases included) or a journaled
+    /// selection's [`Explorer::canonical_name`]; `None` for an unknown
+    /// token.
     pub fn parse_token(token: &str) -> Option<Explorer> {
         Some(match token {
             "nsga2" => Explorer::Nsga2,
@@ -105,23 +112,6 @@ impl Explorer {
             "sa" | "annealing" => Explorer::SimulatedAnnealing,
             "bayes" => Explorer::Bayes,
             "auto" => Explorer::Auto,
-            _ => return None,
-        })
-    }
-
-    /// The concrete explorer a journaled selection name maps back to.
-    /// Names are the [`Explorer::canonical_name`]s of non-`Auto`
-    /// variants; `None` for anything else.
-    fn of_selection_name(name: &str) -> Option<Explorer> {
-        Some(match name {
-            "nsga2" => Explorer::Nsga2,
-            "random" => Explorer::RandomSearch,
-            "wsga" => Explorer::WeightedSum(None),
-            "exhaustive" => Explorer::Exhaustive {
-                limit: EXHAUSTIVE_AUTO_LIMIT,
-            },
-            "sa" => Explorer::SimulatedAnnealing,
-            "bayes" => Explorer::Bayes,
             _ => return None,
         })
     }
@@ -508,31 +498,48 @@ impl Dovado {
         snap: ExplorerSnapshot,
     ) -> DovadoResult<Box<dyn EngineExplorer>> {
         let batch = cfg.algorithm.pop_size;
-        Ok(match (kind, snap) {
-            (Explorer::Nsga2, ExplorerSnapshot::Nsga2(s)) => {
-                Box::new(Nsga2Explorer::resume(problem, &cfg.algorithm, s))
+        let ExplorerSnapshot { ledger, state } = snap;
+        Ok(match (kind, state) {
+            (Explorer::Nsga2, SearchState::Nsga2 { rng, population }) => Box::new(
+                Nsga2Explorer::resume(problem, &cfg.algorithm, ledger, rng, population),
+            ),
+            (Explorer::RandomSearch, SearchState::Random { rng }) => {
+                Box::new(RandomExplorer::resume(problem, batch, ledger, rng))
             }
-            (Explorer::RandomSearch, ExplorerSnapshot::Random(s)) => {
-                Box::new(RandomExplorer::resume(problem, batch, s))
-            }
-            (Explorer::WeightedSum(weights), ExplorerSnapshot::WeightedSum(s)) => {
+            (Explorer::WeightedSum(weights), SearchState::WeightedSum { rng, population }) => {
                 let w = Self::resolve_weights(weights.as_deref(), cfg.metrics.len())?;
-                Box::new(WsgaExplorer::resume(problem, w, batch, s))
+                Box::new(WsgaExplorer::resume(
+                    problem, w, batch, ledger, rng, population,
+                ))
             }
-            (Explorer::Exhaustive { .. }, ExplorerSnapshot::Exhaustive(s)) => {
-                Box::new(ExhaustiveExplorer::resume(problem, batch, s))
+            (Explorer::Exhaustive { .. }, SearchState::Exhaustive { cursor }) => {
+                Box::new(ExhaustiveExplorer::resume(problem, batch, ledger, cursor))
             }
-            (Explorer::SimulatedAnnealing, ExplorerSnapshot::Annealing(s)) => {
-                Box::new(AnnealingExplorer::resume(problem, batch, s))
-            }
-            (Explorer::Bayes, ExplorerSnapshot::Bayes(s)) => {
-                Box::new(crate::bayes::BayesExplorer::resume(problem, batch, s))
-            }
-            (kind, snap) => {
+            (
+                Explorer::SimulatedAnnealing,
+                SearchState::Annealing {
+                    rng,
+                    current,
+                    energy,
+                    temperature,
+                },
+            ) => Box::new(AnnealingExplorer::resume(
+                problem,
+                batch,
+                ledger,
+                rng,
+                current,
+                energy,
+                temperature,
+            )),
+            (Explorer::Bayes, SearchState::Bayes { rng }) => Box::new(
+                crate::bayes::BayesExplorer::resume(problem, batch, ledger, rng),
+            ),
+            (kind, state) => {
                 return Err(DovadoError::Config(format!(
                     "journal holds `{}` explorer state but the configuration asks for \
                      `{}`; refusing to resume",
-                    snap.kind(),
+                    state.kind(),
                     kind.canonical_name()
                 )))
             }
@@ -627,34 +634,28 @@ impl Dovado {
         }
 
         let probe = evaluator.probe_with_step(FlowStep::Synthesis);
-        let race_cfg = Nsga2Config {
-            pop_size: RACE_POP,
-            ..cfg.algorithm.clone()
+        let race_cfg = DseConfig {
+            algorithm: Nsga2Config {
+                pop_size: RACE_POP,
+                ..cfg.algorithm.clone()
+            },
+            ..cfg.clone()
         };
         let term = Termination::Generations(RACE_GENERATIONS);
         let mut legs: Vec<(&'static str, u64, Vec<Vec<Individual>>)> = Vec::new();
-        for name in RACE_CANDIDATES {
+        for candidate in &RACE_CANDIDATES {
             // Each leg gets a fresh problem over the shared probe
             // evaluator (serial schedule: the race is always bitwise,
             // whatever `--jobs`/`--workers` the main run uses).
             let mut p =
                 DseProblem::new(probe.clone(), self.space.clone(), cfg.metrics.clone(), None)?;
-            let mut engine: Box<dyn EngineExplorer> = match name {
-                "nsga2" => Box::new(Nsga2Explorer::start(&mut p, &race_cfg)),
-                "random" => Box::new(RandomExplorer::start(&p, RACE_POP, race_cfg.seed)),
-                "sa" => Box::new(AnnealingExplorer::start(&mut p, RACE_POP, race_cfg.seed)),
-                _ => Box::new(crate::bayes::BayesExplorer::start(
-                    &mut p,
-                    RACE_POP,
-                    race_cfg.seed,
-                )),
-            };
+            let mut engine = self.build_explorer(candidate, &race_cfg, &mut p)?;
             let mut fronts = vec![engine.front()];
             while !engine.should_stop(&p, &term) {
                 engine.step(&mut p);
                 fronts.push(engine.front());
             }
-            legs.push((name, engine.evaluations(), fronts));
+            legs.push((candidate.canonical_name(), engine.evaluations(), fronts));
         }
 
         // One reference point dominated by every probed objective vector
@@ -701,17 +702,15 @@ impl Dovado {
                 best = i;
             }
         }
-        let chosen = candidates[best].name.clone();
-        let kind = Explorer::of_selection_name(&chosen).expect("race candidates are canonical");
         let record = SelectionRecord {
-            explorer: chosen,
+            explorer: candidates[best].name.clone(),
             space_volume,
             objectives,
             lowfi_runs: probe.total_runs(),
             lowfi_time_s: probe.total_tool_time(),
             candidates,
         };
-        Ok((kind, record))
+        Ok((RACE_CANDIDATES[best].clone(), record))
     }
 
     /// The single stepwise driver behind every explorer and both
@@ -846,7 +845,7 @@ impl Dovado {
                         "auto journal carries no selection record; cannot resume".into(),
                     )
                 })?;
-                let kind = Explorer::of_selection_name(&record.explorer).ok_or_else(|| {
+                let kind = Explorer::parse_token(&record.explorer).ok_or_else(|| {
                     DovadoError::Config(format!(
                         "journaled selection names unknown explorer `{}`",
                         record.explorer

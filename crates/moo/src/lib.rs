@@ -35,13 +35,12 @@ pub mod termination;
 pub use benchmarks::{Zdt1, Zdt2, Zdt3};
 pub use crowding::assign_crowding;
 pub use explorer::{
-    run, AnnealingExplorer, AnnealingSnapshot, BayesSnapshot, ExhaustiveExplorer,
-    ExhaustiveSnapshot, Explorer, ExplorerSnapshot, RandomExplorer, RandomSnapshot, WsgaExplorer,
-    WsgaSnapshot,
+    run, AnnealingExplorer, ExhaustiveExplorer, Explorer, ExplorerSnapshot, Ledger, RandomExplorer,
+    SearchState, WsgaExplorer,
 };
 pub use individual::{non_dominated_indices, Individual};
 pub use metrics::{hypervolume, hypervolume_of, igd, spread};
-pub use nsga2::{GenStats, Nsga2Config, Nsga2Explorer, Nsga2Snapshot, OptResult};
+pub use nsga2::{GenStats, Nsga2Config, Nsga2Explorer, OptResult};
 pub use ops::{GaussianIntegerMutation, IntegerSbx};
 pub use problem::{to_min_space, IntVar, Objective, Problem, Schaffer, Sense};
 pub use sorting::fast_non_dominated_sort;

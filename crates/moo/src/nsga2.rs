@@ -9,11 +9,11 @@
 //! crowding-distance truncation.
 
 use crate::crowding::assign_crowding;
-use crate::explorer::{front_of, Explorer, ExplorerSnapshot};
-use crate::individual::{non_dominated_indices, Individual};
+use crate::explorer::{evaluate_genomes, Explorer, Ledger, SearchState};
+use crate::individual::Individual;
 use crate::ops::sampling::random_population;
 use crate::ops::{binary_tournament, dedup_against, GaussianIntegerMutation, IntegerSbx};
-use crate::problem::{to_min_space, Problem};
+use crate::problem::Problem;
 use crate::sorting::fast_non_dominated_sort;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -130,25 +130,6 @@ impl OptResult {
     }
 }
 
-/// A point-in-time image of a running NSGA-II search, sufficient to
-/// rebuild it bitwise via [`Nsga2Explorer::resume`]. This is what the
-/// exploration journal persists at every generation boundary.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Nsga2Snapshot {
-    /// Generations completed so far.
-    pub generation: u32,
-    /// Evaluations spent so far.
-    pub evaluations: u64,
-    /// Raw xoshiro256** state of the engine's RNG.
-    pub rng_state: [u64; 4],
-    /// Current population, in engine order (rank/crowding included).
-    pub population: Vec<Individual>,
-    /// Everything evaluated so far (Pareto source), in insertion order.
-    pub archive: Vec<Individual>,
-    /// Per-generation history so far.
-    pub history: Vec<GenStats>,
-}
-
 /// Stepwise NSGA-II behind the [`Explorer`] seam: the classic loop split
 /// at generation boundaries so callers can interleave snapshotting
 /// (crash-safe journals) or custom control between generations.
@@ -159,11 +140,8 @@ pub struct Nsga2Explorer {
     rng: StdRng,
     vars: Vec<crate::problem::IntVar>,
     objectives: Vec<crate::problem::Objective>,
-    evaluations: u64,
-    archive: Vec<Individual>,
     pop: Vec<Individual>,
-    history: Vec<GenStats>,
-    generation: u32,
+    ledger: Ledger,
 }
 
 impl Nsga2Explorer {
@@ -175,81 +153,53 @@ impl Nsga2Explorer {
             "population must hold at least one mating pair"
         );
         let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let vars = problem.variables().to_vec();
-        let objectives = problem.objectives().to_vec();
-
-        let mut evaluations: u64 = 0;
-        let mut archive: Vec<Individual> = Vec::new();
-
         // Initial population: integer random sampling.
-        let genomes = random_population(&vars, cfg.pop_size, &mut rng);
-        let raws = problem.evaluate_batch(&genomes);
-        evaluations += genomes.len() as u64;
-        let mut pop: Vec<Individual> = genomes
-            .into_iter()
-            .zip(raws)
-            .map(|(g, raw)| {
-                let min_objs = to_min_space(&objectives, &raw);
-                Individual::new(g, raw, min_objs)
-            })
-            .collect();
-        archive.extend(pop.iter().cloned());
+        let genomes = random_population(problem.variables(), cfg.pop_size, &mut rng);
+        let objectives = problem.objectives().to_vec();
+        let mut pop = evaluate_genomes(problem, &objectives, genomes);
+        let mut ledger = Ledger::default();
+        ledger.record(&pop);
 
         let fronts = fast_non_dominated_sort(&mut pop);
         for f in &fronts {
             assign_crowding(&mut pop, f);
         }
-
-        let history = vec![GenStats {
-            generation: 0,
-            evaluations,
-            front_size: fronts.first().map_or(0, Vec::len),
-            external_cost: problem.external_cost(),
-        }];
-
-        Nsga2Explorer {
-            cfg: cfg.clone(),
-            rng,
-            vars,
-            objectives,
-            evaluations,
-            archive,
-            pop,
-            history,
-            generation: 0,
-        }
+        ledger.close(fronts.first().map_or(0, Vec::len), problem.external_cost());
+        Self::resume(&*problem, cfg, ledger, rng.state(), pop)
     }
 
-    /// Rebuilds the search mid-run from a journal snapshot. The problem
-    /// supplies variables/objectives (they are derived state, not part of
-    /// the snapshot); everything else — including the RNG stream position —
-    /// continues exactly where the snapshot was taken.
-    pub fn resume(problem: &dyn Problem, cfg: &Nsga2Config, snap: Nsga2Snapshot) -> Nsga2Explorer {
+    /// Rebuilds the search mid-run from a journaled ledger, RNG state and
+    /// population. The problem supplies variables/objectives (they are
+    /// derived state, not journaled); everything else — including the RNG
+    /// stream position — continues exactly where the snapshot was taken.
+    pub fn resume(
+        problem: &dyn Problem,
+        cfg: &Nsga2Config,
+        ledger: Ledger,
+        rng: [u64; 4],
+        population: Vec<Individual>,
+    ) -> Nsga2Explorer {
         Nsga2Explorer {
             cfg: cfg.clone(),
-            rng: StdRng::from_state(snap.rng_state),
+            rng: StdRng::from_state(rng),
             vars: problem.variables().to_vec(),
             objectives: problem.objectives().to_vec(),
-            evaluations: snap.evaluations,
-            archive: snap.archive,
-            pop: snap.population,
-            history: snap.history,
-            generation: snap.generation,
+            pop: population,
+            ledger,
         }
     }
 }
 
 impl Explorer for Nsga2Explorer {
-    fn name(&self) -> &'static str {
-        "nsga2"
+    fn ledger(&self) -> &Ledger {
+        &self.ledger
     }
 
-    fn generation(&self) -> u32 {
-        self.generation
-    }
-
-    fn evaluations(&self) -> u64 {
-        self.evaluations
+    fn state(&self) -> SearchState {
+        SearchState::Nsga2 {
+            rng: self.rng.state(),
+            population: self.pop.clone(),
+        }
     }
 
     /// Runs one full generation: variation → evaluation → (μ+λ) survival.
@@ -257,7 +207,6 @@ impl Explorer for Nsga2Explorer {
         let cfg = &self.cfg;
         let vars = &self.vars;
         let rng = &mut self.rng;
-        self.generation += 1;
 
         // --- variation ---
         let mut offspring_genomes: Vec<Vec<i64>> = Vec::with_capacity(cfg.pop_size);
@@ -280,17 +229,8 @@ impl Explorer for Nsga2Explorer {
         }
 
         // --- evaluation ---
-        let raws = problem.evaluate_batch(&offspring_genomes);
-        self.evaluations += offspring_genomes.len() as u64;
-        let offspring: Vec<Individual> = offspring_genomes
-            .into_iter()
-            .zip(raws)
-            .map(|(g, raw)| {
-                let min_objs = to_min_space(&self.objectives, &raw);
-                Individual::new(g, raw, min_objs)
-            })
-            .collect();
-        self.archive.extend(offspring.iter().cloned());
+        let offspring = evaluate_genomes(problem, &self.objectives, offspring_genomes);
+        self.ledger.record(&offspring);
 
         // --- (μ+λ) elitist survival ---
         let mut combined = std::mem::take(&mut self.pop);
@@ -353,57 +293,20 @@ impl Explorer for Nsga2Explorer {
             assign_crowding(&mut self.pop, f);
         }
 
-        self.history.push(GenStats {
-            generation: self.generation,
-            evaluations: self.evaluations,
-            front_size: fronts.first().map_or(0, Vec::len),
-            external_cost: problem.external_cost(),
-        });
+        self.ledger.generation += 1;
+        self.ledger
+            .close(fronts.first().map_or(0, Vec::len), problem.external_cost());
     }
 
-    fn snapshot_tail(&self, archive_from: usize, history_from: usize) -> ExplorerSnapshot {
-        ExplorerSnapshot::Nsga2(Nsga2Snapshot {
-            generation: self.generation,
-            evaluations: self.evaluations,
-            rng_state: self.rng.state(),
-            population: self.pop.clone(),
-            archive: self.archive[archive_from..].to_vec(),
-            history: self.history[history_from..].to_vec(),
-        })
-    }
-
-    fn front(&self) -> Vec<Individual> {
-        front_of(&self.archive)
-    }
-
-    /// Finalizes the run: archive → deduplicated Pareto front.
     fn into_result(self: Box<Self>) -> OptResult {
-        let pareto_idx = non_dominated_indices(&self.archive);
-        let mut pareto: Vec<Individual> = pareto_idx
-            .into_iter()
-            .map(|i| self.archive[i].clone())
-            .collect();
-        // Deduplicate identical genomes.
-        pareto.sort_by(|a, b| a.genome.cmp(&b.genome));
-        pareto.dedup_by(|a, b| a.genome == b.genome);
-        for p in &mut pareto {
-            p.rank = 0;
-        }
-
-        OptResult {
-            population: self.pop,
-            pareto,
-            generations: self.generation,
-            evaluations: self.evaluations,
-            history: self.history,
-        }
+        self.ledger.finish(Some(self.pop))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explorer::run;
+    use crate::explorer::{run, ExplorerSnapshot};
     use crate::problem::{IntVar, Objective, Schaffer};
     use crate::termination::Termination;
 
@@ -472,10 +375,14 @@ mod tests {
         let term = Termination::Generations(12);
         let mut engine = Nsga2Explorer::start(&mut p2, &cfg);
         while !engine.should_stop(&p2, &term) {
-            let ExplorerSnapshot::Nsga2(snap) = engine.snapshot() else {
+            let ExplorerSnapshot {
+                ledger,
+                state: SearchState::Nsga2 { rng, population },
+            } = engine.snapshot()
+            else {
                 unreachable!("NSGA-II snapshots are tagged Nsga2")
             };
-            engine = Nsga2Explorer::resume(&p2, &cfg, snap);
+            engine = Nsga2Explorer::resume(&p2, &cfg, ledger, rng, population);
             engine.step(&mut p2);
         }
         let resumed = Box::new(engine).into_result();
