@@ -14,6 +14,12 @@
 
 use std::fmt::Write as _;
 
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts. The
+/// deepest message the protocol sends nests 4 levels; the cap keeps a
+/// hostile line from overflowing the reading thread's stack, since the
+/// parser recurses once per level.
+const MAX_DEPTH: usize = 64;
+
 /// One parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -32,12 +38,12 @@ pub enum Json {
 }
 
 impl Json {
-    /// Parses one complete JSON value; `None` on any syntax error or
-    /// trailing garbage.
+    /// Parses one complete JSON value; `None` on any syntax error,
+    /// trailing garbage, or nesting deeper than 64 levels.
     pub fn parse(text: &str) -> Option<Json> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return None;
@@ -141,11 +147,13 @@ fn eat(bytes: &[u8], pos: &mut usize, b: u8) -> Option<()> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Option<Json> {
+/// One value inside `depth` open arrays and objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Option<Json> {
     skip_ws(bytes, pos);
     match bytes.get(*pos)? {
-        b'{' => parse_object(bytes, pos),
-        b'[' => parse_array(bytes, pos),
+        b'{' | b'[' if depth == MAX_DEPTH => None,
+        b'{' => parse_object(bytes, pos, depth + 1),
+        b'[' => parse_array(bytes, pos, depth + 1),
         b'"' => parse_string(bytes, pos).map(Json::Str),
         b't' => parse_literal(bytes, pos, b"true", Json::Bool(true)),
         b'f' => parse_literal(bytes, pos, b"false", Json::Bool(false)),
@@ -227,7 +235,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Option<String> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Option<Json> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Option<Json> {
     eat(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -236,7 +244,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Option<Json> {
         return Some(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos)? {
             b',' => *pos += 1,
@@ -249,7 +257,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Option<Json> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Option<Json> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Option<Json> {
     eat(bytes, pos, b'{')?;
     let mut fields = Vec::new();
     skip_ws(bytes, pos);
@@ -261,7 +269,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Option<Json> {
         skip_ws(bytes, pos);
         let key = parse_string(bytes, pos)?;
         eat(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         fields.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos)? {
@@ -330,6 +338,19 @@ mod tests {
         assert_eq!(Json::parse("0").unwrap().as_u64(), Some(0));
         assert_eq!(Json::parse("1.5").unwrap().as_u64(), None);
         assert_eq!(Json::parse("-3").unwrap().as_u64(), None);
+    }
+
+    #[test]
+    fn nesting_deeper_than_the_cap_is_refused() {
+        let arrays = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        let objects = |n: usize| "{\"k\":".repeat(n) + "1" + &"}".repeat(n);
+        assert!(Json::parse(&arrays(MAX_DEPTH)).is_some());
+        assert!(Json::parse(&arrays(MAX_DEPTH + 1)).is_none());
+        assert!(Json::parse(&objects(MAX_DEPTH)).is_some());
+        assert!(Json::parse(&objects(MAX_DEPTH + 1)).is_none());
+        // Far past the cap the parser refuses without recursing that deep.
+        assert!(Json::parse(&"[".repeat(20_000)).is_none());
+        assert!(Json::parse(&arrays(20_000)).is_none());
     }
 
     #[test]

@@ -399,6 +399,23 @@ fn malformed_jobs_fail_and_free_their_slot() {
 }
 
 #[test]
+fn deeply_nested_request_is_refused_and_the_connection_keeps_serving() {
+    let mut server = Server::start(ServeConfig::default()).unwrap();
+    let mut client = connect(&server, "mallory");
+    // One 20,000-deep line would overflow a recursive parser's stack and
+    // abort the daemon with every tenant's job; it must read as invalid.
+    client.send_line(&"[".repeat(20_000)).unwrap();
+    let reply = client
+        .read_line()
+        .unwrap()
+        .expect("a reply, not a dead daemon");
+    assert_eq!(reply, r#"{"ok":false,"error":"request is not valid JSON"}"#);
+    let status = client.status().expect("the same connection keeps serving");
+    assert_eq!(status.get("ok").and_then(Json::as_bool), Some(true));
+    server.shutdown();
+}
+
+#[test]
 fn reconnect_attaches_and_replays_the_stream() {
     let mut server = Server::start(ServeConfig::default()).unwrap();
     let spec = fifo_spec(17, 4, false);
