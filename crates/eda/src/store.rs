@@ -20,10 +20,9 @@
 //! A store may be opened with a **capacity bound**
 //! ([`EvalStore::open_bounded`]): once the bound is exceeded, the
 //! least-recently-touched entries are evicted (ties broken by key hex, so
-//! eviction order is deterministic). [`EvalStore::compact`] walks the whole
-//! store in one pass — deleting `.tmp` debris and corrupt entries,
-//! migrating legacy unsharded entries into their shards, and re-enforcing
-//! the capacity bound.
+//! eviction order is deterministic). [`EvalStore::compact`] walks every
+//! shard in one pass — deleting `.tmp` debris and corrupt entries and
+//! re-enforcing the capacity bound.
 //!
 //! The governing invariant for every one of those operations: **removing an
 //! entry can only ever produce a future miss, never a wrong answer.**
@@ -176,8 +175,6 @@ pub struct CompactStats {
     pub removed_corrupt: usize,
     /// Stray `.tmp` files (crash debris) deleted.
     pub removed_debris: usize,
-    /// Legacy unsharded entries moved into their shard directory.
-    pub migrated: usize,
     /// Valid entries evicted to re-enforce the capacity bound.
     pub evicted: usize,
 }
@@ -355,20 +352,11 @@ impl EvalStore {
         self.shard_dir(&hex).join(format!("{hex}.entry"))
     }
 
-    /// The pre-sharding (flat) path of an entry: where a store written by
-    /// an older layout would hold it. `get` falls back to this path and
-    /// migrates the entry into its shard.
-    fn legacy_entry_path(&self, hex: &str) -> PathBuf {
-        self.dir.join(format!("{hex}.entry"))
-    }
-
     /// Looks up `key`, returning the stored payload on a clean hit.
     ///
     /// A missing file is a miss. A file that fails version or checksum
     /// validation is *also* a miss — and is deleted so the slot heals on
-    /// the next `put` instead of failing validation forever. A valid
-    /// entry found at the legacy unsharded path is served and migrated
-    /// into its shard.
+    /// the next `put` instead of failing validation forever.
     pub fn get(&self, key: &EvalKey) -> Option<String> {
         let hex = key.hex();
         let path = self.entry_path(key);
@@ -378,22 +366,7 @@ impl EvalStore {
                 let _ = fs::remove_file(&path);
                 None
             }
-            // Legacy flat layout: serve and migrate into the shard.
-            ReadOutcome::Absent => {
-                let legacy = self.legacy_entry_path(&hex);
-                match read_valid_entry(&legacy) {
-                    ReadOutcome::Valid(payload) => {
-                        let _ = fs::create_dir_all(self.shard_dir(&hex));
-                        let _ = fs::rename(&legacy, &path);
-                        Some(payload)
-                    }
-                    ReadOutcome::Corrupt => {
-                        let _ = fs::remove_file(&legacy);
-                        None
-                    }
-                    ReadOutcome::Absent => None,
-                }
-            }
+            ReadOutcome::Absent => None,
         };
         if let Some(mut index) = self.recency() {
             match found {
@@ -431,7 +404,6 @@ impl EvalStore {
         while index.len() > cap {
             let Some(hex) = index.coldest() else { break };
             let _ = fs::remove_file(self.shard_dir(&hex).join(format!("{hex}.entry")));
-            let _ = fs::remove_file(self.legacy_entry_path(&hex));
             index.forget(&hex);
             evicted.push(hex);
         }
@@ -458,7 +430,6 @@ impl EvalStore {
     ///   writes),
     /// * deletes entries that fail envelope validation (they could only
     ///   ever read as misses),
-    /// * migrates valid legacy unsharded entries into their shards,
     /// * for a bounded store, rebuilds this handle's recency index from
     ///   the surviving entries (preserving known recency, discovering
     ///   foreign writes) and re-enforces the capacity bound, evicting
@@ -477,16 +448,7 @@ impl EvalStore {
                     stats.removed_debris += 1;
                 }
                 ScannedFile::Entry(hex) => match read_valid_entry(&path) {
-                    ReadOutcome::Valid(_) => {
-                        let sharded = self.shard_dir(&hex).join(format!("{hex}.entry"));
-                        if path != sharded {
-                            fs::create_dir_all(self.shard_dir(&hex))?;
-                            if fs::rename(&path, &sharded).is_ok() {
-                                stats.migrated += 1;
-                            }
-                        }
-                        valid.push(hex);
-                    }
+                    ReadOutcome::Valid(_) => valid.push(hex),
                     ReadOutcome::Corrupt => {
                         let _ = fs::remove_file(&path);
                         stats.removed_corrupt += 1;
@@ -512,8 +474,8 @@ impl EvalStore {
         Ok(stats)
     }
 
-    /// Number of valid-looking entry files currently on disk (root and
-    /// all shards).
+    /// Number of valid-looking entry files currently on disk (all
+    /// shards).
     pub fn len(&self) -> usize {
         self.scan_entries().len()
     }
@@ -523,7 +485,7 @@ impl EvalStore {
         self.len() == 0
     }
 
-    /// All `.entry` files on disk as `(hex, path)`, root and shards.
+    /// All `.entry` files on disk as `(hex, path)`.
     fn scan_entries(&self) -> Vec<(String, PathBuf)> {
         self.scan_files()
             .unwrap_or_default()
@@ -535,12 +497,18 @@ impl EvalStore {
             .collect()
     }
 
-    /// Walks the store directory one level deep (root files + shard
-    /// directories), classifying each file as an entry or `.tmp` debris.
+    /// Walks every shard directory, classifying each file as an entry or
+    /// `.tmp` debris.
     fn scan_files(&self) -> io::Result<Vec<(ScannedFile, PathBuf)>> {
         let mut out = Vec::new();
-        let visit_dir = |dir: &Path, out: &mut Vec<(ScannedFile, PathBuf)>| {
-            let Ok(rd) = fs::read_dir(dir) else { return };
+        for shard in fs::read_dir(&self.dir)?.filter_map(Result::ok) {
+            let shard = shard.path();
+            if !(shard.is_dir() && is_shard_dir_name(&shard)) {
+                continue;
+            }
+            let Ok(rd) = fs::read_dir(&shard) else {
+                continue;
+            };
             for entry in rd.filter_map(Result::ok) {
                 let path = entry.path();
                 if path.is_dir() {
@@ -549,14 +517,6 @@ impl EvalStore {
                 if let Some(f) = classify_file(&path) {
                     out.push((f, path));
                 }
-            }
-        };
-        visit_dir(&self.dir, &mut out);
-        let rd = fs::read_dir(&self.dir)?;
-        for entry in rd.filter_map(Result::ok) {
-            let path = entry.path();
-            if path.is_dir() && is_shard_dir_name(&path) {
-                visit_dir(&path, &mut out);
             }
         }
         Ok(out)
@@ -664,21 +624,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_flat_entries_are_served_and_migrated() {
-        let dir = tmpdir("legacy");
-        let store = EvalStore::open(&dir).unwrap();
-        let key = EvalKey::from_parts(&["old"]);
-        // Simulate a pre-sharding store: entry at the flat root path.
-        let text = encode_checked(ENTRY_TAG, STORE_FORMAT_VERSION, "vintage");
-        fs::write(dir.join(format!("{}.entry", key.hex())), text).unwrap();
-        assert_eq!(store.get(&key).unwrap(), "vintage");
-        // Migrated into the shard; the flat path is gone.
-        assert!(store.entry_path(&key).exists());
-        assert!(!dir.join(format!("{}.entry", key.hex())).exists());
-        assert_eq!(store.get(&key).unwrap(), "vintage");
-    }
-
-    #[test]
     fn truncation_is_a_miss() {
         let store = EvalStore::open(&tmpdir("trunc")).unwrap();
         let key = EvalKey::from_parts(&["x"]);
@@ -779,7 +724,7 @@ mod tests {
     }
 
     #[test]
-    fn compact_removes_debris_and_corruption_and_migrates() {
+    fn compact_removes_debris_and_corruption() {
         let dir = tmpdir("compact");
         let store = EvalStore::open(&dir).unwrap();
         let good = EvalKey::from_parts(&["good"]);
@@ -789,28 +734,22 @@ mod tests {
         // Corrupt one entry in place.
         let bad_path = store.entry_path(&bad);
         fs::write(&bad_path, "garbage").unwrap();
-        // Crash debris in the root and in a shard.
-        fs::write(dir.join("stale.0.0.tmp"), "half-written").unwrap();
+        // Crash debris in two shards.
+        fs::write(bad_path.with_file_name("stale.0.0.tmp"), "half-written").unwrap();
         fs::write(
             store.entry_path(&good).parent().unwrap().join("x.1.2.tmp"),
             "more",
         )
         .unwrap();
-        // A valid legacy flat entry.
-        let old = EvalKey::from_parts(&["old"]);
-        let text = encode_checked(ENTRY_TAG, STORE_FORMAT_VERSION, "vintage");
-        fs::write(dir.join(format!("{}.entry", old.hex())), text).unwrap();
 
         let stats = store.compact().unwrap();
         assert_eq!(stats.removed_corrupt, 1);
         assert_eq!(stats.removed_debris, 2);
-        assert_eq!(stats.migrated, 1);
         assert_eq!(stats.evicted, 0);
-        assert_eq!(stats.retained, 2);
+        assert_eq!(stats.retained, 1);
         assert!(!bad_path.exists());
         assert_eq!(store.get(&good).unwrap(), "kept");
-        assert_eq!(store.get(&old).unwrap(), "vintage");
-        assert_eq!(store.len(), 2);
+        assert_eq!(store.len(), 1);
     }
 
     #[test]

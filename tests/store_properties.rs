@@ -155,40 +155,6 @@ proptest! {
         prop_assert_eq!(bits_of(&healed), bits_of(&e));
     }
 
-    /// A store whose entries sit in the legacy flat (unsharded) layout
-    /// answers bitwise-identically to the sharded layout, and every
-    /// flat entry a lookup touches is migrated into its shard.
-    #[test]
-    fn legacy_flat_entries_read_bitwise_equal_to_sharded(seed in 0u64..200) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let dir = store_dir("flat", seed);
-        let store = EvalStore::open(&dir).unwrap();
-        let mut written = Vec::new();
-        for i in 0..4u64 {
-            let key = EvalKey::from_parts(&["flat", &seed.to_string(), &i.to_string()]);
-            let payload = encode_evaluation(&arbitrary_evaluation(&mut rng));
-            store.put(&key, &payload).unwrap();
-            written.push((key, payload));
-        }
-        // Demote every other entry to the pre-shard flat layout.
-        for (key, _) in written.iter().step_by(2) {
-            let sharded = store.entry_path(key);
-            let flat = dir.join(format!("{}.entry", key.hex()));
-            fs::rename(&sharded, &flat).unwrap();
-        }
-        // A fresh open serves both layouts with identical bytes…
-        let reopened = EvalStore::open(&dir).unwrap();
-        for (key, payload) in &written {
-            let found = reopened.get(key);
-            prop_assert_eq!(found.as_ref(), Some(payload));
-        }
-        // …and the flat entries have been migrated into their shards.
-        for (key, _) in &written {
-            prop_assert!(reopened.entry_path(key).exists());
-            prop_assert!(!dir.join(format!("{}.entry", key.hex())).exists());
-        }
-    }
-
     /// Arbitrary interleavings of puts, gets, compactions, and capacity
     /// evictions over a tightly bounded store: every lookup is either a
     /// miss or the exact latest payload written for that key — never a
