@@ -120,14 +120,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// No retries at all.
-    pub fn no_retries() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        }
-    }
-
     /// Backoff charged after a failed `attempt` (1-based), in simulated
     /// seconds.
     pub fn backoff_s(&self, attempt: u32) -> f64 {

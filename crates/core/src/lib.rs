@@ -66,12 +66,12 @@ pub use fitness::{DseProblem, FitnessStats};
 pub use flow::{EvalConfig, FlowStep, HdlSource, RetryPolicy};
 pub use metrics::{fmax_mhz, Evaluation, Metric, MetricSet};
 pub use obs::{
-    fold_totals, write_jsonl, CandidateScore, EventBus, EventKey, EventSink, MemorySink, ObsEvent,
-    SpineSnapshot, Totals, EVENT_SCHEMA_VERSION,
+    fold_totals, write_jsonl, CandidateScore, EventBus, EventKey, ObsEvent, SpineSnapshot, Totals,
+    EVENT_SCHEMA_VERSION,
 };
 pub use persist::{PersistConfig, JOURNAL_FORMAT_VERSION};
 pub use point::DesignPoint;
 pub use results::{ascii_scatter, point_label, DseReport, ParetoEntry, PointResult};
 pub use serve::{ServeConfig, Server};
 pub use space::{Domain, FreeParameter, ParameterSpace};
-pub use trace::{AttemptOutcome, FlowEvent, FlowTrace, TraceSummary};
+pub use trace::{AttemptOutcome, FlowEvent, TraceSummary};

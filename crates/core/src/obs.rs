@@ -426,32 +426,6 @@ impl EventBus {
     }
 }
 
-/// A consumer of canonically-ordered events.
-pub trait EventSink {
-    /// Receives one event; [`replay`] calls this in canonical order.
-    fn event(&mut self, key: EventKey, event: &ObsEvent);
-}
-
-/// Replays a snapshot into a sink in canonical key order.
-pub fn replay(snapshot: &SpineSnapshot, sink: &mut dyn EventSink) {
-    for (key, event) in &snapshot.events {
-        sink.event(*key, event);
-    }
-}
-
-/// In-memory sink for tests.
-#[derive(Debug, Default)]
-pub struct MemorySink {
-    /// Events received, in replay order.
-    pub received: Vec<(EventKey, ObsEvent)>,
-}
-
-impl EventSink for MemorySink {
-    fn event(&mut self, key: EventKey, event: &ObsEvent) {
-        self.received.push((key, event.clone()));
-    }
-}
-
 fn step_name(step: FlowStep) -> &'static str {
     match step {
         FlowStep::Synthesis => "synthesis",
@@ -691,6 +665,23 @@ mod tests {
             AttemptOutcome::TransientFailure("x".into()),
         ));
         bus.emit_next(attempt("DEPTH=8", 2, AttemptOutcome::Success));
+        bus.emit_next(attempt(
+            "DEPTH=4",
+            1,
+            AttemptOutcome::PermanentFailure("overflow".into()),
+        ));
+        // Cache hits count on success only: a cached failure is nonsense
+        // and must not count.
+        for outcome in [
+            AttemptOutcome::Success,
+            AttemptOutcome::TransientFailure("y".into()),
+        ] {
+            let ObsEvent::Attempt(mut cached) = attempt("DEPTH=2", 1, outcome) else {
+                unreachable!()
+            };
+            cached.cached = true;
+            bus.emit_next(ObsEvent::Attempt(cached));
+        }
         bus.emit_next(ObsEvent::StoreHit {
             point: "DEPTH=16".into(),
         });
@@ -698,21 +689,27 @@ mod tests {
         let snap = bus.snapshot();
         let folded = fold_totals(snap.events.iter().map(|(_, e)| e));
         assert_eq!(bus.totals(), folded);
-        assert_eq!(folded.summary.attempts, 2);
+        assert_eq!(folded.summary.attempts, 5);
         assert_eq!(folded.summary.retries, 1);
+        assert_eq!(folded.summary.transient_failures, 2);
+        assert_eq!(folded.summary.permanent_failures, 1);
+        assert_eq!(folded.summary.cache_hits, 1);
+        assert_eq!(folded.summary.backoff_s, 30.0);
         assert_eq!(folded.summary.store_hits, 1);
-        assert_eq!(folded.runs, 1);
-        assert_eq!(folded.tool_time_s, 10.0 + 10.0 + 30.0 + 5.0);
+        assert_eq!(folded.runs, 2);
+        assert_eq!(folded.tool_time_s, 5.0 * 10.0 + 30.0 + 5.0);
     }
 
     #[test]
     fn cap_keeps_the_canonical_prefix() {
         let bus = EventBus::new();
-        // Emit in *reverse* key order: retention must still keep the
-        // lowest keys, not the earliest arrivals.
+        // Emit through a clone, which shares storage, in *reverse* key
+        // order: retention must still keep the lowest keys, not the
+        // earliest arrivals.
+        let clone = bus.clone();
         let n = MAX_RETAINED_EVENTS as u64 + 50;
         for seq in (0..n).rev() {
-            bus.emit(
+            clone.emit(
                 EventKey { seq, sub: 1 },
                 attempt("DEPTH=8", 1, AttemptOutcome::Success),
             );
@@ -725,23 +722,6 @@ mod tests {
             MAX_RETAINED_EVENTS as u64 - 1
         );
         assert_eq!(snap.summary.attempts, n);
-    }
-
-    #[test]
-    fn replay_feeds_sinks_in_key_order() {
-        let bus = EventBus::new();
-        bus.emit(
-            EventKey { seq: 3, sub: 0 },
-            ObsEvent::TimeCharged { seconds: 1.0 },
-        );
-        bus.emit(
-            EventKey { seq: 1, sub: 0 },
-            ObsEvent::TimeCharged { seconds: 2.0 },
-        );
-        let mut sink = MemorySink::default();
-        replay(&bus.snapshot(), &mut sink);
-        let seqs: Vec<u64> = sink.received.iter().map(|(k, _)| k.seq).collect();
-        assert_eq!(seqs, vec![1, 3]);
     }
 
     #[test]

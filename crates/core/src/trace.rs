@@ -8,7 +8,6 @@
 //! the CLI's explore command.
 
 use crate::flow::FlowStep;
-use crate::obs::{EventBus, EventKey, ObsEvent};
 use std::fmt;
 
 /// How one evaluation attempt ended.
@@ -112,71 +111,6 @@ impl fmt::Display for TraceSummary {
     }
 }
 
-/// Thin adapter over the observability spine that keeps the historical
-/// per-attempt trace API.
-///
-/// `FlowTrace` no longer owns any counters: every `push` emits an
-/// [`ObsEvent::Attempt`] on its [`EventBus`], and the summary is the
-/// bus's folded totals. Clones share storage (the evaluator is `Clone`
-/// and evaluations run in parallel); counters are exact over the whole
-/// run even after old events are dropped by the retention cap.
-#[derive(Clone, Default)]
-pub struct FlowTrace {
-    bus: EventBus,
-}
-
-impl FlowTrace {
-    /// Creates an empty trace over a fresh bus.
-    pub fn new() -> FlowTrace {
-        FlowTrace::default()
-    }
-
-    /// Creates a view over an existing bus.
-    pub fn with_bus(bus: EventBus) -> FlowTrace {
-        FlowTrace { bus }
-    }
-
-    /// The underlying event bus.
-    pub fn bus(&self) -> &EventBus {
-        &self.bus
-    }
-
-    /// Emits the attempt on the spine (its key is the next serial
-    /// sequence number, sub-ordered by attempt number).
-    pub fn push(&self, event: FlowEvent) {
-        let key = EventKey {
-            seq: self.bus.alloc(1),
-            sub: event.attempt,
-        };
-        self.bus.emit(key, ObsEvent::Attempt(event));
-    }
-
-    /// Counts one evaluation served from the persistent store (no tool
-    /// attempt happens, so this is tracked outside [`FlowTrace::push`]).
-    pub fn record_store_hit(&self) {
-        self.bus.emit_next(ObsEvent::StoreHit {
-            point: String::new(),
-        });
-    }
-
-    /// Snapshot of the retained attempt events (canonical order).
-    pub fn events(&self) -> Vec<FlowEvent> {
-        self.bus
-            .events()
-            .into_iter()
-            .filter_map(|(_, event)| match event {
-                ObsEvent::Attempt(e) => Some(e),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Exact whole-run counters, folded from the event stream.
-    pub fn summary(&self) -> TraceSummary {
-        self.bus.totals().summary
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,48 +126,6 @@ mod tests {
             incremental: true,
             cached: false,
         }
-    }
-
-    #[test]
-    fn summary_counts_outcomes() {
-        let trace = FlowTrace::new();
-        trace.push(event(1, AttemptOutcome::TransientFailure("crash".into())));
-        trace.push(event(2, AttemptOutcome::Success));
-        trace.push(event(
-            1,
-            AttemptOutcome::PermanentFailure("overflow".into()),
-        ));
-        let s = trace.summary();
-        assert_eq!(s.attempts, 3);
-        assert_eq!(s.retries, 1);
-        assert_eq!(s.transient_failures, 1);
-        assert_eq!(s.permanent_failures, 1);
-        assert_eq!(s.backoff_s, 30.0);
-        assert_eq!(trace.events().len(), 3);
-    }
-
-    #[test]
-    fn cache_hits_counted_on_success_only() {
-        let trace = FlowTrace::new();
-        let mut e = event(1, AttemptOutcome::Success);
-        e.cached = true;
-        trace.push(e);
-        let mut e = event(1, AttemptOutcome::TransientFailure("x".into()));
-        e.cached = true; // nonsensical, must not count
-        trace.push(e);
-        assert_eq!(trace.summary().cache_hits, 1);
-    }
-
-    #[test]
-    fn clones_share_storage_and_cap_holds() {
-        use crate::obs::MAX_RETAINED_EVENTS;
-        let trace = FlowTrace::new();
-        let clone = trace.clone();
-        for _ in 0..(MAX_RETAINED_EVENTS + 100) {
-            clone.push(event(1, AttemptOutcome::Success));
-        }
-        assert_eq!(trace.events().len(), MAX_RETAINED_EVENTS);
-        assert_eq!(trace.summary().attempts, (MAX_RETAINED_EVENTS + 100) as u64);
     }
 
     #[test]

@@ -129,11 +129,6 @@ impl ModelRegistry {
         nl.design_hash = ctx.design_hash();
         Ok(nl)
     }
-
-    /// Names of registered models, highest priority first.
-    pub fn model_names(&self) -> Vec<&str> {
-        self.models.iter().map(|m| m.name()).collect()
-    }
 }
 
 impl Default for ModelRegistry {

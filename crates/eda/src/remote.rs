@@ -650,11 +650,6 @@ impl RemoteBackend {
     pub fn kill_worker_before_eval(&self, n: u64) {
         self.fleet.kill_before_eval.lock().unwrap().insert(n);
     }
-
-    /// Number of workers currently idle (test introspection).
-    pub fn idle_workers(&self) -> usize {
-        self.fleet.idle.lock().unwrap().len()
-    }
 }
 
 impl ToolBackend for RemoteBackend {
