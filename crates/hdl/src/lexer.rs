@@ -355,6 +355,36 @@ impl TokenStream {
     }
 }
 
+/// How deep an expression may nest in either parser. The outermost
+/// expression is level 1; each parenthesis, call argument, ternary
+/// branch, prefix operator and chained binary operator opens one more, so
+/// the cap also bounds the depth of the expression tree. Both parsers
+/// recurse per level, so the cap bounds their stack use on hostile input;
+/// like the serve protocol's JSON cap it is fixed, far above what real
+/// HDL nests.
+pub const MAX_EXPR_DEPTH: usize = 256;
+
+/// The error for an expression that opens level [`MAX_EXPR_DEPTH`]` + 1`
+/// at `span`.
+pub fn expr_too_deep(span: Span) -> ParseError {
+    ParseError::new(
+        format!("expression nests deeper than {MAX_EXPR_DEPTH} levels"),
+        span,
+    )
+}
+
+/// Runs `f` on a thread with an 8 MiB stack, a main thread's size, for
+/// the parsers' depth-cap tests: debug builds spend up to ~7 KB of stack
+/// per expression level (a release build under 1.4 KB), so 256 levels
+/// can outgrow a 2 MiB test thread.
+#[cfg(test)]
+pub(crate) fn with_main_stack(f: impl FnOnce() + Send + 'static) {
+    let run = std::thread::Builder::new().stack_size(8 << 20).spawn(f);
+    if let Err(panic) = run.unwrap().join() {
+        std::panic::resume_unwind(panic);
+    }
+}
+
 /// Shared helper: decode a decimal integer literal, tolerating `_`
 /// separators (legal in both languages).
 pub fn parse_decimal(text: &str) -> Option<i64> {

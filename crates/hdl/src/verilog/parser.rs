@@ -7,11 +7,11 @@
 //! for ports.
 
 use crate::ast::{
-    ContextClause, Direction, Expr, Instantiation, Language, ModuleInterface, PackageDecl,
+    BinOp, ContextClause, Direction, Expr, Instantiation, Language, ModuleInterface, PackageDecl,
     Parameter, Port, Range, RangeDir, SourceFile, TypeSpec,
 };
 use crate::error::{Diagnostics, ParseError, ParseResult};
-use crate::lexer::{TokenKind, TokenStream};
+use crate::lexer::{expr_too_deep, TokenKind, TokenStream, MAX_EXPR_DEPTH};
 use crate::span::Span;
 
 /// Built-in data/net type keywords that can open a type in a declaration.
@@ -121,6 +121,33 @@ const SKIP_BLOCKS: &[(&str, &str)] = &[
     ("sequence", "endsequence"),
 ];
 
+/// A binary operator, loosest tier first: `&&`/`||`, comparisons, then
+/// arithmetic by [`BinOp::precedence`]. Logic and comparison operators
+/// build `Call` nodes named after them, arithmetic ones `Bin` nodes.
+#[derive(Clone, Copy)]
+enum Infix {
+    Logic(&'static str),
+    Cmp(&'static str),
+    Arith(BinOp),
+}
+
+impl Infix {
+    fn precedence(self) -> u8 {
+        match self {
+            Infix::Logic(_) => 0,
+            Infix::Cmp(_) => 1,
+            Infix::Arith(op) => 2 + op.precedence(),
+        }
+    }
+
+    fn apply(self, lhs: Expr, rhs: Expr) -> Expr {
+        match self {
+            Infix::Logic(name) | Infix::Cmp(name) => Expr::Call(name.into(), vec![lhs, rhs]),
+            Infix::Arith(op) => Expr::bin(op, lhs, rhs),
+        }
+    }
+}
+
 /// The Verilog/SystemVerilog declaration parser.
 pub struct Parser {
     ts: TokenStream,
@@ -130,6 +157,8 @@ pub struct Parser {
     saw_sv: bool,
     /// Instantiations collected while scanning module bodies.
     insts: Vec<Instantiation>,
+    /// Expression levels currently open (see [`MAX_EXPR_DEPTH`]).
+    depth: usize,
 }
 
 impl Parser {
@@ -140,6 +169,7 @@ impl Parser {
             diags: Diagnostics::new(),
             saw_sv: false,
             insts: Vec::new(),
+            depth: 0,
         }
     }
 
@@ -849,93 +879,122 @@ impl Parser {
         Ok(())
     }
 
-    /// Expression parser (precedence climbing plus comparison, logic, and
-    /// ternary tiers). Comparisons and logical ops become `Call` nodes:
-    /// Dovado only needs to carry them symbolically (they appear in
-    /// `localparam` defaults like `(DEPTH > 1) ? $clog2(DEPTH) : 1`).
+    /// Expression parser (precedence climbing over logic, comparison and
+    /// arithmetic tiers, plus the ternary). Comparisons and logical ops
+    /// become `Call` nodes: Dovado only needs to carry them symbolically
+    /// (they appear in `localparam` defaults like
+    /// `(DEPTH > 1) ? $clog2(DEPTH) : 1`).
     pub fn parse_expr(&mut self) -> ParseResult<Expr> {
-        let cond = self.parse_logic()?;
+        let outer = self.depth;
+        self.open_level()?;
+        let mut e = self.parse_bin(0)?;
         if self.ts.eat_sym("?") {
-            let then = self.parse_expr()?;
-            self.ts.expect_sym(":")?;
-            let els = self.parse_expr()?;
-            return Ok(Expr::Call("cond".into(), vec![cond, then, els]));
+            e = self.parse_branches(e)?;
         }
-        Ok(cond)
+        self.depth = outer;
+        Ok(e)
     }
 
-    fn parse_logic(&mut self) -> ParseResult<Expr> {
-        let mut lhs = self.parse_cmp()?;
-        loop {
-            let t = self.ts.peek();
-            let op = match t.text.as_str() {
-                "&&" | "||" if t.kind == TokenKind::Sym => t.text.clone(),
-                _ => break,
-            };
-            self.ts.next_tok();
-            let rhs = self.parse_cmp()?;
-            let name = if op == "&&" { "and" } else { "or" };
-            lhs = Expr::Call(name.into(), vec![lhs, rhs]);
-        }
-        Ok(lhs)
+    /// The `then : else` of a ternary whose condition is parsed.
+    fn parse_branches(&mut self, cond: Expr) -> ParseResult<Expr> {
+        let then = self.parse_expr()?;
+        self.ts.expect_sym(":")?;
+        let els = self.parse_expr()?;
+        Ok(Expr::Call("cond".into(), vec![cond, then, els]))
     }
 
-    fn parse_cmp(&mut self) -> ParseResult<Expr> {
-        let mut lhs = self.parse_bin(0)?;
-        loop {
-            let t = self.ts.peek();
-            let op = match t.text.as_str() {
-                "<" | ">" | "<=" | ">=" | "==" | "!=" | "===" | "!=="
-                    if t.kind == TokenKind::Sym =>
-                {
-                    t.text.clone()
-                }
-                _ => break,
-            };
-            self.ts.next_tok();
-            let rhs = self.parse_bin(0)?;
-            lhs = Expr::Call(format!("cmp{op}"), vec![lhs, rhs]);
+    /// Opens one expression level at the current token, refusing input
+    /// that nests past [`MAX_EXPR_DEPTH`]. Levels close when the
+    /// `parse_expr` or `parse_bin` that opened them returns; on an error
+    /// the whole parse fails, so only success paths restore the depth.
+    fn open_level(&mut self) -> ParseResult<()> {
+        if self.depth == MAX_EXPR_DEPTH {
+            return Err(expr_too_deep(self.ts.peek().span));
         }
-        Ok(lhs)
+        self.depth += 1;
+        Ok(())
     }
 
+    /// Binary operators binding at `min_prec` or tighter, left-associative.
+    /// Each operator in the chain opens a level: the tree it builds grows
+    /// one deeper per operator.
     fn parse_bin(&mut self, min_prec: u8) -> ParseResult<Expr> {
-        use crate::ast::BinOp;
+        let outer = self.depth;
         let mut lhs = self.parse_unary()?;
+        while let Some(op) = self.peek_infix().filter(|op| op.precedence() >= min_prec) {
+            self.ts.next_tok();
+            self.open_level()?;
+            let rhs = self.parse_bin(op.precedence() + 1)?;
+            lhs = op.apply(lhs, rhs);
+        }
+        self.depth = outer;
+        Ok(lhs)
+    }
+
+    fn peek_infix(&mut self) -> Option<Infix> {
+        let t = self.ts.peek();
+        if t.kind != TokenKind::Sym {
+            return None;
+        }
+        Some(match t.text.as_str() {
+            "&&" => Infix::Logic("and"),
+            "||" => Infix::Logic("or"),
+            "<" => Infix::Cmp("cmp<"),
+            ">" => Infix::Cmp("cmp>"),
+            "<=" => Infix::Cmp("cmp<="),
+            ">=" => Infix::Cmp("cmp>="),
+            "==" => Infix::Cmp("cmp=="),
+            "!=" => Infix::Cmp("cmp!="),
+            "===" => Infix::Cmp("cmp==="),
+            "!==" => Infix::Cmp("cmp!=="),
+            "+" => Infix::Arith(BinOp::Add),
+            "-" => Infix::Arith(BinOp::Sub),
+            "*" => Infix::Arith(BinOp::Mul),
+            "/" => Infix::Arith(BinOp::Div),
+            "%" => Infix::Arith(BinOp::Mod),
+            "**" => Infix::Arith(BinOp::Pow),
+            "<<" => Infix::Arith(BinOp::Shl),
+            ">>" => Infix::Arith(BinOp::Shr),
+            _ => return None,
+        })
+    }
+
+    /// A primary behind any prefix operators; each operator opens one
+    /// expression level.
+    fn parse_unary(&mut self) -> ParseResult<Expr> {
+        let mut negations = 0;
         loop {
-            let t = self.ts.peek();
-            let op = match t.text.as_str() {
-                "+" if t.kind == TokenKind::Sym => BinOp::Add,
-                "-" if t.kind == TokenKind::Sym => BinOp::Sub,
-                "*" if t.kind == TokenKind::Sym => BinOp::Mul,
-                "/" if t.kind == TokenKind::Sym => BinOp::Div,
-                "%" if t.kind == TokenKind::Sym => BinOp::Mod,
-                "**" if t.kind == TokenKind::Sym => BinOp::Pow,
-                "<<" if t.kind == TokenKind::Sym => BinOp::Shl,
-                ">>" if t.kind == TokenKind::Sym => BinOp::Shr,
-                _ => break,
-            };
-            if op.precedence() < min_prec {
+            if self.ts.eat_sym("-") {
+                negations += 1;
+            } else if !self.ts.eat_sym("+") {
                 break;
             }
-            self.ts.next_tok();
-            let rhs = self.parse_bin(op.precedence() + 1)?;
-            lhs = Expr::bin(op, lhs, rhs);
+            self.open_level()?;
         }
-        Ok(lhs)
+        let mut e = self.parse_primary()?;
+        for _ in 0..negations {
+            e = Expr::Neg(Box::new(e));
+        }
+        Ok(e)
     }
 
-    fn parse_unary(&mut self) -> ParseResult<Expr> {
-        if self.ts.eat_sym("-") {
-            return Ok(Expr::Neg(Box::new(self.parse_unary()?)));
-        }
-        if self.ts.eat_sym("+") {
-            return self.parse_unary();
-        }
-        self.parse_primary()
-    }
-
+    /// A parenthesised expression, a name or call, or an atom. The paren
+    /// case stays here and the others in their own functions, keeping
+    /// this frame small: nested parentheses recurse through it.
     fn parse_primary(&mut self) -> ParseResult<Expr> {
+        if self.ts.eat_sym("(") {
+            let e = self.parse_expr()?;
+            self.ts.expect_sym(")")?;
+            return Ok(e);
+        }
+        if self.ts.peek().kind == TokenKind::Ident {
+            return self.parse_name();
+        }
+        self.parse_atom()
+    }
+
+    /// A literal, a concatenation or an assignment pattern.
+    fn parse_atom(&mut self) -> ParseResult<Expr> {
         let t = self.ts.peek().clone();
         match &t.kind {
             TokenKind::Int(v) => {
@@ -950,12 +1009,6 @@ impl Parser {
             TokenKind::Str(s) => {
                 self.ts.next_tok();
                 Ok(Expr::Str(s.clone()))
-            }
-            TokenKind::Sym if t.text == "(" => {
-                self.ts.next_tok();
-                let e = self.parse_expr()?;
-                self.ts.expect_sym(")")?;
-                Ok(e)
             }
             TokenKind::Sym if t.text == "{" => {
                 // Concatenation / replication — skip balanced, keep a marker.
@@ -997,38 +1050,39 @@ impl Parser {
                 }
                 Ok(Expr::Str("<pattern>".into()))
             }
-            TokenKind::Ident => {
-                self.ts.next_tok();
-                let mut name = t.text.clone();
-                while self.ts.eat_sym("::") {
-                    let part = self.ts.expect_ident()?;
-                    name.push_str("::");
-                    name.push_str(&part.text);
-                }
-                if self.ts.eat_sym("(") {
-                    let mut args = Vec::new();
-                    if !self.ts.peek().is_sym(")") {
-                        loop {
-                            args.push(self.parse_expr()?);
-                            if !self.ts.eat_sym(",") {
-                                break;
-                            }
-                        }
-                    }
-                    self.ts.expect_sym(")")?;
-                    return Ok(Expr::Call(name, args));
-                }
-                // Bit/part select after a name: skip, keep the name.
-                while self.ts.peek().is_sym("[") {
-                    self.skip_unpacked_dims()?;
-                }
-                Ok(Expr::Ident(name))
-            }
             _ => Err(ParseError::new(
                 format!("expected expression, found `{t}`"),
                 t.span,
             )),
         }
+    }
+
+    /// A (package-scoped) name, a call, or a name with selects skipped.
+    fn parse_name(&mut self) -> ParseResult<Expr> {
+        let mut name = self.ts.next_tok().text;
+        while self.ts.eat_sym("::") {
+            let part = self.ts.expect_ident()?;
+            name.push_str("::");
+            name.push_str(&part.text);
+        }
+        if self.ts.eat_sym("(") {
+            let mut args = Vec::new();
+            if !self.ts.peek().is_sym(")") {
+                loop {
+                    args.push(self.parse_expr()?);
+                    if !self.ts.eat_sym(",") {
+                        break;
+                    }
+                }
+            }
+            self.ts.expect_sym(")")?;
+            return Ok(Expr::Call(name, args));
+        }
+        // Bit/part select after a name: skip, keep the name.
+        while self.ts.peek().is_sym("[") {
+            self.skip_unpacked_dims()?;
+        }
+        Ok(Expr::Ident(name))
     }
 }
 
@@ -1380,5 +1434,66 @@ endmodule
         let src = "module m(input logic arr [0:3], input logic clk); endmodule";
         let f = parse_ok(src);
         assert_eq!(f.modules[0].ports.len(), 2);
+    }
+
+    #[test]
+    fn expression_nesting_is_capped_with_a_located_error() {
+        crate::lexer::with_main_stack(expression_nesting_cap);
+    }
+
+    fn expression_nesting_cap() {
+        const PREFIX: &str = "  parameter P = ";
+        let module =
+            |expr: String| format!("module m #(\n{PREFIX}{expr}\n)(input wire c); endmodule");
+        // An expression `levels` deep: the outermost level plus one per
+        // parenthesis, call, ternary, prefix operator or chained binary
+        // operator.
+        let parens = |levels: usize| {
+            let n = levels - 1;
+            module(format!("{}1{}", "(".repeat(n), ")".repeat(n)))
+        };
+        let calls = |levels: usize| {
+            let n = levels - 1;
+            module(format!("{}1{}", "f(".repeat(n), ")".repeat(n)))
+        };
+        let prefixed = |levels: usize| module(format!("{}1", "-".repeat(levels - 1)));
+        let chain = |levels: usize| module(format!("1{}", "+1".repeat(levels - 1)));
+        let ternary = |levels: usize| module(format!("{}1", "1 ? 1 : ".repeat(levels - 1)));
+
+        for src in [
+            parens(MAX_EXPR_DEPTH),
+            calls(MAX_EXPR_DEPTH),
+            prefixed(MAX_EXPR_DEPTH),
+            chain(MAX_EXPR_DEPTH),
+            ternary(MAX_EXPR_DEPTH),
+        ] {
+            let f = parse_ok(&src);
+            assert!(f.modules[0].parameters[0].default.is_some());
+        }
+        let refused = |src: String| Parser::new(lex(&src).unwrap()).parse_file().unwrap_err();
+        // Level 257 opens at its first token: the `1` behind 256 openers.
+        for (src, opener_len) in [
+            (parens(MAX_EXPR_DEPTH + 1), 1),
+            (calls(MAX_EXPR_DEPTH + 1), 2),
+            (prefixed(MAX_EXPR_DEPTH + 1), 1),
+            (chain(MAX_EXPR_DEPTH + 1), 2),
+        ] {
+            let err = refused(src);
+            assert!(
+                err.message.contains("nests deeper than 256 levels"),
+                "{err}"
+            );
+            let col = PREFIX.len() + opener_len * MAX_EXPR_DEPTH + 1;
+            assert_eq!((err.span.line, err.span.col as usize), (2, col), "{err}");
+        }
+        // A ternary chain first crosses in the `then` of its 256th `?`.
+        let err = refused(ternary(MAX_EXPR_DEPTH + 1));
+        let col = PREFIX.len() + "1 ? 1 : ".len() * (MAX_EXPR_DEPTH - 1) + "1 ? ".len() + 1;
+        assert_eq!((err.span.line, err.span.col as usize), (2, col), "{err}");
+        // Far past the cap the parser refuses without recursing that deep.
+        for src in [parens(5_000), prefixed(100_000), chain(100_000)] {
+            let err = refused(src);
+            assert_eq!(err.span.line, 2, "{err}");
+        }
     }
 }

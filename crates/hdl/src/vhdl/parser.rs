@@ -12,7 +12,7 @@ use crate::ast::{
     PackageDecl, Parameter, Port, Range, RangeDir, SourceFile, TypeSpec,
 };
 use crate::error::{Diagnostics, ParseError, ParseResult};
-use crate::lexer::{TokenKind, TokenStream};
+use crate::lexer::{expr_too_deep, TokenKind, TokenStream, MAX_EXPR_DEPTH};
 use crate::span::Span;
 
 /// Keywords that may legitimately begin a new design unit; used by the body
@@ -37,6 +37,12 @@ pub struct Parser {
     concat_pending: bool,
     /// Instantiations collected while skipping architecture bodies.
     insts: Vec<Instantiation>,
+    /// Expression levels currently open (see [`MAX_EXPR_DEPTH`]).
+    depth: usize,
+    /// Set once an expression crossed [`MAX_EXPR_DEPTH`], so the aggregate
+    /// fallback in `parse_paren` passes that error on instead of skipping
+    /// the parentheses.
+    too_deep: bool,
 }
 
 impl Parser {
@@ -47,6 +53,8 @@ impl Parser {
             diags: Diagnostics::new(),
             concat_pending: false,
             insts: Vec::new(),
+            depth: 0,
+            too_deep: false,
         }
     }
 
@@ -381,10 +389,32 @@ impl Parser {
     /// Expression parser (precedence climbing) over the VHDL operator
     /// subset relevant to widths and defaults.
     pub fn parse_expr(&mut self) -> ParseResult<Expr> {
-        self.parse_bin(0)
+        let outer = self.depth;
+        self.open_level()?;
+        let e = self.parse_bin(0)?;
+        self.depth = outer;
+        Ok(e)
     }
 
+    /// Opens one expression level at the current token, refusing input
+    /// that nests past [`MAX_EXPR_DEPTH`]. Levels close when the
+    /// `parse_expr` or `parse_bin` that opened them returns; an error
+    /// fails the whole parse, except in `parse_paren`, which restores the
+    /// depth before it backtracks.
+    fn open_level(&mut self) -> ParseResult<()> {
+        if self.depth == MAX_EXPR_DEPTH {
+            self.too_deep = true;
+            return Err(expr_too_deep(self.ts.peek().span));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Binary operators binding at `min_prec` or tighter, left-associative.
+    /// Each operator in the chain opens a level: the tree it builds grows
+    /// one deeper per operator.
     fn parse_bin(&mut self, min_prec: u8) -> ParseResult<Expr> {
+        let outer = self.depth;
         let mut lhs = self.parse_unary()?;
         loop {
             let op = match self.peek_binop() {
@@ -392,6 +422,7 @@ impl Parser {
                 _ => break,
             };
             self.bump_binop();
+            self.open_level()?;
             let rhs = self.parse_bin(op.precedence() + 1)?;
             lhs = if self.concat_pending {
                 self.concat_pending = false;
@@ -400,6 +431,7 @@ impl Parser {
                 Expr::bin(op, lhs, rhs)
             };
         }
+        self.depth = outer;
         Ok(lhs)
     }
 
@@ -436,27 +468,75 @@ impl Parser {
         self.concat_pending = t.is_sym("&");
     }
 
+    /// A primary behind any prefix operators (`-`, `+`, `abs`, `not`);
+    /// each operator opens one expression level.
     fn parse_unary(&mut self) -> ParseResult<Expr> {
-        if self.ts.eat_sym("-") {
-            return Ok(Expr::Neg(Box::new(self.parse_unary()?)));
-        }
-        if self.ts.eat_sym("+") {
-            return self.parse_unary();
-        }
-        if self.ts.peek().is_kw_ci("abs") {
+        let mut prefixes = Vec::new();
+        loop {
+            let t = self.ts.peek();
+            let op = if t.is_sym("-") {
+                "-"
+            } else if t.is_sym("+") {
+                "+"
+            } else if t.is_kw_ci("abs") {
+                "abs"
+            } else if t.is_kw_ci("not") {
+                "not"
+            } else {
+                break;
+            };
             self.ts.next_tok();
-            let inner = self.parse_unary()?;
-            return Ok(Expr::Call("abs".into(), vec![inner]));
+            self.open_level()?;
+            prefixes.push(op);
         }
-        if self.ts.peek().is_kw_ci("not") {
-            self.ts.next_tok();
-            let inner = self.parse_unary()?;
-            return Ok(Expr::Call("not".into(), vec![inner]));
+        let mut e = self.parse_primary()?;
+        for op in prefixes.into_iter().rev() {
+            e = match op {
+                "-" => Expr::Neg(Box::new(e)),
+                "+" => e,
+                _ => Expr::Call(op.into(), vec![e]),
+            };
         }
-        self.parse_primary()
+        Ok(e)
     }
 
+    /// A parenthesised expression or aggregate, a name, or an atom. The
+    /// others stay out of this frame, keeping it small: nested
+    /// parentheses recurse through it.
     fn parse_primary(&mut self) -> ParseResult<Expr> {
+        if self.ts.peek().is_sym("(") {
+            return self.parse_paren();
+        }
+        if self.ts.peek().kind == TokenKind::Ident {
+            return self.parse_name();
+        }
+        self.parse_atom()
+    }
+
+    /// A parenthesised expression or an aggregate like `(others => '0')`:
+    /// try the expression, fall back to skipping the parentheses.
+    fn parse_paren(&mut self) -> ParseResult<Expr> {
+        let save = self.ts.save();
+        let depth = self.depth;
+        self.ts.next_tok();
+        match self.parse_expr() {
+            Ok(e) if self.ts.peek().is_sym(")") => {
+                self.ts.next_tok();
+                Ok(e)
+            }
+            Err(e) if self.too_deep => Err(e),
+            _ => {
+                self.ts.restore(save);
+                self.depth = depth;
+                self.ts.next_tok(); // re-consume `(`
+                self.ts.skip_balanced_parens()?;
+                Ok(Expr::Str("<aggregate>".into()))
+            }
+        }
+    }
+
+    /// A literal.
+    fn parse_atom(&mut self) -> ParseResult<Expr> {
         let t = self.ts.peek().clone();
         match &t.kind {
             TokenKind::Int(v) => {
@@ -480,66 +560,49 @@ impl Parser {
                 self.ts.next_tok();
                 Ok(Expr::Str(s.clone()))
             }
-            TokenKind::Sym if t.text == "(" => {
-                // Could be a parenthesised expression or an aggregate like
-                // `(others => '0')`. Try expression; fall back to skipping.
-                let save = self.ts.save();
-                self.ts.next_tok();
-                match self.parse_expr() {
-                    Ok(e) if self.ts.peek().is_sym(")") => {
-                        self.ts.next_tok();
-                        Ok(e)
-                    }
-                    _ => {
-                        self.ts.restore(save);
-                        self.ts.next_tok(); // re-consume `(`
-                        self.ts.skip_balanced_parens()?;
-                        Ok(Expr::Str("<aggregate>".into()))
-                    }
-                }
-            }
-            TokenKind::Ident => {
-                self.ts.next_tok();
-                let mut name = t.text.clone();
-                // Booleans read naturally as ints in the integer formulation
-                // (paper §III-B1: booleans are 0/1 integers).
-                if name.eq_ignore_ascii_case("true") {
-                    return Ok(Expr::Int(1));
-                }
-                if name.eq_ignore_ascii_case("false") {
-                    return Ok(Expr::Int(0));
-                }
-                while self.ts.eat_sym(".") {
-                    let part = self.ts.expect_ident()?;
-                    name.push('.');
-                    name.push_str(&part.text);
-                }
-                // Attribute: `name'length` → Call("length", [Ident name]).
-                if self.ts.peek().is_sym("'") && self.ts.peek_n(1).kind == TokenKind::Ident {
-                    self.ts.next_tok();
-                    let attr = self.ts.expect_ident()?.text;
-                    return Ok(Expr::Call(attr, vec![Expr::Ident(name)]));
-                }
-                if self.ts.eat_sym("(") {
-                    let mut args = Vec::new();
-                    if !self.ts.peek().is_sym(")") {
-                        loop {
-                            args.push(self.parse_expr()?);
-                            if !self.ts.eat_sym(",") {
-                                break;
-                            }
-                        }
-                    }
-                    self.ts.expect_sym(")")?;
-                    return Ok(Expr::Call(name, args));
-                }
-                Ok(Expr::Ident(name))
-            }
             _ => Err(ParseError::new(
                 format!("expected expression, found `{t}`"),
                 t.span,
             )),
         }
+    }
+
+    /// A boolean, a (selected) name, an attribute, or a call.
+    fn parse_name(&mut self) -> ParseResult<Expr> {
+        let mut name = self.ts.next_tok().text;
+        // Booleans read naturally as ints in the integer formulation
+        // (paper §III-B1: booleans are 0/1 integers).
+        if name.eq_ignore_ascii_case("true") {
+            return Ok(Expr::Int(1));
+        }
+        if name.eq_ignore_ascii_case("false") {
+            return Ok(Expr::Int(0));
+        }
+        while self.ts.eat_sym(".") {
+            let part = self.ts.expect_ident()?;
+            name.push('.');
+            name.push_str(&part.text);
+        }
+        // Attribute: `name'length` → Call("length", [Ident name]).
+        if self.ts.peek().is_sym("'") && self.ts.peek_n(1).kind == TokenKind::Ident {
+            self.ts.next_tok();
+            let attr = self.ts.expect_ident()?.text;
+            return Ok(Expr::Call(attr, vec![Expr::Ident(name)]));
+        }
+        if self.ts.eat_sym("(") {
+            let mut args = Vec::new();
+            if !self.ts.peek().is_sym(")") {
+                loop {
+                    args.push(self.parse_expr()?);
+                    if !self.ts.eat_sym(",") {
+                        break;
+                    }
+                }
+            }
+            self.ts.expect_sym(")")?;
+            return Ok(Expr::Call(name, args));
+        }
+        Ok(Expr::Ident(name))
     }
 
     /// Skips a unit body (`architecture`/`package`/`configuration`/`context`)
@@ -1035,6 +1098,62 @@ end rtl;
 "#;
         let f = parse_ok(src);
         assert!(f.instantiations.is_empty());
+    }
+
+    #[test]
+    fn expression_nesting_is_capped_with_a_located_error() {
+        crate::lexer::with_main_stack(expression_nesting_cap);
+    }
+
+    fn expression_nesting_cap() {
+        const PREFIX: &str = "  generic (P : integer := ";
+        let entity = |expr: String| format!("entity e is\n{PREFIX}{expr});\nend e;");
+        // An expression `levels` deep: the outermost level plus one per
+        // parenthesis, prefix operator or chained binary operator.
+        let parens = |levels: usize| {
+            let n = levels - 1;
+            entity(format!("{}1{}", "(".repeat(n), ")".repeat(n)))
+        };
+        let prefixed = |op: &str, levels: usize| entity(format!("{}1", op.repeat(levels - 1)));
+        let chain = |levels: usize| entity(format!("1{}", " + 1".repeat(levels - 1)));
+
+        for src in [
+            parens(MAX_EXPR_DEPTH),
+            prefixed("- ", MAX_EXPR_DEPTH),
+            prefixed("abs ", MAX_EXPR_DEPTH),
+            chain(MAX_EXPR_DEPTH),
+        ] {
+            let f = parse_ok(&src);
+            assert!(f.modules[0].parameters[0].default.is_some());
+        }
+        let refused = |src: String| Parser::new(lex(&src).unwrap()).parse_file().unwrap_err();
+        // Level 257 opens at its first token: the `1` behind 256 openers.
+        // Parentheses past the cap are refused, not skipped as an aggregate.
+        for (src, opener_len) in [
+            (parens(MAX_EXPR_DEPTH + 1), 1),
+            (prefixed("- ", MAX_EXPR_DEPTH + 1), 2),
+            (prefixed("not ", MAX_EXPR_DEPTH + 1), 4),
+            (chain(MAX_EXPR_DEPTH + 1), 4),
+        ] {
+            let err = refused(src);
+            assert!(
+                err.message.contains("nests deeper than 256 levels"),
+                "{err}"
+            );
+            let col = PREFIX.len() + opener_len * MAX_EXPR_DEPTH + 1;
+            assert_eq!((err.span.line, err.span.col as usize), (2, col), "{err}");
+        }
+        // Far past the cap the parser refuses without recursing that deep.
+        let err = refused(parens(20_000));
+        assert_eq!(
+            (err.span.line, err.span.col as usize),
+            (2, PREFIX.len() + 257)
+        );
+        let err = refused(prefixed("- ", 100_000));
+        assert_eq!(
+            (err.span.line, err.span.col as usize),
+            (2, PREFIX.len() + 513)
+        );
     }
 
     #[test]

@@ -416,6 +416,40 @@ fn deeply_nested_request_is_refused_and_the_connection_keeps_serving() {
 }
 
 #[test]
+fn deeply_nested_source_fails_its_job_and_the_daemon_keeps_serving() {
+    let mut server = Server::start(ServeConfig::default()).unwrap();
+    // A 4 KB source nested 2,000 deep would overflow the job thread's
+    // stack in a recursive parser and abort the daemon; the job must fail
+    // with the located parse error instead.
+    let depth = 2_000;
+    let mut spec = fifo_spec(5, 2, false);
+    spec.sources = vec![(
+        "fifo.sv".into(),
+        format!(
+            "module fifo_v3 #(parameter DEPTH = {}8{}, parameter DATA_WIDTH = 32)\n\
+             (input logic clk_i); endmodule",
+            "(".repeat(depth),
+            ")".repeat(depth)
+        ),
+    )];
+    let mut client = connect(&server, "mallory");
+    client.submit("mallory", 1, &spec).unwrap();
+    let outcome = client.stream_until_done().unwrap();
+    assert_eq!(outcome.status(), "failed");
+    // Level 257 opens at the 257th parenthesis, column 35 + 257.
+    let error = outcome.done.get("error").and_then(Json::as_str);
+    assert!(
+        error
+            .unwrap_or("")
+            .contains("fifo.sv: parse error at 1:292: expression nests deeper than 256 levels"),
+        "{error:?}"
+    );
+    let status = connect(&server, "admin").status().unwrap();
+    assert_eq!(status.get("ok").and_then(Json::as_bool), Some(true));
+    server.shutdown();
+}
+
+#[test]
 fn reconnect_attaches_and_replays_the_stream() {
     let mut server = Server::start(ServeConfig::default()).unwrap();
     let spec = fifo_spec(17, 4, false);
