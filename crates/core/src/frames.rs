@@ -35,29 +35,46 @@ report_power -file __POWER_RPT__
 write_checkpoint -force __IMPL_DCP__
 ";
 
-/// Fills `__KEY__` placeholders. Errors if any placeholder remains
-/// unfilled (catches typos in frames and drivers alike).
+/// Fills `__KEY__` placeholders in one pass over `frame`. Each placeholder
+/// becomes its value, copied verbatim: values are never scanned, so a file
+/// name like `fifo__Core.sv` or a value that spells another key passes
+/// through unchanged. A placeholder with no value is an error (catches
+/// typos in frames and drivers alike).
 pub fn fill(frame: &str, substitutions: &[(&str, &str)]) -> DovadoResult<String> {
-    let mut out = frame.to_string();
-    for (key, value) in substitutions {
-        out = out.replace(&format!("__{key}__"), value);
-    }
-    if let Some(pos) = out.find("__") {
-        let tail: String = out[pos..].chars().take(30).collect();
-        // Allow double underscores inside identifiers only if they don't
-        // look like a placeholder (uppercase run ending in __).
-        if tail
-            .chars()
-            .skip(2)
-            .take_while(|c| *c != '_')
-            .any(|c| c.is_ascii_uppercase())
-        {
-            return Err(DovadoError::Config(format!(
-                "unfilled placeholder near `{tail}`"
-            )));
+    let mut out = String::with_capacity(frame.len());
+    let mut rest = frame;
+    while let Some(open) = rest.find("__") {
+        out.push_str(&rest[..open]);
+        let after = &rest[open + 2..];
+        let key = after.find("__").map(|close| &after[..close]);
+        match key.filter(|k| is_placeholder_key(k)) {
+            Some(key) => {
+                let value = substitutions
+                    .iter()
+                    .find_map(|&(k, v)| (k == key).then_some(v));
+                let value = value.ok_or_else(|| {
+                    DovadoError::Config(format!("unfilled placeholder `__{key}__`"))
+                })?;
+                out.push_str(value);
+                rest = &after[key.len() + 2..];
+            }
+            None => {
+                out.push_str("__");
+                rest = after;
+            }
         }
     }
+    out.push_str(rest);
     Ok(out)
+}
+
+/// A frame placeholder key: an uppercase letter, then uppercase letters,
+/// digits and underscores.
+fn is_placeholder_key(key: &str) -> bool {
+    key.starts_with(|c: char| c.is_ascii_uppercase())
+        && key
+            .chars()
+            .all(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_')
 }
 
 /// One source file to load.
@@ -124,6 +141,29 @@ mod tests {
     fn fill_detects_leftovers() {
         let r = fill("synth_design -top __TOP__", &[("PART", "x")]);
         assert!(matches!(r, Err(DovadoError::Config(_))));
+    }
+
+    #[test]
+    fn fill_copies_values_verbatim() {
+        // Values are never scanned: a double underscore before capitals
+        // in a file name is not a placeholder, and a value spelling a
+        // later key is not substituted again.
+        let s = fill(
+            "read_verilog __SRC__\nset_property top __TOP__ [current_fileset]",
+            &[("SRC", "src/fifo__Core.sv"), ("TOP", "__SRC__")],
+        )
+        .unwrap();
+        assert_eq!(
+            s,
+            "read_verilog src/fifo__Core.sv\nset_property top __SRC__ [current_fileset]"
+        );
+        // Double underscores in the frame that do not spell a key stay.
+        assert_eq!(fill("a__b __ c__", &[]).unwrap(), "a__b __ c__");
+        let err = fill("x __MISSING__ y", &[("SRC", "s")]).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "configuration error: unfilled placeholder `__MISSING__`"
+        );
     }
 
     #[test]
