@@ -26,9 +26,10 @@ use crate::netlist::Netlist;
 use crate::place_route::ImplResult;
 use crate::power::{write_power_report, PowerEstimate};
 use crate::report::{write_timing_report, write_utilization_report};
-use crate::{CheckpointStore, VivadoSim};
+use crate::{CheckpointStore, ModelRegistry, ParseCache, VivadoSim};
 use dovado_fpga::{Catalog, Part, ResourceKind, ResourceSet};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// One tool invocation: a private filesystem plus a TCL interpreter.
 ///
@@ -91,14 +92,19 @@ pub trait ToolBackend: Send + Sync {
 ///
 /// This adapter is the only place the evaluation stack names the concrete
 /// simulator: sessions share one [`CheckpointStore`] (the incremental
-/// flow works across parallel evaluations) and one [`FaultInjector`]
-/// stream (retries consume fresh draws instead of replaying faults).
+/// flow works across parallel evaluations), one [`FaultInjector`] stream
+/// (retries consume fresh draws instead of replaying faults), one
+/// [`ParseCache`] (unchanged sources parse once, not once per attempt),
+/// and one part catalog and model registry, built with the backend.
 #[derive(Clone)]
 pub struct SimBackend {
     seed: u64,
     /// `vivado-sim:SEED`.
     name: String,
+    catalog: Arc<Catalog>,
+    registry: Arc<ModelRegistry>,
     checkpoints: CheckpointStore,
+    parses: ParseCache,
     injector: Option<FaultInjector>,
 }
 
@@ -108,7 +114,10 @@ impl SimBackend {
         SimBackend {
             seed,
             name: format!("vivado-sim:{seed}"),
+            catalog: Arc::new(Catalog::builtin()),
+            registry: Arc::new(ModelRegistry::with_builtin_models()),
             checkpoints: CheckpointStore::new(),
+            parses: ParseCache::new(),
             injector: None,
         }
     }
@@ -121,6 +130,21 @@ impl SimBackend {
             ..SimBackend::new(seed)
         }
     }
+
+    /// A fresh simulator session wired to the backend's shared state.
+    fn sim(&self) -> VivadoSim {
+        let mut sim = VivadoSim::with_models(
+            self.seed,
+            Arc::clone(&self.catalog),
+            Arc::clone(&self.registry),
+        );
+        sim.set_checkpoint_store(self.checkpoints.clone());
+        sim.set_parse_cache(self.parses.clone());
+        if let Some(injector) = &self.injector {
+            sim.set_fault_injector(injector.clone());
+        }
+        sim
+    }
 }
 
 impl ToolBackend for SimBackend {
@@ -129,12 +153,7 @@ impl ToolBackend for SimBackend {
     }
 
     fn open_session(&self) -> Box<dyn ToolSession + Send> {
-        let mut sim = VivadoSim::new(self.seed);
-        sim.set_checkpoint_store(self.checkpoints.clone());
-        if let Some(injector) = &self.injector {
-            sim.set_fault_injector(injector.clone());
-        }
-        Box::new(SimSession { sim })
+        Box::new(SimSession { sim: self.sim() })
     }
 
     fn injector(&self) -> Option<&FaultInjector> {
@@ -191,6 +210,7 @@ pub struct MockBackend {
     seed: u64,
     /// `mock:SEED`.
     name: String,
+    catalog: Arc<Catalog>,
     injector: Option<FaultInjector>,
     spin_ms: u64,
 }
@@ -201,6 +221,7 @@ impl MockBackend {
         MockBackend {
             seed,
             name: format!("mock:{seed}"),
+            catalog: Arc::new(Catalog::builtin()),
             injector: None,
             spin_ms: 0,
         }
@@ -233,6 +254,7 @@ impl ToolBackend for MockBackend {
     fn open_session(&self) -> Box<dyn ToolSession + Send> {
         Box::new(MockSession {
             seed: self.seed,
+            catalog: Arc::clone(&self.catalog),
             injector: self.injector.clone(),
             spin_ms: self.spin_ms,
             fs: BTreeMap::new(),
@@ -257,6 +279,7 @@ impl ToolBackend for MockBackend {
 
 struct MockSession {
     seed: u64,
+    catalog: Arc<Catalog>,
     injector: Option<FaultInjector>,
     /// Wall-clock sleep per synth/route call (benchmarking only).
     spin_ms: u64,
@@ -414,7 +437,8 @@ impl MockSession {
             "create_project" => {
                 let name = Self::flag_value(args, "-part")
                     .ok_or_else(|| EdaError::Tcl("create_project: missing -part".into()))?;
-                let part = Catalog::builtin()
+                let part = self
+                    .catalog
                     .resolve(name)
                     .cloned()
                     .ok_or_else(|| EdaError::UnknownPart(name.to_string()))?;
@@ -754,6 +778,19 @@ report_power -file power.rpt
             warm_full < cold_full,
             "warmed full run ({warm_full}s) must beat cold ({cold_full}s)"
         );
+    }
+
+    #[test]
+    fn sim_backend_sessions_share_parses() {
+        let backend = SimBackend::new(42);
+        let read = || {
+            let mut sim = backend.sim();
+            sim.write_file("src/fifo.sv", "module fifo(input logic clk_i); endmodule");
+            sim.eval("create_project p -part xc7k70tfbv676-1\nread_verilog -sv src/fifo.sv")
+                .unwrap();
+            Arc::clone(&sim.project().unwrap().sources[0].file)
+        };
+        assert!(Arc::ptr_eq(&read(), &read()));
     }
 
     #[test]

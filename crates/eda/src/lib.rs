@@ -59,7 +59,7 @@ pub use error::{EdaError, EdaResult};
 pub use fault::{FaultInjector, FaultKind, FaultPlan};
 pub use netlist::Netlist;
 pub use place_route::{ImplDirective, ImplResult};
-pub use project::{ClockConstraint, Project, SourceUnit};
+pub use project::{ClockConstraint, ParseCache, Project, SourceUnit};
 pub use remote::{RemoteBackend, WorkerLifecycle, PROTOCOL_VERSION};
 pub use store::{
     CompactStats, EvalKey, EvalStore, EvictionHook, SHARD_COUNT, SHARD_PREFIX_LEN,

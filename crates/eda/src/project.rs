@@ -12,7 +12,9 @@ use crate::netlist::Netlist;
 use dovado_fpga::Part;
 use dovado_hdl::catalog::{CatalogError, SourceCatalog};
 use dovado_hdl::{Instantiation, Language, ModuleInterface, SourceFile};
-use std::collections::BTreeMap;
+use parking_lot::Mutex;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// A clock constraint created by `create_clock`.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,8 +32,9 @@ pub struct SourceUnit {
     pub path: String,
     /// Language it was read as.
     pub language: Language,
-    /// Parse result.
-    pub file: SourceFile,
+    /// Parse result, shared with every other session that read the same
+    /// text at the same path through one [`ParseCache`].
+    pub file: Arc<SourceFile>,
     /// VHDL library the file was compiled into (`work` by default; the
     /// paper's naming constraint maps one subfolder per library).
     pub library: String,
@@ -88,7 +91,7 @@ impl Project {
             p.sources.push(SourceUnit {
                 path: f.path.clone(),
                 language: f.language,
-                file: f.file.clone(),
+                file: Arc::new(f.file.clone()),
                 library: f.library.clone().unwrap_or_else(|| "work".to_string()),
             });
         }
@@ -112,7 +115,7 @@ impl Project {
                         s.path.clone(),
                         s.language,
                         Some(s.library.clone()),
-                        s.file.clone(),
+                        SourceFile::clone(&s.file),
                     )
                 })
                 .collect(),
@@ -128,23 +131,25 @@ impl Project {
         text: &str,
         library: Option<&str>,
     ) -> EdaResult<()> {
-        let (file, diags) = dovado_hdl::parse_source(language, text)
-            .map_err(|e| EdaError::Parse(format!("{path}: {e}")))?;
-        if diags.has_errors() {
-            let first = diags
-                .iter()
-                .find(|d| d.severity == dovado_hdl::Severity::Error)
-                .map(|d| d.message.clone())
-                .unwrap_or_default();
-            return Err(EdaError::Parse(format!("{path}: {first}")));
-        }
+        let file = Arc::new(parse_checked(path, language, text)?);
+        self.add_parsed(path, language, file, library);
+        Ok(())
+    }
+
+    /// Registers a source that is already parsed.
+    pub(crate) fn add_parsed(
+        &mut self,
+        path: &str,
+        language: Language,
+        file: Arc<SourceFile>,
+        library: Option<&str>,
+    ) {
         self.sources.push(SourceUnit {
             path: path.to_string(),
             language,
             file,
             library: library.unwrap_or("work").to_string(),
         });
-        Ok(())
     }
 
     /// All module interfaces across sources.
@@ -279,6 +284,73 @@ impl Project {
         } else {
             registry.elaborate(&ctx)
         }
+    }
+}
+
+/// Parses `text` as `language`; a hard parse error or an error diagnostic
+/// becomes [`EdaError::Parse`] prefixed with `path`.
+fn parse_checked(path: &str, language: Language, text: &str) -> EdaResult<SourceFile> {
+    let (file, diags) = dovado_hdl::parse_source(language, text)
+        .map_err(|e| EdaError::Parse(format!("{path}: {e}")))?;
+    if diags.has_errors() {
+        let first = diags
+            .iter()
+            .find(|d| d.severity == dovado_hdl::Severity::Error)
+            .map(|d| d.message.clone())
+            .unwrap_or_default();
+        return Err(EdaError::Parse(format!("{path}: {first}")));
+    }
+    Ok(file)
+}
+
+/// The last successful parse of each path, shared by the sessions of one
+/// tool backend the way they share a [`crate::CheckpointStore`].
+///
+/// A read hits only when the language and the full text equal those of the
+/// cached parse; anything else parses again and replaces the path's entry,
+/// so memory stays bounded by the number of distinct paths. Parse errors
+/// are never cached. Cloning shares the cache.
+#[derive(Clone, Default)]
+pub struct ParseCache {
+    entries: Arc<Mutex<HashMap<String, CachedParse>>>,
+}
+
+struct CachedParse {
+    language: Language,
+    text: String,
+    file: Arc<SourceFile>,
+}
+
+impl ParseCache {
+    /// Creates an empty cache.
+    pub fn new() -> ParseCache {
+        ParseCache::default()
+    }
+
+    /// The parse of `text` read as `language` from `path`: the cached one
+    /// when it matches, else a fresh parse (with [`Project::add_source`]'s
+    /// exact error on failure).
+    pub(crate) fn parse(
+        &self,
+        path: &str,
+        language: Language,
+        text: &str,
+    ) -> EdaResult<Arc<SourceFile>> {
+        if let Some(hit) = self.entries.lock().get(path) {
+            if hit.language == language && hit.text == text {
+                return Ok(Arc::clone(&hit.file));
+            }
+        }
+        let file = Arc::new(parse_checked(path, language, text)?);
+        self.entries.lock().insert(
+            path.to_string(),
+            CachedParse {
+                language,
+                text: text.to_string(),
+                file: Arc::clone(&file),
+            },
+        );
+        Ok(file)
     }
 }
 

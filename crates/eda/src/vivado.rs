@@ -21,7 +21,7 @@ use crate::hash::{combine, hash_str};
 use crate::place_route::{
     estimate_timing, impl_runtime_s, place_and_route, ImplDirective, ImplResult,
 };
-use crate::project::{ClockConstraint, Project};
+use crate::project::{ClockConstraint, ParseCache, Project};
 use crate::report;
 use crate::synth::{synth_runtime_s, synthesize, SynthDirective, SynthResult};
 use crate::tcl::{Interp, TclContext};
@@ -45,9 +45,10 @@ pub enum FlowState {
 
 /// A simulated Vivado process.
 pub struct VivadoSim {
-    catalog: Catalog,
+    catalog: Arc<Catalog>,
     registry: Arc<ModelRegistry>,
     checkpoints: CheckpointStore,
+    parses: ParseCache,
     /// Virtual filesystem: sources are written here before `read_*`,
     /// reports are written here by `report_* -file`.
     fs: BTreeMap<String, String>,
@@ -68,17 +69,28 @@ pub struct VivadoSim {
 }
 
 impl VivadoSim {
-    /// Creates a session with the built-in catalog and models.
+    /// Creates a session with the built-in catalog and models, and a
+    /// private checkpoint store and parse cache.
     pub fn new(seed: u64) -> VivadoSim {
-        VivadoSim::with_registry(seed, Arc::new(ModelRegistry::with_builtin_models()))
+        VivadoSim::with_models(
+            seed,
+            Arc::new(Catalog::builtin()),
+            Arc::new(ModelRegistry::with_builtin_models()),
+        )
     }
 
-    /// Creates a session with a custom model registry.
-    pub fn with_registry(seed: u64, registry: Arc<ModelRegistry>) -> VivadoSim {
+    /// Creates a session over a part catalog and model registry built
+    /// once and shared with other sessions.
+    pub fn with_models(
+        seed: u64,
+        catalog: Arc<Catalog>,
+        registry: Arc<ModelRegistry>,
+    ) -> VivadoSim {
         VivadoSim {
-            catalog: Catalog::builtin(),
+            catalog,
             registry,
             checkpoints: CheckpointStore::new(),
+            parses: ParseCache::new(),
             fs: BTreeMap::new(),
             project: None,
             state: FlowState::Fresh,
@@ -135,6 +147,12 @@ impl VivadoSim {
         self.checkpoints.clone()
     }
 
+    /// Shares a parse cache across sessions: a `read_*` of a source whose
+    /// path, language and text match an earlier read reuses its parse.
+    pub fn set_parse_cache(&mut self, cache: ParseCache) {
+        self.parses = cache;
+    }
+
     /// Writes a file into the virtual filesystem.
     pub fn write_file(&mut self, path: impl Into<String>, content: impl Into<String>) {
         self.fs.insert(path.into(), content.into());
@@ -188,9 +206,7 @@ impl VivadoSim {
     }
 
     fn project_mut(&mut self) -> EdaResult<&mut Project> {
-        self.project
-            .as_mut()
-            .ok_or_else(|| EdaError::FlowOrder("no project open (run create_project)".into()))
+        self.project.as_mut().ok_or_else(no_project)
     }
 
     fn log(&mut self, msg: String) {
@@ -267,11 +283,10 @@ impl VivadoSim {
             let text = self
                 .fs
                 .get(&p)
-                .cloned()
                 .ok_or_else(|| EdaError::FileNotFound(p.clone()))?;
-            let lib = library.clone();
-            self.project_mut()?
-                .add_source(&p, lang, &text, lib.as_deref())?;
+            let project = self.project.as_mut().ok_or_else(no_project)?;
+            let file = self.parses.parse(&p, lang, text)?;
+            project.add_parsed(&p, lang, file, library.as_deref());
             self.sim_time_s += 0.5;
             self.log(format!("read {p} as {lang}"));
         }
@@ -747,6 +762,10 @@ impl VivadoSim {
     }
 }
 
+fn no_project() -> EdaError {
+    EdaError::FlowOrder("no project open (run create_project)".into())
+}
+
 fn parse_generic_value(v: &str) -> EdaResult<i64> {
     let t = v.trim();
     // Booleans per the paper's integer formulation.
@@ -1095,6 +1114,92 @@ end architecture box_arch;
             .eval_with_output("foreach p [get_parts *xc7k70t*] { puts $p }")
             .unwrap();
         assert!(out.lines().count() >= 2);
+    }
+
+    /// A fresh session on `cache` that reads `text` from `src/fifo.sv`
+    /// with the `read` command.
+    fn read_with(cache: &ParseCache, read: &str, text: &str) -> (VivadoSim, EdaResult<String>) {
+        let mut v = VivadoSim::new(7);
+        v.set_parse_cache(cache.clone());
+        v.write_file("src/fifo.sv", text);
+        let r = v.eval(&format!(
+            "create_project dov -part xc7k70tfbv676-1\n{read} src/fifo.sv"
+        ));
+        (v, r)
+    }
+
+    fn parsed(v: &VivadoSim) -> Arc<dovado_hdl::SourceFile> {
+        Arc::clone(&v.project().unwrap().sources[0].file)
+    }
+
+    #[test]
+    fn sessions_sharing_a_parse_cache_hold_one_parse() {
+        let cache = ParseCache::new();
+        let (a, ra) = read_with(&cache, "read_verilog -sv", FIFO_SV);
+        let (b, rb) = read_with(&cache, "read_verilog -sv", FIFO_SV);
+        ra.unwrap();
+        rb.unwrap();
+        assert!(Arc::ptr_eq(&parsed(&a), &parsed(&b)));
+        // A hit is charged and logged like a parse.
+        assert_eq!(a.sim_time_s, b.sim_time_s);
+        assert_eq!(a.journal, b.journal);
+        let (c, _) = read_with(&ParseCache::new(), "read_verilog -sv", FIFO_SV);
+        assert!(!Arc::ptr_eq(&parsed(&a), &parsed(&c)));
+    }
+
+    #[test]
+    fn an_edited_source_at_the_same_path_parses_again() {
+        let cache = ParseCache::new();
+        let edited = FIFO_SV.replace("DEPTH = 8", "DEPTH = 512");
+        let (mut old, _) = read_with(&cache, "read_verilog -sv", FIFO_SV);
+        let (mut new, _) = read_with(&cache, "read_verilog -sv", &edited);
+        let (mut fresh, _) = read_with(&ParseCache::new(), "read_verilog -sv", &edited);
+        assert!(!Arc::ptr_eq(&parsed(&old), &parsed(&new)));
+        for v in [&mut old, &mut new, &mut fresh] {
+            v.eval("synth_design -top fifo_v3").unwrap();
+        }
+        let netlist = |v: &VivadoSim| v.synth_result().unwrap().netlist.clone();
+        assert!(netlist(&new).registers() > netlist(&old).registers());
+        assert_eq!(netlist(&new), netlist(&fresh));
+    }
+
+    #[test]
+    fn the_same_text_read_as_another_language_parses_again() {
+        let cache = ParseCache::new();
+        let (verilog, _) = read_with(&cache, "read_verilog", FIFO_SV);
+        let (sv, _) = read_with(&cache, "read_verilog -sv", FIFO_SV);
+        assert!(!Arc::ptr_eq(&parsed(&verilog), &parsed(&sv)));
+        assert_eq!(
+            sv.project().unwrap().sources[0].language,
+            Language::SystemVerilog
+        );
+        // As VHDL the text declares no entity: not the cached module.
+        let (vhdl, r) = read_with(&cache, "read_vhdl", FIFO_SV);
+        r.unwrap();
+        assert_eq!(parsed(&verilog).modules.len(), 1);
+        assert!(parsed(&vhdl).modules.is_empty());
+    }
+
+    #[test]
+    fn a_syntax_error_fails_identically_on_every_read() {
+        let cache = ParseCache::new();
+        let (good, _) = read_with(&cache, "read_verilog -sv", FIFO_SV);
+        let broken = "module fifo_v3(input wire c);";
+        let expected = "src/fifo.sv: parse error at 1:30: module `fifo_v3` is missing `endmodule`";
+        for _ in 0..2 {
+            match read_with(&cache, "read_verilog -sv", broken).1 {
+                Err(EdaError::Parse(m)) => assert_eq!(m, expected),
+                other => panic!("expected a parse error, got {other:?}"),
+            }
+        }
+        let mut direct = Project::new("p", good.project().unwrap().part.clone());
+        let err = direct
+            .add_source("src/fifo.sv", Language::SystemVerilog, broken, None)
+            .unwrap_err();
+        assert!(matches!(err, EdaError::Parse(m) if m == expected));
+        // The failed reads left the good parse in place.
+        let (again, _) = read_with(&cache, "read_verilog -sv", FIFO_SV);
+        assert!(Arc::ptr_eq(&parsed(&good), &parsed(&again)));
     }
 
     #[test]
