@@ -1,7 +1,7 @@
 //! Ablation: exploration strategy.
 //!
 //! The paper chooses NSGA-II over the wider strategy space surveyed by
-//! Panerati et al. [12]. This ablation gives NSGA-II, uniform random
+//! Panerati et al. \[12\]. This ablation gives NSGA-II, uniform random
 //! search, and a weighted-sum GA the same evaluation budgets on the
 //! Corundum problem and scores each front's hypervolume against the exact
 //! front (the space is exhaustively enumerable here, so ground truth is

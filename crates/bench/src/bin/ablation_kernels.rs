@@ -1,7 +1,7 @@
 //! Ablation: kernel choice for the Nadaraya-Watson estimator.
 //!
 //! The paper adopts the Gaussian kernel on the strength of Shapiai et al.
-//! [28] ("the NWM model performs better with a Gaussian Kernel"). This
+//! \[28\] ("the NWM model performs better with a Gaussian Kernel"). This
 //! ablation re-runs the Fig. 3 accuracy protocol with each kernel.
 
 use dovado::casestudies::cv32e40p;

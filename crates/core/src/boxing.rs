@@ -23,8 +23,6 @@ pub struct BoxedDesign {
     pub top: String,
     /// The box's external clock port (`clk`).
     pub clock_port: String,
-    /// Suggested file name.
-    pub file_name: String,
 }
 
 /// The fixed instance label carrying the `DONT_TOUCH` attribute.
@@ -33,6 +31,17 @@ pub const BOX_INSTANCE: &str = "BOXED";
 pub const BOX_TOP: &str = "box";
 /// The box's clock pin.
 pub const BOX_CLOCK: &str = "clk";
+
+/// The file name of the box for a module written in `language` (the box
+/// is written in the module's language).
+pub fn box_file_name(language: Language) -> String {
+    let extension = match language {
+        Language::Vhdl => "vhd",
+        Language::Verilog => "v",
+        Language::SystemVerilog => "sv",
+    };
+    format!("{BOX_TOP}.{extension}")
+}
 
 /// Generates the box for `module` with the design point applied as the
 /// generic/parameter map.
@@ -106,12 +115,10 @@ fn vhdl_box(module: &ModuleInterface, point: &DesignPoint, clock: &str) -> Boxed
         language: Language::Vhdl,
         top: BOX_TOP.to_string(),
         clock_port: BOX_CLOCK.to_string(),
-        file_name: format!("{BOX_TOP}.vhd"),
     }
 }
 
 fn verilog_box(module: &ModuleInterface, point: &DesignPoint, clock: &str) -> BoxedDesign {
-    let sv = module.language == Language::SystemVerilog;
     let mut s = String::new();
     let _ = writeln!(s, "// Dovado box for `{}` (auto-generated)", module.name);
     let _ = writeln!(s, "module {BOX_TOP} (");
@@ -133,14 +140,9 @@ fn verilog_box(module: &ModuleInterface, point: &DesignPoint, clock: &str) -> Bo
     let _ = writeln!(s, "endmodule");
     BoxedDesign {
         source: s,
-        language: if sv {
-            Language::SystemVerilog
-        } else {
-            Language::Verilog
-        },
+        language: module.language,
         top: BOX_TOP.to_string(),
         clock_port: BOX_CLOCK.to_string(),
-        file_name: format!("{BOX_TOP}.{}", if sv { "sv" } else { "v" }),
     }
 }
 

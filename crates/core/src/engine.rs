@@ -24,10 +24,10 @@
 //! parallel == sequential and resume bitwise-identical across backends.
 
 use crate::backend::{SimBackend, ToolBackend, ToolSession};
-use crate::boxing::{generate_box, BOX_CLOCK, BOX_TOP};
+use crate::boxing::{box_file_name, generate_box, BOX_CLOCK, BOX_TOP};
 use crate::error::{DovadoError, DovadoResult};
 use crate::flow::{EvalConfig, FlowStep, HdlSource};
-use crate::frames::{fill, read_sources_script, SourceEntry, IMPL_FRAME, SYNTH_FRAME};
+use crate::frames::{fill, read_sources_script, tcl_word, SourceEntry, IMPL_FRAME, SYNTH_FRAME};
 use crate::metrics::{fmax_mhz, Evaluation};
 use crate::obs::{EventBus, EventKey, ObsEvent, SpineSnapshot};
 use crate::point::DesignPoint;
@@ -115,13 +115,103 @@ pub fn validate_store_capacity(capacity: Option<usize>) -> DovadoResult<Option<u
     Ok(capacity)
 }
 
-/// Everything an attempt needs to generate its scripts.
+/// Everything an attempt needs to run the flow.
 struct FlowContext {
     sources: Arc<Vec<HdlSource>>,
-    /// Per-source "declares a package" flags, same order as `sources`.
-    package_flags: Arc<Vec<bool>>,
     module: Arc<ModuleInterface>,
+    scripts: Arc<FlowScripts>,
     config: EvalConfig,
+}
+
+/// An evaluator's tool scripts, filled from the frames once. A design
+/// point reaches the tool through the generated box file, never through
+/// the script text, so every attempt runs the same scripts.
+struct FlowScripts {
+    /// Tool path of each user source, same order as the sources.
+    source_paths: Vec<String>,
+    /// Tool path of the generated box.
+    box_path: String,
+    /// The synthesis script without the incremental checkpoint read.
+    synth: String,
+    /// The synthesis script with it.
+    synth_incremental: String,
+    /// The implementation script.
+    implementation: String,
+}
+
+/// Tool path of the incremental flow's synthesis checkpoint.
+const SYNTH_DCP: &str = "post_synth.dcp";
+
+impl FlowScripts {
+    /// Fills the frames for `sources` (with their "declares a package"
+    /// flags) and the box of `module`, writing every user value as one
+    /// TCL word.
+    fn build(
+        sources: &[HdlSource],
+        package_flags: &[bool],
+        module: &ModuleInterface,
+        config: &EvalConfig,
+    ) -> DovadoResult<FlowScripts> {
+        let source_paths: Vec<String> = sources.iter().map(|s| format!("src/{}", s.name)).collect();
+        let box_path = format!("src/{}", box_file_name(module.language));
+        let mut entries: Vec<SourceEntry> = sources
+            .iter()
+            .zip(&source_paths)
+            .zip(package_flags)
+            .map(|((src, path), &has_packages)| SourceEntry {
+                path: path.clone(),
+                language: src.language,
+                library: src.library.clone(),
+                has_packages,
+            })
+            .collect();
+        entries.push(SourceEntry {
+            path: box_path.clone(),
+            language: module.language,
+            library: None,
+            has_packages: false,
+        });
+        let read_sources = read_sources_script(&entries)?;
+        let part = tcl_word("part", &config.part)?;
+        let synth_directive = tcl_word("synthesis directive", &config.synth_directive)?;
+        let impl_directive = tcl_word("implementation directive", &config.impl_directive)?;
+        let period = format!("{:.3}", config.target_period_ns);
+        let synth = |incremental: &str| {
+            fill(
+                SYNTH_FRAME,
+                &[
+                    ("PROJECT", "dovado"),
+                    ("PART", &part),
+                    ("READ_SOURCES", read_sources.trim_end()),
+                    ("TOP", BOX_TOP),
+                    ("INCREMENTAL", incremental),
+                    ("SYNTH_DIRECTIVE", &synth_directive),
+                    ("PERIOD", &period),
+                    ("CLOCK", BOX_CLOCK),
+                    ("UTIL_RPT", "util_synth.rpt"),
+                    ("TIMING_RPT", "timing_synth.rpt"),
+                    ("POWER_RPT", "power_synth.rpt"),
+                    ("SYNTH_DCP", SYNTH_DCP),
+                ],
+            )
+        };
+        Ok(FlowScripts {
+            synth: synth("")?,
+            synth_incremental: synth(&format!("read_checkpoint -incremental {SYNTH_DCP}"))?,
+            implementation: fill(
+                IMPL_FRAME,
+                &[
+                    ("IMPL_DIRECTIVE", &impl_directive),
+                    ("UTIL_RPT", "util_impl.rpt"),
+                    ("TIMING_RPT", "timing_impl.rpt"),
+                    ("POWER_RPT", "power_impl.rpt"),
+                    ("IMPL_DCP", "post_route.dcp"),
+                ],
+            )?,
+            source_paths,
+            box_path,
+        })
+    }
 }
 
 /// What one tool attempt produced, for the retry step's bookkeeping.
@@ -206,10 +296,11 @@ impl Evaluator {
                 config.target_period_ns
             )));
         }
+        let scripts = FlowScripts::build(&sources, &package_flags, &module, &config)?;
         let ctx = FlowContext {
             sources: Arc::new(sources),
-            package_flags: Arc::new(package_flags),
             module: Arc::new(module),
+            scripts: Arc::new(scripts),
             config,
         };
         Ok(Evaluator::fresh(ctx, backend))
@@ -228,8 +319,8 @@ impl Evaluator {
     }
 
     /// Builds a low-fidelity sibling evaluator for portfolio racing: the
-    /// same parsed sources, module and *backend instance*, but with the
-    /// flow truncated to `step` (synthesis-only is the simulator's
+    /// same parsed sources, module, scripts and *backend instance*, but
+    /// with the flow truncated to `step` (synthesis-only is the simulator's
     /// degraded mode — cheap, correlated signal before paying for full
     /// place-and-route). The probe gets a fresh event spine and a fresh
     /// incremental-flow checkpoint flag and never attaches a store, so
@@ -240,8 +331,8 @@ impl Evaluator {
     pub fn probe_with_step(&self, step: FlowStep) -> Evaluator {
         let ctx = FlowContext {
             sources: self.ctx.sources.clone(),
-            package_flags: self.ctx.package_flags.clone(),
             module: self.ctx.module.clone(),
+            scripts: self.ctx.scripts.clone(),
             config: EvalConfig {
                 step,
                 ..self.ctx.config.clone()
@@ -613,8 +704,8 @@ impl Evaluator {
         }
     }
 
-    /// Script generation, tool execution, and report scraping for one
-    /// attempt.
+    /// File writes, tool execution of the prebuilt scripts, and report
+    /// scraping for one attempt.
     fn run_flow(
         &self,
         session: &mut (dyn ToolSession + Send),
@@ -622,29 +713,14 @@ impl Evaluator {
         step: FlowStep,
         incremental: bool,
     ) -> DovadoResult<Evaluation> {
-        let config = &self.ctx.config;
+        let scripts = &self.ctx.scripts;
         let boxed = generate_box(&self.ctx.module, point)?;
 
         // Write user sources + the generated box into the tool filesystem.
-        let mut entries = Vec::new();
-        for (src, &has_packages) in self.ctx.sources.iter().zip(self.ctx.package_flags.iter()) {
-            let path = format!("src/{}", src.name);
-            session.write_file(&path, src.content.clone());
-            entries.push(SourceEntry {
-                path,
-                language: src.language,
-                library: src.library.clone(),
-                has_packages,
-            });
+        for (src, path) in self.ctx.sources.iter().zip(&scripts.source_paths) {
+            session.write_file(path, src.content.clone());
         }
-        let box_path = format!("src/{}", boxed.file_name);
-        session.write_file(&box_path, boxed.source.clone());
-        entries.push(SourceEntry {
-            path: box_path,
-            language: boxed.language,
-            library: None,
-            has_packages: false,
-        });
+        session.write_file(&scripts.box_path, boxed.source);
 
         // Incremental flow: reuse the previous synthesis checkpoint when
         // one exists (Vivado reads it with `read_checkpoint -incremental`).
@@ -653,47 +729,19 @@ impl Evaluator {
         // here would make the decision depend on which concurrently
         // running point finished first, and the trace would no longer be
         // byte-identical across serial, rayon, and distributed schedules.
-        let incremental_line = if incremental {
+        let synth_script = if incremental {
             // The checkpoint file must exist in this session's filesystem.
-            session.write_file("post_synth.dcp", "dcp:incremental-basis".into());
-            "read_checkpoint -incremental post_synth.dcp".to_string()
+            session.write_file(SYNTH_DCP, "dcp:incremental-basis".into());
+            &scripts.synth_incremental
         } else {
-            String::new()
+            &scripts.synth
         };
-
-        let synth_script = fill(
-            SYNTH_FRAME,
-            &[
-                ("PROJECT", "dovado"),
-                ("PART", &config.part),
-                ("READ_SOURCES", read_sources_script(&entries).trim_end()),
-                ("TOP", BOX_TOP),
-                ("INCREMENTAL", &incremental_line),
-                ("SYNTH_DIRECTIVE", &config.synth_directive),
-                ("PERIOD", &format!("{:.3}", config.target_period_ns)),
-                ("CLOCK", BOX_CLOCK),
-                ("UTIL_RPT", "util_synth.rpt"),
-                ("TIMING_RPT", "timing_synth.rpt"),
-                ("POWER_RPT", "power_synth.rpt"),
-                ("SYNTH_DCP", "post_synth.dcp"),
-            ],
-        )?;
-        session.eval(&synth_script)?;
+        session.eval(synth_script)?;
 
         let (util_path, timing_path, power_path) = match step {
             FlowStep::Synthesis => ("util_synth.rpt", "timing_synth.rpt", "power_synth.rpt"),
             FlowStep::Implementation => {
-                let impl_script = fill(
-                    IMPL_FRAME,
-                    &[
-                        ("IMPL_DIRECTIVE", &config.impl_directive),
-                        ("UTIL_RPT", "util_impl.rpt"),
-                        ("TIMING_RPT", "timing_impl.rpt"),
-                        ("POWER_RPT", "power_impl.rpt"),
-                        ("IMPL_DCP", "post_route.dcp"),
-                    ],
-                )?;
-                session.eval(&impl_script)?;
+                session.eval(&scripts.implementation)?;
                 ("util_impl.rpt", "timing_impl.rpt", "power_impl.rpt")
             }
         };
@@ -775,6 +823,79 @@ mod tests {
         assert_eq!(a.wns_ns.to_bits(), b.wns_ns.to_bits());
         assert!(a.fmax_mhz > 0.0 && a.power_mw > 0.0);
         assert_eq!(evaluator.total_runs(), 2);
+    }
+
+    #[test]
+    fn scripts_are_filled_once_per_evaluator() {
+        let evaluator = Evaluator::new(sources(), "fifo_v3", EvalConfig::default()).unwrap();
+        let synth = |incremental: &str| {
+            format!(
+                "create_project dovado -part xc7k70tfbv676-1\n\
+                 read_verilog -sv src/fifo.sv\n\
+                 read_verilog -sv src/box.sv\n\
+                 set_property top box [current_fileset]\n\
+                 {incremental}\n\
+                 synth_design -top box -part xc7k70tfbv676-1 -directive Default\n\
+                 create_clock -period 1.000 -name dovado_clk [get_ports clk]\n\
+                 report_utilization -file util_synth.rpt\n\
+                 report_timing_summary -file timing_synth.rpt\n\
+                 report_power -file power_synth.rpt\n\
+                 write_checkpoint -force post_synth.dcp\n"
+            )
+        };
+        let scripts = &evaluator.ctx.scripts;
+        assert_eq!(scripts.synth, synth(""));
+        assert_eq!(
+            scripts.synth_incremental,
+            synth("read_checkpoint -incremental post_synth.dcp")
+        );
+        assert_eq!(
+            scripts.implementation,
+            "opt_design\n\
+             place_design\n\
+             route_design -directive Default\n\
+             report_utilization -file util_impl.rpt\n\
+             report_timing_summary -file timing_impl.rpt\n\
+             report_power -file power_impl.rpt\n\
+             write_checkpoint -force post_route.dcp\n"
+        );
+        assert_eq!(scripts.source_paths, ["src/fifo.sv"]);
+        assert_eq!(scripts.box_path, "src/box.sv");
+        // A low-fidelity sibling runs the same scripts.
+        let probe = evaluator.probe_with_step(FlowStep::Synthesis);
+        assert!(Arc::ptr_eq(&evaluator.ctx.scripts, &probe.ctx.scripts));
+    }
+
+    #[test]
+    fn user_values_reach_the_scripts_as_one_word() {
+        let spaced = vec![HdlSource::new(
+            "fifo queue v3.sv",
+            Language::SystemVerilog,
+            FIFO_SV,
+        )];
+        let config = EvalConfig {
+            part: "[exit 1]".into(),
+            synth_directive: "Default;".into(),
+            impl_directive: "$x".into(),
+            ..EvalConfig::default()
+        };
+        let evaluator = Evaluator::new(spaced, "fifo_v3", config).unwrap();
+        let scripts = &evaluator.ctx.scripts;
+        let head = "create_project dovado -part \\[exit\\ 1\\]\n\
+                    read_verilog -sv src/fifo\\ queue\\ v3.sv\n";
+        assert!(scripts.synth.starts_with(head), "{}", scripts.synth);
+        assert!(scripts.synth.contains("-directive Default\\;\n"));
+        assert!(scripts.implementation.contains("-directive \\$x\n"));
+        // A control character cannot be one word: refused up front.
+        let broken = vec![HdlSource::new(
+            "fifo\n.sv",
+            Language::SystemVerilog,
+            FIFO_SV,
+        )];
+        match Evaluator::new(broken, "fifo_v3", EvalConfig::default()) {
+            Err(DovadoError::Config(m)) => assert!(m.contains(r#""src/fifo\n.sv""#), "{m}"),
+            other => panic!("expected a config error, got {:?}", other.err()),
+        }
     }
 
     #[test]

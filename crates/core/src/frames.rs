@@ -5,7 +5,8 @@
 //! (§III-A3). Frames are templates with `__PLACEHOLDER__` slots filled by
 //! [`fill`]; [`read_sources_script`] generates the per-file `read_*` lines
 //! with the paper's ordering/naming rules (SV packages first, one library
-//! per VHDL `-library` flag).
+//! per VHDL `-library` flag). A user-supplied value goes into a script
+//! through [`tcl_word`], so it reaches the tool as exactly one word.
 
 use crate::error::{DovadoError, DovadoResult};
 use dovado_hdl::Language;
@@ -68,6 +69,29 @@ pub fn fill(frame: &str, substitutions: &[(&str, &str)]) -> DovadoResult<String>
     Ok(out)
 }
 
+/// Writes `value` as exactly one TCL word: whitespace and
+/// `; $ [ ] \ " { }` are backslash-escaped, so the tool reads the value
+/// back verbatim and runs no part of it. A value without those characters
+/// comes back unchanged. A control character has no such spelling (a
+/// backslash before a newline continues the line), so it is a
+/// [`DovadoError::Config`] naming the value as `what`.
+pub fn tcl_word(what: &str, value: &str) -> DovadoResult<String> {
+    if value.contains(char::is_control) {
+        return Err(DovadoError::Config(format!(
+            "{what} {value:?} contains a control character and cannot be passed \
+             to the tool as one TCL word"
+        )));
+    }
+    let mut word = String::with_capacity(value.len());
+    for c in value.chars() {
+        if c.is_whitespace() || matches!(c, ';' | '$' | '[' | ']' | '\\' | '"' | '{' | '}') {
+            word.push('\\');
+        }
+        word.push(c);
+    }
+    Ok(word)
+}
+
 /// A frame placeholder key: an uppercase letter, then uppercase letters,
 /// digits and underscores.
 fn is_placeholder_key(key: &str) -> bool {
@@ -90,12 +114,14 @@ pub struct SourceEntry {
     pub has_packages: bool,
 }
 
-/// Generates the `read_vhdl`/`read_verilog` lines.
+/// Generates the `read_vhdl`/`read_verilog` lines, each path and library
+/// written as one [`tcl_word`] (whose error a name with a control
+/// character gets).
 ///
 /// Ordering rule from the paper: "SV packages are read at the very
 /// beginning of the step". Package-bearing files are emitted first,
 /// preserving relative order otherwise.
-pub fn read_sources_script(entries: &[SourceEntry]) -> String {
+pub fn read_sources_script(entries: &[SourceEntry]) -> DovadoResult<String> {
     let mut ordered: Vec<&SourceEntry> = Vec::with_capacity(entries.len());
     ordered.extend(
         entries
@@ -109,23 +135,28 @@ pub fn read_sources_script(entries: &[SourceEntry]) -> String {
     );
     let mut out = String::new();
     for e in ordered {
+        let path = tcl_word("source file", &e.path)?;
         let line = match e.language {
             Language::Vhdl => match &e.library {
-                Some(lib) => format!("read_vhdl -library {lib} {}", e.path),
-                None => format!("read_vhdl {}", e.path),
+                Some(lib) => format!(
+                    "read_vhdl -library {} {path}",
+                    tcl_word("VHDL library", lib)?
+                ),
+                None => format!("read_vhdl {path}"),
             },
-            Language::Verilog => format!("read_verilog {}", e.path),
-            Language::SystemVerilog => format!("read_verilog -sv {}", e.path),
+            Language::Verilog => format!("read_verilog {path}"),
+            Language::SystemVerilog => format!("read_verilog -sv {path}"),
         };
         out.push_str(&line);
         out.push('\n');
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dovado_eda::tcl::{parse_script, parser::Part, Word};
 
     #[test]
     fn fill_replaces_all() {
@@ -164,6 +195,63 @@ mod tests {
             err.to_string(),
             "configuration error: unfilled placeholder `__MISSING__`"
         );
+    }
+
+    #[test]
+    fn tcl_word_writes_one_word() {
+        // Ordinary values come back untouched.
+        for plain in ["xc7k70tfbv676-1", "Default", "src/fifo__Core.sv", ""] {
+            assert_eq!(tcl_word("v", plain).unwrap(), plain);
+        }
+        assert_eq!(
+            tcl_word("v", "src/cpl queue manager.v").unwrap(),
+            r"src/cpl\ queue\ manager.v"
+        );
+        assert_eq!(
+            tcl_word("v", r#"a;b$c[d]e\f"g{h}i"#).unwrap(),
+            r#"a\;b\$c\[d\]e\\f\"g\{h\}i"#
+        );
+        // The TCL parser reads each back as exactly one word: the value.
+        for value in [
+            "src/cpl queue manager.v",
+            "[exit]",
+            "$env(HOME)",
+            "{a b} \"c d\"",
+            "x\\",
+            "a\u{a0}b",
+        ] {
+            let word = tcl_word("v", value).unwrap();
+            let cmds = parse_script(&format!("cmd {word}")).unwrap();
+            let literal = |s: &str| Word::Bare(vec![Part::Lit(s.into())]);
+            assert_eq!(cmds.len(), 1, "{value:?}");
+            assert_eq!(cmds[0].words, [literal("cmd"), literal(value)]);
+        }
+        let err = tcl_word("source file", "src/a\nb.v").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "configuration error: source file \"src/a\\nb.v\" contains a control \
+             character and cannot be passed to the tool as one TCL word"
+        );
+        assert!(tcl_word("part", "xc7\tk70t").is_err());
+    }
+
+    #[test]
+    fn read_sources_escapes_paths_and_libraries() {
+        let entry = |path: &str, library: Option<&str>| SourceEntry {
+            path: path.into(),
+            language: Language::Vhdl,
+            library: library.map(Into::into),
+            has_packages: false,
+        };
+        let s = read_sources_script(&[entry("src/my core.vhd", Some("my lib"))]).unwrap();
+        assert_eq!(s, "read_vhdl -library my\\ lib src/my\\ core.vhd\n");
+        let err = read_sources_script(&[entry("src/a\rb.vhd", None)]).unwrap_err();
+        assert!(
+            err.to_string().contains(r#"source file "src/a\rb.vhd""#),
+            "{err}"
+        );
+        let err = read_sources_script(&[entry("src/a.vhd", Some("l\n"))]).unwrap_err();
+        assert!(err.to_string().contains("VHDL library"), "{err}");
     }
 
     #[test]
@@ -222,7 +310,7 @@ mod tests {
                 has_packages: true,
             },
         ];
-        let s = read_sources_script(&entries);
+        let s = read_sources_script(&entries).unwrap();
         let pkg_pos = s.find("pkg.sv").unwrap();
         let core_pos = s.find("core.sv").unwrap();
         assert!(pkg_pos < core_pos, "packages must be read first:\n{s}");
@@ -236,7 +324,7 @@ mod tests {
             library: Some("neorv32".into()),
             has_packages: true,
         }];
-        let s = read_sources_script(&entries);
+        let s = read_sources_script(&entries).unwrap();
         assert_eq!(
             s.trim(),
             "read_vhdl -library neorv32 src/neorv32_package.vhd"
@@ -259,7 +347,7 @@ mod tests {
                 has_packages: false,
             },
         ];
-        let s = read_sources_script(&entries);
+        let s = read_sources_script(&entries).unwrap();
         assert!(s.contains("read_verilog a.v\n"));
         assert!(s.contains("read_verilog -sv b.sv\n"));
     }

@@ -26,6 +26,7 @@ use crate::netlist::Netlist;
 use crate::place_route::ImplResult;
 use crate::power::{write_power_report, PowerEstimate};
 use crate::report::{write_timing_report, write_utilization_report};
+use crate::tcl::ScriptCache;
 use crate::{CheckpointStore, ModelRegistry, ParseCache, VivadoSim};
 use dovado_fpga::{Catalog, Part, ResourceKind, ResourceSet};
 use std::collections::BTreeMap;
@@ -95,7 +96,9 @@ pub trait ToolBackend: Send + Sync {
 /// flow works across parallel evaluations), one [`FaultInjector`] stream
 /// (retries consume fresh draws instead of replaying faults), one
 /// [`ParseCache`] (unchanged sources parse once, not once per attempt),
-/// and one part catalog and model registry, built with the backend.
+/// one [`ScriptCache`] (an unchanged script parses once, not once per
+/// attempt), and one part catalog and model registry, built with the
+/// backend.
 #[derive(Clone)]
 pub struct SimBackend {
     seed: u64,
@@ -105,6 +108,7 @@ pub struct SimBackend {
     registry: Arc<ModelRegistry>,
     checkpoints: CheckpointStore,
     parses: ParseCache,
+    scripts: ScriptCache,
     injector: Option<FaultInjector>,
 }
 
@@ -118,6 +122,7 @@ impl SimBackend {
             registry: Arc::new(ModelRegistry::with_builtin_models()),
             checkpoints: CheckpointStore::new(),
             parses: ParseCache::new(),
+            scripts: ScriptCache::new(),
             injector: None,
         }
     }
@@ -140,6 +145,7 @@ impl SimBackend {
         );
         sim.set_checkpoint_store(self.checkpoints.clone());
         sim.set_parse_cache(self.parses.clone());
+        sim.set_script_cache(self.scripts.clone());
         if let Some(injector) = &self.injector {
             sim.set_fault_injector(injector.clone());
         }
@@ -428,10 +434,8 @@ impl MockSession {
     }
 
     fn run_command(&mut self, line: &str) -> EdaResult<String> {
-        let tokens: Vec<&str> = line
-            .split_whitespace()
-            .map(|t| t.trim_matches(|c| c == '[' || c == ']'))
-            .collect();
+        let words = split_words(line);
+        let tokens: Vec<&str> = words.iter().map(String::as_str).collect();
         let (cmd, args) = tokens.split_first().expect("blank lines filtered");
         match *cmd {
             "create_project" => {
@@ -632,6 +636,30 @@ impl MockSession {
     }
 }
 
+/// Splits a script line into the mock's words: at unescaped whitespace,
+/// with each backslash escape reduced to the character it escapes and the
+/// unescaped brackets of a `[command]` substitution dropped.
+fn split_words(line: &str) -> Vec<String> {
+    let mut words = Vec::new();
+    // The word being read, once any character of it has been seen.
+    let mut word: Option<String> = None;
+    let mut chars = line.chars();
+    while let Some(c) = chars.next() {
+        match c {
+            '\\' => word
+                .get_or_insert_with(String::new)
+                .push(chars.next().unwrap_or('\\')),
+            '[' | ']' => {
+                word.get_or_insert_with(String::new);
+            }
+            c if c.is_whitespace() => words.extend(word.take()),
+            c => word.get_or_insert_with(String::new).push(c),
+        }
+    }
+    words.extend(word);
+    words
+}
+
 impl ToolSession for MockSession {
     fn write_file(&mut self, path: &str, content: String) {
         self.fs.insert(path.to_string(), content);
@@ -791,6 +819,56 @@ report_power -file power.rpt
             Arc::clone(&sim.project().unwrap().sources[0].file)
         };
         assert!(Arc::ptr_eq(&read(), &read()));
+    }
+
+    #[test]
+    fn sim_backend_sessions_share_script_parses() {
+        let backend = SimBackend::new(42);
+        let script = "create_project p -part xc7k70tfbv676-1\nset f [current_fileset]";
+        let run = || {
+            let mut sim = backend.sim();
+            sim.eval(script).unwrap();
+            let cached = |text| {
+                backend
+                    .scripts
+                    .cached(text)
+                    .expect("parsed through the backend")
+            };
+            (cached(script), cached("current_fileset"))
+        };
+        let (a, a_sub) = run();
+        let (b, b_sub) = run();
+        assert!(Arc::ptr_eq(&a, &b));
+        assert!(Arc::ptr_eq(&a_sub, &b_sub));
+    }
+
+    #[test]
+    fn mock_words_split_at_unescaped_whitespace() {
+        assert_eq!(
+            split_words(r"read_verilog -sv src/cpl\ queue\ manager.v"),
+            ["read_verilog", "-sv", "src/cpl queue manager.v"]
+        );
+        // Unescaped brackets are dropped, escaped ones kept.
+        assert_eq!(
+            split_words(r"set_property top box [current_fileset]  "),
+            ["set_property", "top", "box", "current_fileset"]
+        );
+        assert_eq!(
+            split_words(r"create_project dovado -part \[\[x\]\]\;\$\\"),
+            ["create_project", "dovado", "-part", r"[[x]];$\"]
+        );
+        let backend = MockBackend::new(7);
+        let mut s = session_with_source(&backend, 64);
+        let spaced = SCRIPT.replace("src/fifo.sv", r"src/my\ fifo.sv");
+        s.write_file(
+            "src/my fifo.sv",
+            s.read_file("src/fifo.sv").unwrap().to_string(),
+        );
+        s.eval(&spaced).unwrap();
+        assert!(matches!(
+            s.eval(r"create_project x -part \[xc7k70t\]"),
+            Err(EdaError::UnknownPart(p)) if p == "[xc7k70t]"
+        ));
     }
 
     #[test]

@@ -30,12 +30,25 @@ impl V {
     }
 }
 
+/// How deeply an expression may nest. The whole expression is level 0;
+/// each parenthesis, function argument, ternary branch, prefix operator
+/// and `**` exponent opens one more level of the recursive descent.
+pub const MAX_EXPR_DEPTH: usize = 64;
+
 /// Evaluates an expression string (after variable substitution).
 pub fn eval_expr(src: &str) -> EdaResult<String> {
+    eval_expr_at(src, 1)
+}
+
+/// [`eval_expr`] for an expression on script line `line`, which the error
+/// for an expression nested deeper than [`MAX_EXPR_DEPTH`] names.
+pub(crate) fn eval_expr_at(src: &str, line: u32) -> EdaResult<String> {
     let toks = tokenize(src)?;
     let mut p = E {
         toks,
         pos: 0,
+        depth: 0,
+        line,
         src: src.to_string(),
     };
     let v = p.ternary()?;
@@ -164,12 +177,30 @@ fn tokenize(src: &str) -> EdaResult<Vec<Tok>> {
 struct E {
     toks: Vec<Tok>,
     pos: usize,
+    /// Open nesting levels (see [`MAX_EXPR_DEPTH`]).
+    depth: usize,
+    line: u32,
     src: String,
 }
 
 impl E {
     fn err(&self, msg: &str) -> EdaError {
         EdaError::Tcl(format!("expr `{}`: {msg}", self.src))
+    }
+
+    /// Runs `level` one nesting level deeper. An error abandons the whole
+    /// evaluation, so only the success path closes the level.
+    fn nested(&mut self, level: fn(&mut E) -> EdaResult<V>) -> EdaResult<V> {
+        if self.depth == MAX_EXPR_DEPTH {
+            return Err(EdaError::Tcl(format!(
+                "line {}: expression nests deeper than {MAX_EXPR_DEPTH} levels",
+                self.line
+            )));
+        }
+        self.depth += 1;
+        let v = level(self)?;
+        self.depth -= 1;
+        Ok(v)
     }
 
     fn peek_op(&self) -> Option<&str> {
@@ -191,11 +222,11 @@ impl E {
     fn ternary(&mut self) -> EdaResult<V> {
         let c = self.or()?;
         if self.eat_op("?") {
-            let a = self.ternary()?;
+            let a = self.nested(E::ternary)?;
             if !self.eat_op(":") {
                 return Err(self.err("expected `:`"));
             }
-            let b = self.ternary()?;
+            let b = self.nested(E::ternary)?;
             return Ok(if c.v != 0.0 { a } else { b });
         }
         Ok(c)
@@ -293,7 +324,7 @@ impl E {
     fn pow(&mut self) -> EdaResult<V> {
         let base = self.unary()?;
         if self.eat_op("**") {
-            let e = self.pow()?;
+            let e = self.nested(E::pow)?;
             return Ok(base.join(e, base.v.powf(e.v)));
         }
         Ok(base)
@@ -302,17 +333,17 @@ impl E {
     fn unary(&mut self) -> EdaResult<V> {
         // Unary minus binds below `**` in TCL: -2**2 == -(2**2).
         if self.eat_op("-") {
-            let v = self.pow()?;
+            let v = self.nested(E::pow)?;
             return Ok(V {
                 v: -v.v,
                 int: v.int,
             });
         }
         if self.eat_op("+") {
-            return self.pow();
+            return self.nested(E::pow);
         }
         if self.eat_op("!") {
-            let v = self.pow()?;
+            let v = self.nested(E::pow)?;
             return Ok(V::int(((v.v == 0.0) as i64) as f64));
         }
         self.primary()
@@ -334,7 +365,7 @@ impl E {
             }
             Some(Tok::Op(o)) if o == "(" => {
                 self.pos += 1;
-                let v = self.ternary()?;
+                let v = self.nested(E::ternary)?;
                 if !self.eat_op(")") {
                     return Err(self.err("expected `)`"));
                 }
@@ -359,9 +390,9 @@ impl E {
                 if !self.eat_op("(") {
                     return Err(self.err(&format!("expected `(` after `{f}`")));
                 }
-                let mut args = vec![self.ternary()?];
+                let mut args = vec![self.nested(E::ternary)?];
                 while self.eat_op(",") {
-                    args.push(self.ternary()?);
+                    args.push(self.nested(E::ternary)?);
                 }
                 if !self.eat_op(")") {
                     return Err(self.err("expected `)`"));
@@ -457,6 +488,33 @@ mod tests {
         assert!(eval_expr("foo + 1").is_err());
         assert!(eval_expr("(1").is_err());
         assert!(eval_expr("1 2").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_located_error() {
+        let d = MAX_EXPR_DEPTH;
+        // Each form opens one level per repetition.
+        let forms: [fn(usize) -> String; 5] = [
+            |n| format!("{}1{}", "(".repeat(n), ")".repeat(n)),
+            |n| format!("{}1{}", "abs(".repeat(n), ")".repeat(n)),
+            |n| format!("{}1{}", "1 ? ".repeat(n), " : 0".repeat(n)),
+            |n| format!("{}1", "- ".repeat(n)),
+            |n| format!("{}1", "1 ** ".repeat(n)),
+        ];
+        for form in forms {
+            assert_eq!(ev(&form(d)), "1", "{}", form(d));
+            let err = eval_expr_at(&form(d + 1), 7).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("TCL error: line 7: expression nests deeper than {d} levels")
+            );
+        }
+        // Far deeper input fails the same way instead of overflowing.
+        let deep = format!("{}1{}", "(".repeat(20_000), ")".repeat(20_000));
+        assert!(eval_expr(&deep)
+            .unwrap_err()
+            .to_string()
+            .contains("line 1: expression nests deeper"));
     }
 
     #[test]

@@ -2,9 +2,16 @@
 //! embedding context's commands.
 
 use crate::error::{EdaError, EdaResult};
-use crate::tcl::expr::eval_expr;
-use crate::tcl::parser::{parse_script, Part, Word};
+use crate::tcl::expr::eval_expr_at;
+use crate::tcl::parser::{parse_script, Command, Part, ScriptCache, Word};
 use std::collections::HashMap;
+
+/// How deeply scripts may nest: the script handed to [`Interp::eval`] is
+/// level 1, and each command substitution, control-structure body and
+/// `proc` call opens one more. All of them enter one recursive evaluator,
+/// so the cap keeps hostile or runaway input (10,000 nested `[…]`, a
+/// `proc` calling itself) from overflowing the stack.
+pub const MAX_SCRIPT_DEPTH: usize = 64;
 
 /// The embedding context supplies non-builtin commands (the Vivado command
 /// set, in this crate's case).
@@ -56,14 +63,30 @@ pub struct Interp {
     /// Loop control raised inside an `if` body, consumed by the enclosing
     /// loop (or surfaced as an error at the top level).
     pending_flow: Option<Flow>,
+    /// Where every evaluated script is parsed.
+    scripts: ScriptCache,
+    /// Scripts being evaluated, outermost included.
+    depth: usize,
+    /// Line of the running command in the outermost script, which the
+    /// depth errors name.
+    line: u32,
     /// Everything printed via `puts`.
     pub output: String,
 }
 
 impl Interp {
-    /// Creates a fresh interpreter.
+    /// Creates a fresh interpreter with a private script cache.
     pub fn new() -> Interp {
         Interp::default()
+    }
+
+    /// Creates a fresh interpreter that parses scripts through `scripts`,
+    /// shared with other interpreters.
+    pub fn with_scripts(scripts: ScriptCache) -> Interp {
+        Interp {
+            scripts,
+            ..Interp::default()
+        }
     }
 
     /// Sets a variable (as `set name value` would).
@@ -87,9 +110,29 @@ impl Interp {
 
     /// Evaluates a script, propagating loop control flow to the caller.
     fn eval_flow<C: TclContext>(&mut self, ctx: &mut C, script: &str) -> EdaResult<(String, Flow)> {
-        let commands = parse_script(script)?;
+        if self.depth == MAX_SCRIPT_DEPTH {
+            return Err(EdaError::Tcl(format!(
+                "line {}: scripts nest deeper than {MAX_SCRIPT_DEPTH} levels",
+                self.line
+            )));
+        }
+        let commands = self.scripts.parse(script)?;
+        self.depth += 1;
+        let result = self.run_commands(ctx, &commands);
+        self.depth -= 1;
+        result
+    }
+
+    fn run_commands<C: TclContext>(
+        &mut self,
+        ctx: &mut C,
+        commands: &[Command],
+    ) -> EdaResult<(String, Flow)> {
         let mut last = String::new();
         for cmd in commands {
+            if self.depth == 1 {
+                self.line = cmd.line;
+            }
             let mut words = Vec::with_capacity(cmd.words.len());
             for w in &cmd.words {
                 words.push(self.subst_word(ctx, w)?);
@@ -195,7 +238,7 @@ impl Interp {
             "expr" => {
                 let joined = args.join(" ");
                 let substituted = self.subst_string(ctx, &joined)?;
-                eval_expr(&substituted)
+                eval_expr_at(&substituted, self.line)
             }
             "incr" => match args {
                 [n] | [n, _] => {
@@ -242,7 +285,7 @@ impl Interp {
                     let mut guard = 0u64;
                     loop {
                         let c = self.subst_string(ctx, cond)?;
-                        if eval_expr(&c)? == "0" {
+                        if eval_expr_at(&c, self.line)? == "0" {
                             break;
                         }
                         let (r, flow) = self.eval_flow(ctx, body)?;
@@ -319,7 +362,7 @@ impl Interp {
                 return Err(EdaError::Tcl("wrong # args: if cond body …".into()));
             }
             let cond = self.subst_string(ctx, &args[i])?;
-            let truth = eval_expr(&cond)?;
+            let truth = eval_expr_at(&cond, self.line)?;
             if truth != "0" {
                 let (r, flow) = self.eval_flow(ctx, &args[i + 1])?;
                 if flow != Flow::Normal {
@@ -515,6 +558,100 @@ mod tests {
         let mut i = Interp::new();
         let e = i.eval(&mut NoContext, "while {1} { set x 1 }").unwrap_err();
         assert!(e.to_string().contains("iteration limit"));
+    }
+
+    /// `list [list [… [list a] …]]`: a script `levels` deep.
+    fn nested_brackets(levels: usize) -> String {
+        format!(
+            "{}list a{}",
+            "list [".repeat(levels - 1),
+            "]".repeat(levels - 1)
+        )
+    }
+
+    /// `if {1} { if {1} { … set r ok … } }`: a script `levels` deep.
+    fn nested_bodies(levels: usize, innermost: &str) -> String {
+        format!(
+            "{}{innermost}{}",
+            "if {1} { ".repeat(levels - 1),
+            " }".repeat(levels - 1)
+        )
+    }
+
+    #[test]
+    fn script_nesting_is_capped_with_a_located_error() {
+        let too_deep = format!("line 3: scripts nest deeper than {MAX_SCRIPT_DEPTH} levels");
+        let mut i = Interp::new();
+        let r = i.eval(&mut NoContext, &nested_brackets(MAX_SCRIPT_DEPTH));
+        assert_eq!(r.unwrap(), "a");
+        let deeper = format!(
+            "set a 1\nset b 2\nset c [{}]",
+            nested_brackets(MAX_SCRIPT_DEPTH)
+        );
+        match i.eval(&mut NoContext, &deeper) {
+            Err(EdaError::Tcl(m)) => assert_eq!(m, too_deep),
+            other => panic!("expected the depth error, got {other:?}"),
+        }
+        // The same interpreter is back at level 0 afterwards.
+        let body = nested_bodies(MAX_SCRIPT_DEPTH, "set r ok");
+        assert_eq!(i.eval(&mut NoContext, &body).unwrap(), "ok");
+        let deeper = format!("\n\n{}", nested_bodies(MAX_SCRIPT_DEPTH + 1, "set r ok"));
+        match i.eval(&mut NoContext, &deeper) {
+            Err(EdaError::Tcl(m)) => assert_eq!(m, too_deep),
+            other => panic!("expected the depth error, got {other:?}"),
+        }
+        // A proc that calls itself forever stops at the cap too.
+        let e = i.eval(&mut NoContext, "proc f {} { f }\n\nf").unwrap_err();
+        assert_eq!(e.to_string(), format!("TCL error: {too_deep}"));
+        // 10,000 levels fail the same way instead of overflowing the stack.
+        let e = i
+            .eval(&mut NoContext, &nested_brackets(10_000))
+            .unwrap_err();
+        assert!(e.to_string().contains("line 1: scripts nest deeper"), "{e}");
+    }
+
+    #[test]
+    fn expression_nesting_is_capped_with_a_located_error() {
+        use crate::tcl::expr::MAX_EXPR_DEPTH;
+        let parens = |levels: usize| format!("{}1{}", "(".repeat(levels), ")".repeat(levels));
+        let mut i = Interp::new();
+        let at_cap = format!("set x 1\nexpr {{{}}}", parens(MAX_EXPR_DEPTH));
+        assert_eq!(i.eval(&mut NoContext, &at_cap).unwrap(), "1");
+        let deeper = format!("set x 1\nexpr {{{}}}", parens(MAX_EXPR_DEPTH + 1));
+        match i.eval(&mut NoContext, &deeper) {
+            Err(EdaError::Tcl(m)) => assert_eq!(
+                m,
+                format!("line 2: expression nests deeper than {MAX_EXPR_DEPTH} levels")
+            ),
+            other => panic!("expected the depth error, got {other:?}"),
+        }
+        // Conditions are expressions too.
+        let cond = format!("\n\nif {{{}}} {{set y 1}}", parens(20_000));
+        let e = i.eval(&mut NoContext, &cond).unwrap_err();
+        assert!(
+            e.to_string().contains("line 3: expression nests deeper"),
+            "{e}"
+        );
+    }
+
+    #[test]
+    fn both_caps_together_fit_a_two_mebibyte_thread() {
+        use crate::tcl::expr::MAX_EXPR_DEPTH;
+        // The deepest input the caps admit: every script level a control
+        // body, with an expression at its cap innermost.
+        let innermost = format!(
+            "expr {{{}1{}}}",
+            "(".repeat(MAX_EXPR_DEPTH),
+            ")".repeat(MAX_EXPR_DEPTH)
+        );
+        let script = nested_bodies(MAX_SCRIPT_DEPTH, &innermost);
+        let result = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || Interp::new().eval(&mut NoContext, &script))
+            .unwrap()
+            .join()
+            .unwrap();
+        assert_eq!(result.unwrap(), "1");
     }
 
     #[test]

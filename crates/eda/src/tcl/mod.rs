@@ -16,5 +16,5 @@ pub mod expr;
 pub mod interp;
 pub mod parser;
 
-pub use interp::{Interp, TclContext};
-pub use parser::{parse_script, Command, Word};
+pub use interp::{Interp, TclContext, MAX_SCRIPT_DEPTH};
+pub use parser::{parse_script, Command, ScriptCache, Word, MAX_CACHED_SCRIPTS};

@@ -2,6 +2,9 @@
 //! substitution structure for the interpreter.
 
 use crate::error::{EdaError, EdaResult};
+use parking_lot::Mutex;
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One substitutable fragment of a word.
 #[derive(Debug, Clone, PartialEq)]
@@ -291,6 +294,63 @@ fn unescape(c: char) -> char {
     }
 }
 
+/// How many distinct script texts a [`ScriptCache`] holds. A flow run
+/// evaluates a handful (the two synthesis variants, the implementation
+/// script and their command substitutions); inserting into a full cache
+/// first empties it.
+pub const MAX_CACHED_SCRIPTS: usize = 64;
+
+/// Parsed scripts keyed by their full text, shared by the sessions of one
+/// tool backend the way they share a [`crate::ParseCache`].
+///
+/// A lookup hits only when the text is byte-for-byte equal to a cached
+/// one, and a hit returns the shared parse. Parse errors are never cached.
+/// The lock is held to look up and to insert, never while parsing.
+/// Cloning shares the cache.
+#[derive(Debug, Clone, Default)]
+pub struct ScriptCache {
+    entries: Arc<Mutex<HashMap<String, Arc<[Command]>>>>,
+}
+
+impl ScriptCache {
+    /// Creates an empty cache.
+    pub fn new() -> ScriptCache {
+        ScriptCache::default()
+    }
+
+    /// The parse of `src`: the cached one when the same text was parsed
+    /// before, else a fresh [`parse_script`] (with its exact error on
+    /// failure).
+    pub(crate) fn parse(&self, src: &str) -> EdaResult<Arc<[Command]>> {
+        if let Some(hit) = self.entries.lock().get(src) {
+            return Ok(Arc::clone(hit));
+        }
+        let parsed: Arc<[Command]> = parse_script(src)?.into();
+        let mut entries = self.entries.lock();
+        // Another session may have parsed the same text meanwhile: keep
+        // its parse so every session shares one.
+        if let Some(hit) = entries.get(src) {
+            return Ok(Arc::clone(hit));
+        }
+        if entries.len() >= MAX_CACHED_SCRIPTS {
+            entries.clear();
+        }
+        entries.insert(src.to_string(), Arc::clone(&parsed));
+        Ok(parsed)
+    }
+
+    /// The cached parse of `src`, without parsing on a miss.
+    #[cfg(test)]
+    pub(crate) fn cached(&self, src: &str) -> Option<Arc<[Command]>> {
+        self.entries.lock().get(src).cloned()
+    }
+
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.entries.lock().len()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -385,6 +445,69 @@ mod tests {
         assert!(parse_script("set a \"oops").is_err());
         assert!(parse_script("set a [oops").is_err());
         assert!(parse_script("set a ${oops").is_err());
+    }
+
+    const SCRIPT: &str = "create_project dovado -part xc7k70tfbv676-1\n\
+                          set_property top box [current_fileset]";
+
+    #[test]
+    fn the_same_text_shares_one_parse() {
+        let cache = ScriptCache::new();
+        let first = cache.parse(SCRIPT).unwrap();
+        // A byte-equal copy at another address hits too.
+        let copy = String::from(SCRIPT);
+        let again = cache.clone().parse(&copy).unwrap();
+        assert!(Arc::ptr_eq(&first, &again));
+        assert_eq!(&first[..], &parse_script(SCRIPT).unwrap()[..]);
+        let other = ScriptCache::new().parse(SCRIPT).unwrap();
+        assert!(!Arc::ptr_eq(&first, &other));
+    }
+
+    #[test]
+    fn an_edited_byte_parses_again() {
+        let cache = ScriptCache::new();
+        let first = cache.parse(SCRIPT).unwrap();
+        // Same length, same prefix: only the last byte differs.
+        let edited = SCRIPT.replace("fileset]", "filesex]");
+        assert_eq!(edited.len(), SCRIPT.len());
+        let second = cache.parse(&edited).unwrap();
+        assert!(!Arc::ptr_eq(&first, &second));
+        assert_eq!(&second[..], &parse_script(&edited).unwrap()[..]);
+        assert_ne!(first, second);
+        // Both texts stay cached.
+        assert!(Arc::ptr_eq(&first, &cache.parse(SCRIPT).unwrap()));
+        assert!(Arc::ptr_eq(&second, &cache.parse(&edited).unwrap()));
+    }
+
+    #[test]
+    fn a_parse_error_fails_identically_and_is_never_cached() {
+        let cache = ScriptCache::new();
+        let good = cache.parse(SCRIPT).unwrap();
+        let broken = "set a {oops";
+        let expected = parse_script(broken).unwrap_err().to_string();
+        for _ in 0..3 {
+            let err = cache.parse(broken).unwrap_err();
+            assert!(matches!(&err, EdaError::Tcl(_)));
+            assert_eq!(err.to_string(), expected);
+        }
+        assert_eq!(cache.len(), 1);
+        assert!(cache.cached(broken).is_none());
+        assert!(Arc::ptr_eq(&good, &cache.parse(SCRIPT).unwrap()));
+    }
+
+    #[test]
+    fn a_full_cache_empties_before_it_inserts() {
+        let cache = ScriptCache::new();
+        let first = cache.parse("set v 0").unwrap();
+        for i in 1..MAX_CACHED_SCRIPTS {
+            cache.parse(&format!("set v {i}")).unwrap();
+        }
+        assert_eq!(cache.len(), MAX_CACHED_SCRIPTS);
+        assert!(Arc::ptr_eq(&first, &cache.parse("set v 0").unwrap()));
+        cache.parse("set v full").unwrap();
+        assert_eq!(cache.len(), 1);
+        assert!(cache.cached("set v full").is_some());
+        assert!(!Arc::ptr_eq(&first, &cache.parse("set v 0").unwrap()));
     }
 
     #[test]

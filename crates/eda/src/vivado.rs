@@ -24,7 +24,7 @@ use crate::place_route::{
 use crate::project::{ClockConstraint, ParseCache, Project};
 use crate::report;
 use crate::synth::{synth_runtime_s, synthesize, SynthDirective, SynthResult};
-use crate::tcl::{Interp, TclContext};
+use crate::tcl::{Interp, ScriptCache, TclContext};
 use dovado_fpga::Catalog;
 use dovado_hdl::Language;
 use std::collections::BTreeMap;
@@ -49,6 +49,7 @@ pub struct VivadoSim {
     registry: Arc<ModelRegistry>,
     checkpoints: CheckpointStore,
     parses: ParseCache,
+    scripts: ScriptCache,
     /// Virtual filesystem: sources are written here before `read_*`,
     /// reports are written here by `report_* -file`.
     fs: BTreeMap<String, String>,
@@ -70,7 +71,7 @@ pub struct VivadoSim {
 
 impl VivadoSim {
     /// Creates a session with the built-in catalog and models, and a
-    /// private checkpoint store and parse cache.
+    /// private checkpoint store, parse cache and script cache.
     pub fn new(seed: u64) -> VivadoSim {
         VivadoSim::with_models(
             seed,
@@ -91,6 +92,7 @@ impl VivadoSim {
             registry,
             checkpoints: CheckpointStore::new(),
             parses: ParseCache::new(),
+            scripts: ScriptCache::new(),
             fs: BTreeMap::new(),
             project: None,
             state: FlowState::Fresh,
@@ -153,6 +155,12 @@ impl VivadoSim {
         self.parses = cache;
     }
 
+    /// Shares a script cache across sessions: a script whose text matches
+    /// one parsed before reuses its parse.
+    pub fn set_script_cache(&mut self, cache: ScriptCache) {
+        self.scripts = cache;
+    }
+
     /// Writes a file into the virtual filesystem.
     pub fn write_file(&mut self, path: impl Into<String>, content: impl Into<String>) {
         self.fs.insert(path.into(), content.into());
@@ -174,13 +182,13 @@ impl VivadoSim {
 
     /// Evaluates a TCL script against this session.
     pub fn eval(&mut self, script: &str) -> EdaResult<String> {
-        let mut interp = Interp::new();
+        let mut interp = Interp::with_scripts(self.scripts.clone());
         interp.eval(self, script)
     }
 
     /// Evaluates a TCL script, returning the collected `puts` output too.
     pub fn eval_with_output(&mut self, script: &str) -> EdaResult<(String, String)> {
-        let mut interp = Interp::new();
+        let mut interp = Interp::with_scripts(self.scripts.clone());
         let result = interp.eval(self, script)?;
         Ok((result, interp.output))
     }
@@ -1200,6 +1208,33 @@ end architecture box_arch;
         // The failed reads left the good parse in place.
         let (again, _) = read_with(&cache, "read_verilog -sv", FIFO_SV);
         assert!(Arc::ptr_eq(&parsed(&good), &parsed(&again)));
+    }
+
+    #[test]
+    fn deeply_nested_scripts_fail_instead_of_overflowing() {
+        let mut v = VivadoSim::new(0);
+        let depth = 10_000;
+        let script = format!(
+            "create_project p -part xc7k70tfbv676-1\nset x {}get_parts{}",
+            "[".repeat(depth),
+            "]".repeat(depth)
+        );
+        match v.eval(&script) {
+            Err(EdaError::Tcl(m)) => assert_eq!(
+                m,
+                format!(
+                    "line 2: scripts nest deeper than {} levels",
+                    crate::tcl::MAX_SCRIPT_DEPTH
+                )
+            ),
+            other => panic!("expected the depth error, got {other:?}"),
+        }
+        // An escaped value is one literal word, however many brackets.
+        let part = format!("{}xc7k70t{}", r"\[".repeat(depth), r"\]".repeat(depth));
+        assert!(matches!(
+            v.eval(&format!("create_project p -part {part}")),
+            Err(EdaError::UnknownPart(p)) if p.len() == 2 * depth + 7
+        ));
     }
 
     #[test]

@@ -1,8 +1,12 @@
 //! CLI-level integration: the `dovado` command driven as a library (the
 //! binary is a thin wrapper around `dovado::cli::run`).
 
+use dovado::backend::{MockBackend, SimBackend, ToolBackend};
 use dovado::cli::run;
-use std::path::PathBuf;
+use dovado::flow::load_project_tree;
+use dovado::{DesignPoint, EvalConfig, Evaluator};
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 fn args(list: &[&str]) -> Vec<String> {
     list.iter().map(|s| s.to_string()).collect()
@@ -182,6 +186,87 @@ fn evaluate_accepts_a_double_underscore_file_name() {
     );
     assert_eq!(code, 0, "{out}");
     assert!(out.contains("Fmax"), "{out}");
+}
+
+#[test]
+fn evaluate_accepts_a_file_name_with_spaces() {
+    // `read_verilog src/fifo queue v3.sv` would be three TCL words: each
+    // path must reach the tool as one.
+    let tree = |dir: &str, name: &str| {
+        let dir = std::env::temp_dir()
+            .join("dovado-cli-integration")
+            .join(dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(name), FIFO).unwrap();
+        dir
+    };
+    let plain = tree("plain-name", "fifo.sv");
+    let spaced = tree("spaced-name", "fifo queue v3.sv");
+    let evaluate = |dir: &Path| {
+        let mut out = String::new();
+        let code = run(
+            &args(&[
+                "evaluate",
+                "--project",
+                dir.to_str().unwrap(),
+                "--set",
+                "DEPTH=8",
+            ]),
+            &mut out,
+        );
+        assert_eq!(code, 0, "{out}");
+        out
+    };
+    assert_eq!(evaluate(&spaced), evaluate(&plain));
+    // The same on both backends, through the loader `--project` uses.
+    let backends: [fn() -> Arc<dyn ToolBackend>; 2] = [
+        || Arc::new(SimBackend::new(7)),
+        || Arc::new(MockBackend::new(7)),
+    ];
+    let point = DesignPoint::from_pairs(&[("DEPTH", 8)]);
+    for backend in backends {
+        let evaluate = |dir: &Path| {
+            let (sources, top) = load_project_tree(dir, None).unwrap();
+            Evaluator::with_backend(sources, &top, EvalConfig::default(), backend())
+                .unwrap()
+                .evaluate(&point)
+                .unwrap()
+        };
+        assert_eq!(evaluate(&spaced), evaluate(&plain));
+    }
+}
+
+#[test]
+fn explore_survives_tcl_nested_in_the_part() {
+    // As TCL code, either part would nest thousands of levels deep and
+    // overflow the stack; as one escaped word it is an unknown part.
+    let src = temp_file("nested_part.sv", FIFO);
+    for part in [
+        format!("{}{}", "[".repeat(3_000), "]".repeat(3_000)),
+        format!("[expr {}1{}]", "(".repeat(20_000), ")".repeat(20_000)),
+    ] {
+        let mut out = String::new();
+        let code = run(
+            &args(&[
+                "explore",
+                "--source",
+                src.to_str().unwrap(),
+                "--top",
+                "fifo_v3",
+                "--param",
+                "DEPTH=2:8",
+                "--generations",
+                "1",
+                "--pop",
+                "4",
+                "--part",
+                &part,
+            ]),
+            &mut out,
+        );
+        assert_eq!(code, 0, "{out:.300}");
+        assert!(out.contains(&format!("permanent: EDA tool error: unknown part: {part}")));
+    }
 }
 
 #[test]

@@ -13,7 +13,9 @@
 //! * a client that drops mid-stream can reconnect and `attach` to
 //!   replay the stream, deduplicating by event key.
 
+use dovado::obs::ObsEvent;
 use dovado::serve::{fold_stream, parse_event_line, Client, JobSpec, Json, ServeConfig, Server};
+use dovado::trace::AttemptOutcome;
 use dovado::worker::backend_from_spec;
 use dovado::{
     fold_totals, Dovado, DseConfig, DseReport, EvalConfig, HdlSource, MetricSet, ParameterSpace,
@@ -446,6 +448,52 @@ fn deeply_nested_source_fails_its_job_and_the_daemon_keeps_serving() {
     );
     let status = connect(&server, "admin").status().unwrap();
     assert_eq!(status.get("ok").and_then(Json::as_bool), Some(true));
+    server.shutdown();
+}
+
+#[test]
+fn tcl_nested_in_a_part_fails_its_job_and_the_daemon_keeps_serving() {
+    let mut server = Server::start(ServeConfig::default()).unwrap();
+    // Copied into the scripts as TCL code, either part would nest
+    // thousands of levels deep, overflow the job thread's stack and abort
+    // the daemon. As one escaped word it is just a part nobody makes.
+    let parts = [
+        format!("{}{}", "[".repeat(3_000), "]".repeat(3_000)),
+        format!("[expr {}1{}]", "(".repeat(20_000), ")".repeat(20_000)),
+    ];
+    for part in parts {
+        let mut spec = fifo_spec(5, 1, false);
+        spec.backend = "vivado-sim:5".into();
+        spec.part = Some(part.clone());
+        let mut client = connect(&server, "mallory");
+        client.submit("mallory", 1, &spec).unwrap();
+        let outcome = client.stream_until_done().unwrap();
+        assert_eq!(outcome.status(), "done");
+        assert_eq!(
+            outcome.done.get("tool_runs").and_then(Json::as_u64),
+            Some(0)
+        );
+        let expected = format!("EDA tool error: unknown part: {part}");
+        let mut attempts = 0;
+        for line in &outcome.lines {
+            if let Some((_, ObsEvent::Attempt(event))) = parse_event_line(line) {
+                assert_eq!(
+                    event.outcome,
+                    AttemptOutcome::PermanentFailure(expected.clone())
+                );
+                attempts += 1;
+            }
+        }
+        assert!(attempts > 0);
+        let status = connect(&server, "admin").status().unwrap();
+        assert_eq!(status.get("ok").and_then(Json::as_bool), Some(true));
+    }
+    // A follow-up job completes.
+    let mut client = connect(&server, "alice");
+    client.submit("alice", 1, &fifo_spec(6, 1, false)).unwrap();
+    let outcome = client.stream_until_done().unwrap();
+    assert_eq!(outcome.status(), "done");
+    assert!(outcome.done.get("tool_runs").and_then(Json::as_u64) > Some(0));
     server.shutdown();
 }
 

@@ -45,7 +45,10 @@ fn frames_drive_the_full_flow() {
         library: None,
         has_packages: false,
     }];
-    let synth = filled_synth(read_sources_script(&entries).trim_end(), "DEPTH=64");
+    let synth = filled_synth(
+        read_sources_script(&entries).unwrap().trim_end(),
+        "DEPTH=64",
+    );
     sim.eval(&synth).unwrap();
     assert_eq!(sim.state(), FlowState::Synthesized);
 
@@ -155,7 +158,7 @@ fn sv_package_ordering_matters_to_the_frame_generator() {
             has_packages: true,
         },
     ];
-    let script = read_sources_script(&entries);
+    let script = read_sources_script(&entries).unwrap();
     let lines: Vec<&str> = script.lines().collect();
     // The SV package file is hoisted to the front…
     assert!(lines[0].contains("types_pkg.sv"));
