@@ -1,7 +1,8 @@
 //! Golden-file tests: checked-in Vivado-style report fixtures under
 //! `tests/fixtures/` pin both directions of the report interface — the
-//! writers must emit exactly these bytes, and the scrapers must recover
-//! exactly these numbers. A separate golden entry pins the on-disk
+//! writers (utilization, timing at negative and positive WNS, power) must
+//! emit exactly these bytes, and the scrapers must recover exactly these
+//! numbers. A separate golden entry pins the on-disk
 //! format of the persistent evaluation store: any change to the entry
 //! envelope or payload encoding breaks these tests and forces a
 //! `STORE_FORMAT_VERSION` bump.
@@ -10,6 +11,7 @@ use dovado::persist::{decode_evaluation, encode_evaluation};
 use dovado::Evaluation;
 use dovado_eda::netlist::Netlist;
 use dovado_eda::place_route::ImplResult;
+use dovado_eda::power::{parse_power_mw, write_power_report, PowerEstimate};
 use dovado_eda::report::{
     parse_period, parse_utilization_report, parse_wns, write_timing_report,
     write_utilization_report,
@@ -52,6 +54,12 @@ fn timing_fixtures_parse_to_exact_values() {
 }
 
 #[test]
+fn power_fixture_parses_to_the_exact_total() {
+    let mw = parse_power_mw(&fixture("power_xc7k70t.rpt")).unwrap();
+    assert_eq!(mw.to_bits(), (0.2080f64 * 1000.0).to_bits());
+}
+
+#[test]
 fn fmax_recovered_from_golden_report() {
     // Eq. 1: Fmax = 1000 / (T − WNS) = 1000 / (1 + 4.125) ≈ 195.122.
     let neg = fixture("timing_negative_wns.rpt");
@@ -85,21 +93,39 @@ fn report_writers_match_golden_bytes() {
         "utilization writer drifted from its golden fixture"
     );
 
-    let mut nl = Netlist::empty("fifo_v3_box");
-    nl.crit_path = "data_i[12] -> mem_reg[12]".into();
-    let neg = ImplResult {
-        netlist: nl,
-        utilization: 0.2,
-        crit_delay_ns: 5.125,
-        wns_ns: -4.125,
-        period_ns: 1.0,
-        runtime_s: 1.0,
-        log: String::new(),
+    let timing = |crit_delay_ns: f64, wns_ns: f64, period_ns: f64| {
+        let mut nl = Netlist::empty("fifo_v3_box");
+        nl.crit_path = "data_i[12] -> mem_reg[12]".into();
+        let result = ImplResult {
+            netlist: nl,
+            utilization: 0.2,
+            crit_delay_ns,
+            wns_ns,
+            period_ns,
+            runtime_s: 1.0,
+            log: String::new(),
+        };
+        write_timing_report("fifo_v3_box", &result)
     };
     assert_eq!(
-        write_timing_report("fifo_v3_box", &neg),
+        timing(5.125, -4.125, 1.0),
         fixture("timing_negative_wns.rpt"),
         "timing writer drifted from its golden fixture"
+    );
+    assert_eq!(
+        timing(4.25, 0.75, 5.0),
+        fixture("timing_positive_wns.rpt"),
+        "timing writer drifted from its positive-slack fixture"
+    );
+
+    let est = PowerEstimate {
+        static_mw: 65.6,
+        dynamic_mw: 142.38,
+    };
+    assert_eq!(
+        write_power_report("fifo_v3_box", &est, 195.122),
+        fixture("power_xc7k70t.rpt"),
+        "power writer drifted from its golden fixture"
     );
 }
 
