@@ -188,17 +188,23 @@ pub fn place_and_route(
     })
 }
 
-/// Post-synthesis timing *estimate* (no placement yet): optimistic routing,
-/// as Vivado's post-synth timing reports are.
-pub fn estimate_timing(synthesized: &Netlist, part: &Part, period_ns: f64) -> ImplResult {
-    let delay = part.timing.path_delay(
+/// The critical-path delay (ns) [`estimate_timing`] reports for a
+/// synthesized netlist.
+pub(crate) fn estimated_delay_ns(synthesized: &Netlist, part: &Part) -> f64 {
+    part.timing.path_delay(
         synthesized.logic_levels,
         synthesized.fanout_cost,
         synthesized.carry_bits,
         synthesized.crit_through_bram,
         synthesized.crit_through_dsp,
         0.0,
-    ) * 0.92;
+    ) * 0.92
+}
+
+/// Post-synthesis timing *estimate* (no placement yet): optimistic routing,
+/// as Vivado's post-synth timing reports are.
+pub fn estimate_timing(synthesized: &Netlist, part: &Part, period_ns: f64) -> ImplResult {
+    let delay = estimated_delay_ns(synthesized, part);
     ImplResult {
         netlist: synthesized.clone(),
         utilization: synthesized.cells.peak_utilization(&part.capacity),

@@ -10,6 +10,7 @@
 
 use crate::netlist::Netlist;
 use dovado_fpga::{Part, ResourceKind};
+use std::fmt::Write as _;
 
 /// Default toggle rate α (fraction of cells switching per cycle) — the
 /// 12.5 % Vivado assumes when no simulation data is supplied.
@@ -90,28 +91,29 @@ pub fn estimate_power(
 
 /// Renders a `report_power`-shaped text report.
 pub fn write_power_report(module: &str, est: &PowerEstimate, clock_mhz: f64) -> String {
-    format!(
-        "Copyright 1986-2026 Dovado-RS simulated Vivado\n\
-         | Design       : {module}\n\
-         \n\
-         Power Report (activity derived from constraints, toggle {:.1} %)\n\
-         | Total On-Chip Power (W)  | {:.4} |\n\
-         | Dynamic (W)              | {:.4} |\n\
-         | Device Static (W)        | {:.4} |\n\
-         | Clock (MHz)              | {clock_mhz:.3} |\n",
-        DEFAULT_TOGGLE_RATE * 100.0,
-        est.total_mw() / 1000.0,
-        est.dynamic_mw / 1000.0,
-        est.static_mw / 1000.0,
-    )
+    let mut s = String::with_capacity(320 + module.len());
+    s.push_str("Copyright 1986-2026 Dovado-RS simulated Vivado\n| Design       : ");
+    s.push_str(module);
+    s.push_str("\n\nPower Report (activity derived from constraints, toggle ");
+    let _ = write!(s, "{:.1}", DEFAULT_TOGGLE_RATE * 100.0);
+    s.push_str(" %)\n| Total On-Chip Power (W)  | ");
+    let _ = write!(s, "{:.4}", est.total_mw() / 1000.0);
+    s.push_str(" |\n| Dynamic (W)              | ");
+    let _ = write!(s, "{:.4}", est.dynamic_mw / 1000.0);
+    s.push_str(" |\n| Device Static (W)        | ");
+    let _ = write!(s, "{:.4}", est.static_mw / 1000.0);
+    s.push_str(" |\n| Clock (MHz)              | ");
+    let _ = write!(s, "{clock_mhz:.3}");
+    s.push_str(" |\n");
+    s
 }
 
 /// Scrapes the total power (mW) back out of a power report.
 pub fn parse_power_mw(text: &str) -> Option<f64> {
     for line in text.lines() {
         if line.contains("Total On-Chip Power") {
-            let cols: Vec<&str> = line.trim_matches('|').split('|').map(str::trim).collect();
-            if let Some(v) = cols.get(1).and_then(|s| s.parse::<f64>().ok()) {
+            let total = line.trim_matches('|').split('|').nth(1).map(str::trim);
+            if let Some(v) = total.and_then(|s| s.parse::<f64>().ok()) {
                 return Some(v * 1000.0);
             }
         }

@@ -13,57 +13,67 @@ use crate::place_route::ImplResult;
 use dovado_fpga::{Part, ResourceKind, ResourceSet};
 use std::fmt::Write as _;
 
+/// The utilization table's border row.
+const UTIL_RULE: &str = "+----------------------------+--------+-------+-----------+-------+\n";
+/// Pads a site-type label to its column's 26 characters.
+const LABEL_PAD: &str = "                          ";
+
 /// Renders a utilization report for `used` resources on `part`.
 ///
 /// Device-dependent resources with zero capacity (e.g. URAM on non-UltraScale+
 /// parts) are omitted, matching the paper's note that such rows are
 /// "reported only if present".
 pub fn write_utilization_report(module: &str, used: &ResourceSet, part: &Part) -> String {
-    let mut s = String::new();
-    let _ = writeln!(s, "Copyright 1986-2026 Dovado-RS simulated Vivado");
-    let _ = writeln!(s, "| Design       : {module}");
-    let _ = writeln!(s, "| Device       : {}", part.name);
-    let _ = writeln!(s, "| Design State : Routed");
-    let _ = writeln!(s);
-    let _ = writeln!(s, "Utilization Design Information");
-    let _ = writeln!(s);
-    let _ = writeln!(
-        s,
-        "+----------------------------+--------+-------+-----------+-------+"
-    );
-    let _ = writeln!(
-        s,
-        "|          Site Type         |  Used  | Fixed | Available | Util% |"
-    );
-    let _ = writeln!(
-        s,
-        "+----------------------------+--------+-------+-----------+-------+"
-    );
+    render_utilization(module, used, &part.name, &part.capacity)
+}
+
+/// [`write_utilization_report`] over the two things it reads of a part:
+/// its name and its capacities.
+pub(crate) fn render_utilization(
+    module: &str,
+    used: &ResourceSet,
+    device: &str,
+    capacity: &ResourceSet,
+) -> String {
+    // Every row is as wide as the border: 8 rows, 3 borders, 1 header.
+    let mut s = String::with_capacity(160 + module.len() + device.len() + 12 * UTIL_RULE.len());
+    s.push_str("Copyright 1986-2026 Dovado-RS simulated Vivado\n| Design       : ");
+    s.push_str(module);
+    s.push_str("\n| Device       : ");
+    s.push_str(device);
+    s.push_str("\n| Design State : Routed\n\nUtilization Design Information\n\n");
+    s.push_str(UTIL_RULE);
+    s.push_str("|          Site Type         |  Used  | Fixed | Available | Util% |\n");
+    s.push_str(UTIL_RULE);
     for kind in ResourceKind::ALL {
-        let avail = part.capacity.get(kind);
+        let avail = capacity.get(kind);
         if avail == 0 {
             continue;
         }
         let u = used.get(kind);
         let pct = 100.0 * u as f64 / avail as f64;
-        let _ = writeln!(
-            s,
-            "| {:<26} | {:>6} | {:>5} | {:>9} | {:>5.2} |",
-            kind.report_label(),
-            u,
-            0,
-            avail,
-            pct
-        );
+        let label = kind.report_label();
+        s.push_str("| ");
+        s.push_str(label);
+        s.push_str(&LABEL_PAD[label.len().min(LABEL_PAD.len())..]);
+        s.push_str(" | ");
+        let _ = write!(s, "{u:>6}");
+        s.push_str(" |     0 | ");
+        let _ = write!(s, "{avail:>9}");
+        s.push_str(" | ");
+        let _ = write!(s, "{pct:>5.2}");
+        s.push_str(" |\n");
     }
-    let _ = writeln!(
-        s,
-        "+----------------------------+--------+-------+-----------+-------+"
-    );
+    s.push_str(UTIL_RULE);
     s
 }
 
 /// Parses a utilization report back into a [`ResourceSet`].
+///
+/// A row is a line that starts with `|` and has at least four columns: a
+/// site-type label ([`ResourceKind::from_report_label`]) and a used count.
+/// A later row of the same kind overrides an earlier one. One pass over
+/// the text, with no allocation unless the report has no rows.
 pub fn parse_utilization_report(text: &str) -> EdaResult<ResourceSet> {
     let mut out = ResourceSet::zero();
     let mut rows = 0usize;
@@ -72,14 +82,16 @@ pub fn parse_utilization_report(text: &str) -> EdaResult<ResourceSet> {
         if !line.starts_with('|') {
             continue;
         }
-        let cols: Vec<&str> = line.trim_matches('|').split('|').map(str::trim).collect();
-        if cols.len() < 4 {
-            continue;
-        }
-        let Some(kind) = ResourceKind::from_report_label(cols[0]) else {
+        let mut cols = line.trim_matches('|').split('|');
+        let (Some(label), Some(used), Some(_), Some(_)) =
+            (cols.next(), cols.next(), cols.next(), cols.next())
+        else {
             continue;
         };
-        let Ok(used) = cols[1].parse::<u64>() else {
+        let Some(kind) = ResourceKind::from_report_label(label) else {
+            continue;
+        };
+        let Ok(used) = used.trim().parse::<u64>() else {
             continue;
         };
         out.set(kind, used);
@@ -93,90 +105,111 @@ pub fn parse_utilization_report(text: &str) -> EdaResult<ResourceSet> {
     Ok(out)
 }
 
+/// The figures a timing-summary report shows, besides the module name and
+/// the critical path's description.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct TimingFigures {
+    pub(crate) wns_ns: f64,
+    pub(crate) period_ns: f64,
+    pub(crate) crit_delay_ns: f64,
+}
+
+impl TimingFigures {
+    pub(crate) fn of(result: &ImplResult) -> TimingFigures {
+        TimingFigures {
+            wns_ns: result.wns_ns,
+            period_ns: result.period_ns,
+            crit_delay_ns: result.crit_delay_ns,
+        }
+    }
+
+    /// Eq. 1, as [`ImplResult::fmax_mhz`].
+    pub(crate) fn fmax_mhz(&self) -> f64 {
+        1000.0 / (self.period_ns - self.wns_ns)
+    }
+}
+
 /// Renders a timing-summary report with the WNS line Dovado scrapes.
 pub fn write_timing_report(module: &str, result: &ImplResult) -> String {
-    let mut s = String::new();
-    let _ = writeln!(s, "Copyright 1986-2026 Dovado-RS simulated Vivado");
-    let _ = writeln!(s, "| Design       : {module}");
-    let _ = writeln!(s);
-    let _ = writeln!(s, "Design Timing Summary");
-    let _ = writeln!(
-        s,
-        "| WNS(ns)  | TNS(ns)  | TNS Failing Endpoints | Total Endpoints |"
+    render_timing(module, &result.netlist.crit_path, TimingFigures::of(result))
+}
+
+/// [`write_timing_report`] over the figures it reads of a result.
+pub(crate) fn render_timing(module: &str, crit_path: &str, t: TimingFigures) -> String {
+    let mut s = String::with_capacity(560 + module.len() + crit_path.len());
+    s.push_str("Copyright 1986-2026 Dovado-RS simulated Vivado\n| Design       : ");
+    s.push_str(module);
+    s.push_str(
+        "\n\nDesign Timing Summary\n\
+         | WNS(ns)  | TNS(ns)  | TNS Failing Endpoints | Total Endpoints |\n\
+         | -------  | -------  | --------------------- | --------------- |\n| ",
     );
-    let _ = writeln!(
-        s,
-        "| -------  | -------  | --------------------- | --------------- |"
-    );
-    let tns = if result.wns_ns < 0.0 {
-        result.wns_ns * 8.0
+    let failing = t.wns_ns < 0.0;
+    let tns = if failing { t.wns_ns * 8.0 } else { 0.0 };
+    let _ = write!(s, "{:>8.3} | {tns:>8.3}", t.wns_ns);
+    s.push_str(if failing {
+        " |                     8 |              64 |\n"
     } else {
-        0.0
-    };
-    let failing = if result.wns_ns < 0.0 { 8 } else { 0 };
-    let _ = writeln!(
-        s,
-        "| {:>8.3} | {:>8.3} | {:>21} | {:>15} |",
-        result.wns_ns, tns, failing, 64
-    );
-    let _ = writeln!(s);
-    let _ = writeln!(s, "Clock Summary");
-    let _ = writeln!(
-        s,
-        "clk  {{0.000 {:.3}}}  period {:.3}ns  frequency {:.3} MHz (constraint)",
-        result.period_ns / 2.0,
-        result.period_ns,
-        1000.0 / result.period_ns
-    );
-    let _ = writeln!(s);
-    let _ = writeln!(s, "Critical path: {}", result.netlist.crit_path);
-    let _ = writeln!(
-        s,
-        "Data path delay: {:.3}ns (achievable frequency {:.3} MHz)",
-        result.crit_delay_ns,
-        result.fmax_mhz()
-    );
+        " |                     0 |              64 |\n"
+    });
+    s.push_str("\nClock Summary\nclk  {0.000 ");
+    let _ = write!(s, "{:.3}", t.period_ns / 2.0);
+    s.push_str("}  period ");
+    let _ = write!(s, "{:.3}", t.period_ns);
+    s.push_str("ns  frequency ");
+    let _ = write!(s, "{:.3}", 1000.0 / t.period_ns);
+    s.push_str(" MHz (constraint)\n\nCritical path: ");
+    s.push_str(crit_path);
+    s.push_str("\nData path delay: ");
+    let _ = write!(s, "{:.3}", t.crit_delay_ns);
+    s.push_str("ns (achievable frequency ");
+    let _ = write!(s, "{:.3}", t.fmax_mhz());
+    s.push_str(" MHz)\n");
     s
 }
 
-/// Extracts the WNS value (ns) from a timing-summary report.
+/// Extracts the WNS value (ns) from a timing-summary report: the first
+/// column of the second line after the first line naming `WNS(ns)`.
+///
+/// The scrapers search the whole text for their marker rather than each
+/// line in turn: one substring search instead of one per line.
 pub fn parse_wns(text: &str) -> EdaResult<f64> {
-    let mut lines = text.lines();
-    while let Some(line) = lines.next() {
-        if line.contains("WNS(ns)") {
-            // Skip the separator row, then read the value row.
-            let _sep = lines.next();
-            if let Some(values) = lines.next() {
-                let first = values
-                    .trim()
-                    .trim_matches('|')
-                    .split('|')
-                    .next()
-                    .map(str::trim)
-                    .unwrap_or("");
-                return first
-                    .parse::<f64>()
-                    .map_err(|_| EdaError::Parse(format!("cannot parse WNS from `{first}`")));
-            }
-        }
-    }
-    Err(EdaError::Parse(
-        "no WNS column found in timing report".into(),
-    ))
+    let missing = || EdaError::Parse("no WNS column found in timing report".into());
+    let at = text.find("WNS(ns)").ok_or_else(missing)?;
+    let header_end = at + text[at..].find('\n').ok_or_else(missing)?;
+    // Skip the separator row, then read the value row.
+    let mut lines = text[header_end + 1..].lines();
+    let _sep = lines.next();
+    let values = lines.next().ok_or_else(missing)?;
+    let first = values
+        .trim()
+        .trim_matches('|')
+        .split('|')
+        .next()
+        .map(str::trim)
+        .unwrap_or("");
+    first
+        .parse::<f64>()
+        .map_err(|_| EdaError::Parse(format!("cannot parse WNS from `{first}`")))
 }
 
-/// Extracts the constrained period (ns) from a timing-summary report.
+/// Extracts the constrained period (ns) from a timing-summary report: the
+/// number after the first `period ` of the first line where one parses.
 pub fn parse_period(text: &str) -> EdaResult<f64> {
-    for line in text.lines() {
-        if let Some(idx) = line.find("period ") {
-            let rest = &line[idx + "period ".len()..];
-            let num: String = rest
-                .chars()
-                .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-                .collect();
-            if let Ok(v) = num.parse::<f64>() {
-                return Ok(v);
-            }
+    let mut rest = text;
+    while let Some(at) = rest.find("period ") {
+        let after = &rest[at + "period ".len()..];
+        let len = after
+            .bytes()
+            .take_while(|b| b.is_ascii_digit() || *b == b'.' || *b == b'-')
+            .count();
+        if let Ok(v) = after[..len].parse::<f64>() {
+            return Ok(v);
+        }
+        // Only a line's first `period ` counts: go on at the next line.
+        match after.find('\n') {
+            Some(end) => rest = &after[end + 1..],
+            None => break,
         }
     }
     Err(EdaError::Parse("no period found in timing report".into()))

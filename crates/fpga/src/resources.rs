@@ -72,23 +72,39 @@ impl ResourceKind {
 
     /// Parses a report label back into a kind (inverse of
     /// [`ResourceKind::report_label`], tolerant of common variants).
+    ///
+    /// The label is trimmed, then matched exactly against every
+    /// `report_label`; anything else falls back to ASCII-case-insensitive
+    /// substring rules (`Slice LUTs`, `RAMB36`, `FF`, …). Neither step
+    /// allocates.
     pub fn from_report_label(label: &str) -> Option<ResourceKind> {
-        let l = label.trim().to_ascii_lowercase();
-        if l.contains("lut") {
+        let l = label.trim();
+        if let Some(kind) = ResourceKind::ALL
+            .into_iter()
+            .find(|k| k.report_label() == l)
+        {
+            return Some(kind);
+        }
+        let has = |needle: &str| {
+            l.as_bytes()
+                .windows(needle.len())
+                .any(|w| w.eq_ignore_ascii_case(needle.as_bytes()))
+        };
+        if has("lut") {
             Some(ResourceKind::Lut)
-        } else if l.contains("register") || l.contains("flip") || l == "ff" {
+        } else if has("register") || has("flip") || l.eq_ignore_ascii_case("ff") {
             Some(ResourceKind::Register)
-        } else if l.contains("block ram") || l.contains("bram") || l.contains("ramb") {
+        } else if has("block ram") || has("bram") || has("ramb") {
             Some(ResourceKind::Bram)
-        } else if l.contains("uram") {
+        } else if has("uram") {
             Some(ResourceKind::Uram)
-        } else if l.contains("dsp") {
+        } else if has("dsp") {
             Some(ResourceKind::Dsp)
-        } else if l.contains("carry") {
+        } else if has("carry") {
             Some(ResourceKind::Carry)
-        } else if l.contains("iob") || l.contains("bonded") {
+        } else if has("iob") || has("bonded") {
             Some(ResourceKind::Io)
-        } else if l.contains("bufg") {
+        } else if has("bufg") {
             Some(ResourceKind::Bufg)
         } else {
             None
@@ -362,6 +378,13 @@ mod tests {
         assert_eq!(ResourceKind::from_report_label("Slice LUTs"), Some(Lut));
         assert_eq!(ResourceKind::from_report_label("RAMB36"), Some(Bram));
         assert_eq!(ResourceKind::from_report_label("nothing"), None);
+        // The fallback ignores ASCII case only, and `ff` must be the
+        // whole label.
+        assert_eq!(ResourceKind::from_report_label("  clb luts "), Some(Lut));
+        assert_eq!(ResourceKind::from_report_label("Ff"), Some(Register));
+        assert_eq!(ResourceKind::from_report_label("FFs"), None);
+        assert_eq!(ResourceKind::from_report_label("iob"), Some(Io));
+        assert_eq!(ResourceKind::from_report_label("\u{130}OB"), None);
     }
 
     #[test]
