@@ -22,7 +22,7 @@ use dovado::{
     Domain, DseProblem, EvalConfig, Evaluator, HdlSource, Metric, MetricSet, ParameterSpace,
     SurrogateConfig,
 };
-use dovado_bench::json_f;
+use dovado_bench::{json_f, median_and_spread};
 use dovado_fpga::ResourceKind;
 use dovado_hdl::Language;
 use dovado_moo::Problem;
@@ -143,18 +143,6 @@ fn record_cost_us(m: usize, retrain_every: usize) -> f64 {
     t0.elapsed().as_secs_f64() * 1e6 / fresh.len() as f64
 }
 
-/// Median and spread (interquartile range over median) of `samples`.
-fn summarize(samples: &mut [f64]) -> (f64, f64) {
-    samples.sort_by(f64::total_cmp);
-    let quantile = |q: f64| {
-        let at = q * (samples.len() - 1) as f64;
-        let (lo, hi) = (at.floor() as usize, at.ceil() as usize);
-        samples[lo] + (samples[hi] - samples[lo]) * (at - lo as f64)
-    };
-    let median = quantile(0.5);
-    (median, (quantile(0.75) - quantile(0.25)) / median)
-}
-
 fn main() {
     let mode = match std::env::args().nth(1).as_deref() {
         Some("--smoke") => "smoke",
@@ -195,9 +183,9 @@ fn main() {
         staged_serial.push(run_pipeline(&gens, false, 25));
         staged_parallel.push(pool.install(|| run_pipeline(&gens, true, 25)));
     }
-    let (legacy_ms, legacy_spread) = summarize(&mut legacy);
-    let (staged_serial_ms, staged_serial_spread) = summarize(&mut staged_serial);
-    let (staged_parallel_ms, staged_parallel_spread) = summarize(&mut staged_parallel);
+    let (legacy_ms, legacy_spread) = median_and_spread(&mut legacy);
+    let (staged_serial_ms, staged_serial_spread) = median_and_spread(&mut staged_serial);
+    let (staged_parallel_ms, staged_parallel_spread) = median_and_spread(&mut staged_parallel);
     let speedup = legacy_ms / staged_parallel_ms;
     let per_gen = staged_parallel_ms / GENERATIONS as f64;
 
@@ -222,8 +210,8 @@ fn main() {
             eager.push(record_cost_us(m, 1));
             amortized.push(record_cost_us(m, 25));
         }
-        let (eager, eager_spread) = summarize(&mut eager);
-        let (amortized, amortized_spread) = summarize(&mut amortized);
+        let (eager, eager_spread) = median_and_spread(&mut eager);
+        let (amortized, amortized_spread) = median_and_spread(&mut amortized);
         let ratio = eager / amortized;
         by_m.push((m, eager, amortized));
         println!(

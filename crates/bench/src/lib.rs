@@ -112,6 +112,19 @@ pub fn emit_front(csv_name: &str, report: &DseReport, params: &[(&str, &str)]) {
     println!("wrote {}", trace_path.display());
 }
 
+/// Median and spread (interquartile range over median) of `samples`,
+/// which it sorts.
+pub fn median_and_spread(samples: &mut [f64]) -> (f64, f64) {
+    samples.sort_by(f64::total_cmp);
+    let quantile = |q: f64| {
+        let at = q * (samples.len() - 1) as f64;
+        let (lo, hi) = (at.floor() as usize, at.ceil() as usize);
+        samples[lo] + (samples[hi] - samples[lo]) * (at - lo as f64)
+    };
+    let median = quantile(0.5);
+    (median, (quantile(0.75) - quantile(0.25)) / median)
+}
+
 /// Formats a float as a JSON number at millisecond-style precision
 /// (three decimals) for the `BENCH_*.json` files; non-finite values
 /// become `null`.
