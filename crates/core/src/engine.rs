@@ -826,6 +826,27 @@ mod tests {
     }
 
     #[test]
+    fn mock_utilization_is_the_same_after_synthesis_and_implementation() {
+        // The mock's design size counts the loaded sources only, not the
+        // synthesis reports an implementation run has written by then.
+        let p = DesignPoint::from_pairs(&[("DEPTH", 16)]);
+        let run = |step| {
+            let config = EvalConfig {
+                step,
+                ..EvalConfig::default()
+            };
+            Evaluator::with_backend(sources(), "fifo_v3", config, Arc::new(MockBackend::new(5)))
+                .unwrap()
+                .evaluate(&p)
+                .unwrap()
+        };
+        let (synth, full) = (run(FlowStep::Synthesis), run(FlowStep::Implementation));
+        assert_eq!(synth.utilization, full.utilization);
+        // Routing adds its pessimism to the same design.
+        assert!(full.fmax_mhz < synth.fmax_mhz);
+    }
+
+    #[test]
     fn scripts_are_filled_once_per_evaluator() {
         let evaluator = Evaluator::new(sources(), "fifo_v3", EvalConfig::default()).unwrap();
         let synth = |incremental: &str| {

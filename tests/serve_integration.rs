@@ -227,8 +227,23 @@ fn differently_seeded_backends_never_share_store_answers() {
     let other = client.stream_until_done().unwrap();
     assert_eq!(other.status(), "done");
     let totals = fold_stream(other.lines.iter().map(String::as_str));
+    // A point the job repeats in a later generation hits the job's own
+    // entry, so the reference is the same job on an empty store: the
+    // shared store must answer the seed-8 job exactly as that one does.
+    let alone_root = tempdir("serve-seeds-alone");
+    let mut alone_server = Server::start(ServeConfig {
+        root: Some(alone_root.clone()),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let mut client = connect(&alone_server, "bob");
+    client.submit("bob", 1, &fifo_spec(8, 3, true)).unwrap();
+    let alone = client.stream_until_done().unwrap();
+    assert_eq!(alone.status(), "done");
+    let alone = fold_stream(alone.lines.iter().map(String::as_str));
     assert_eq!(
-        totals.summary.store_hits, 0,
+        (totals.summary.store_hits, totals.summary.attempts),
+        (alone.summary.store_hits, alone.summary.attempts),
         "a differently-seeded backend must never hit the other's entries"
     );
     assert!(totals.summary.attempts > 0);
@@ -237,6 +252,8 @@ fn differently_seeded_backends_never_share_store_answers() {
         pareto_bits(&direct_report(8, 3)),
         "the seed-8 job must reproduce its own standalone run bit-for-bit"
     );
+    alone_server.shutdown();
+    rm(&alone_root);
     server.shutdown();
     rm(&root);
 }
