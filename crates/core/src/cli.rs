@@ -192,7 +192,8 @@ USAGE:
   decision so --resume replays it instead of re-racing.
 
   DOVADO_BACKEND=mock runs every tool call on the scripted mock
-  backend instead of the simulated Vivado.
+  backend instead of the simulated Vivado; sim or vivado-sim (the
+  default) names the simulated Vivado.
 
   serve runs a multi-tenant exploration daemon on a TCP socket speaking
   line-delimited JSON: submit jobs with `dovado submit` (or any client),
@@ -532,16 +533,22 @@ fn flow_config(args: &Args) -> Result<EvalConfig, String> {
 }
 
 /// The backend spec of every local run, `KIND:SEED`: `DOVADO_BACKEND`
-/// picks the kind — `mock` for the scripted mock, unset (or `sim`) for
-/// the simulated Vivado, anything else is rejected rather than silently
-/// simulated — and the seed is the evaluator's default.
+/// picks the kind (see [`backend_kind`]) and the seed is the evaluator's
+/// default.
 fn local_backend_spec() -> Result<String, String> {
-    let kind = match std::env::var("DOVADO_BACKEND").ok().as_deref() {
-        Some("mock") => "mock",
-        None | Some("") | Some("sim") => "vivado-sim",
-        Some(other) => return Err(format!("DOVADO_BACKEND: unknown backend `{other}`")),
-    };
+    let kind = backend_kind(std::env::var("DOVADO_BACKEND").ok().as_deref())?;
     Ok(format!("{kind}:{}", EvalConfig::default().seed))
+}
+
+/// The backend kind a `DOVADO_BACKEND` value names: `mock` for the
+/// scripted mock; unset, empty, `sim` or `vivado-sim` for the simulated
+/// Vivado. Anything else is rejected rather than silently simulated.
+fn backend_kind(value: Option<&str>) -> Result<&'static str, String> {
+    match value {
+        Some("mock") => Ok("mock"),
+        None | Some("" | "sim" | "vivado-sim") => Ok("vivado-sim"),
+        Some(other) => Err(format!("DOVADO_BACKEND: unknown backend `{other}`")),
+    }
 }
 
 /// Where a local run's tool calls go: the backend a spec names, in this
@@ -1135,6 +1142,20 @@ mod tests {
 
     const FIFO: &str = "module fifo_v3 #(parameter DEPTH = 8, parameter DATA_WIDTH = 32)\
                         (input logic clk_i); endmodule";
+
+    #[test]
+    fn backend_kind_names_both_backends() {
+        for value in [None, Some(""), Some("sim"), Some("vivado-sim")] {
+            assert_eq!(backend_kind(value), Ok("vivado-sim"), "{value:?}");
+        }
+        assert_eq!(backend_kind(Some("mock")), Ok("mock"));
+        for value in ["vivado", "Mock", "mock:7", " sim"] {
+            assert_eq!(
+                backend_kind(Some(value)),
+                Err(format!("DOVADO_BACKEND: unknown backend `{value}`"))
+            );
+        }
+    }
 
     #[test]
     fn help_prints_usage() {
