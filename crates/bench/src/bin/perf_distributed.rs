@@ -5,12 +5,14 @@
 //! The workload is the scripted mock backend with an artificial
 //! per-stage spin (`mock:SEED:spin=MS`), so every evaluation costs real
 //! wall-clock the way an actual tool run would, while metrics — and
-//! therefore traces — stay bit-deterministic. The bench asserts the two
-//! fleet sizes produce byte-identical traces and writes
-//! `results/BENCH_distributed.json` with the measured speedup.
+//! therefore traces — stay bit-deterministic. The two fleet sizes take
+//! turns for `REPEATS` repeats; the bench asserts every run produced the
+//! same trace bytes and writes `results/BENCH_distributed.json` with each
+//! size's median wall-clock and IQR/median spread, and the speedup of the
+//! medians.
 
 use dovado::{DesignPoint, EvalConfig, Evaluator, HdlSource, Schedule};
-use dovado_bench::json_f;
+use dovado_bench::{json_f, median_and_spread};
 use dovado_hdl::Language;
 use std::sync::Arc;
 use std::time::Instant;
@@ -25,6 +27,7 @@ endmodule"#;
 const POINTS: usize = 24;
 const SPIN_MS: u64 = 40;
 const WORKERS_HI: usize = 4;
+const REPEATS: usize = 5;
 
 fn evaluator_on_fleet(workers: usize, spin_ms: u64) -> Evaluator {
     let config = EvalConfig::default();
@@ -70,26 +73,39 @@ fn main() {
     // protocol handshake, allocator) land outside the timed runs.
     let _ = timed_run(&points[..2], WORKERS_HI, 0);
 
-    let (one_ms, one_trace) = timed_run(&points, 1, SPIN_MS);
-    let (four_ms, four_trace) = timed_run(&points, WORKERS_HI, SPIN_MS);
+    let mut one = Vec::with_capacity(REPEATS);
+    let mut four = Vec::with_capacity(REPEATS);
+    let mut traces = Vec::with_capacity(2 * REPEATS);
+    for _ in 0..REPEATS {
+        for (workers, series) in [(1, &mut one), (WORKERS_HI, &mut four)] {
+            let (ms, trace) = timed_run(&points, workers, SPIN_MS);
+            series.push(ms);
+            traces.push(trace);
+        }
+    }
+    let (one_ms, one_spread) = median_and_spread(&mut one);
+    let (four_ms, four_spread) = median_and_spread(&mut four);
     let speedup = one_ms / four_ms;
 
-    println!("batch of {POINTS} evaluations, {SPIN_MS} ms spin per tool stage:");
-    println!("  1 worker                 : {one_ms:9.1} ms");
-    println!("  {WORKERS_HI} workers                : {four_ms:9.1} ms");
+    println!("batch of {POINTS} evaluations, {SPIN_MS} ms spin per tool stage");
+    println!("(median of {REPEATS} repeats, ±IQR/median):");
+    println!("  1 worker                 : {one_ms:9.1} ms ±{one_spread:.2}");
+    println!("  {WORKERS_HI} workers                : {four_ms:9.1} ms ±{four_spread:.2}");
     println!("  speedup (1 -> {WORKERS_HI} workers) : {speedup:9.2}x");
 
-    let identical = one_trace == four_trace;
+    let identical = traces.iter().all(|t| *t == traces[0]);
     assert!(
         identical,
-        "fleet sizes produced different canonical traces — determinism broke"
+        "fleet sizes or repeats produced different canonical traces — determinism broke"
     );
     println!("  traces                   : byte-identical");
 
     let json = format!(
-        "{{\n  \"benchmark\": \"distributed_worker_fleet\",\n  \"config\": {{\"points\": {POINTS}, \"spin_ms\": {SPIN_MS}, \"workers_hi\": {WORKERS_HI}}},\n  \"wall_ms\": {{\"workers_1\": {}, \"workers_{WORKERS_HI}\": {}}},\n  \"speedup_1_to_{WORKERS_HI}\": {},\n  \"traces_identical\": {identical}\n}}\n",
+        "{{\n  \"benchmark\": \"distributed_worker_fleet\",\n  \"config\": {{\"points\": {POINTS}, \"spin_ms\": {SPIN_MS}, \"workers_hi\": {WORKERS_HI}, \"repeats\": {REPEATS}}},\n  \"wall_ms\": {{\"workers_1\": {}, \"workers_{WORKERS_HI}\": {}}},\n  \"wall_spread\": {{\"workers_1\": {}, \"workers_{WORKERS_HI}\": {}}},\n  \"speedup_1_to_{WORKERS_HI}\": {},\n  \"traces_identical\": {identical}\n}}\n",
         json_f(one_ms),
         json_f(four_ms),
+        json_f(one_spread),
+        json_f(four_spread),
         json_f(speedup),
     );
     let path = dovado_bench::results_dir().join("BENCH_distributed.json");
