@@ -11,6 +11,12 @@
 //! in `results/BENCH_attempt.json`. The stage numbers rank what an
 //! attempt spends its host time on; there is no timing gate.
 //!
+//! The bin's global allocator counts heap allocations (and
+//! reallocations), and `stage_allocs` reports them per box parse and per
+//! serial attempt over [`POINTS`] fixed points, after one warm-up attempt
+//! on a fresh backend. The counts are deterministic and the same in
+//! `--smoke` and default mode, so CI gates them.
+//!
 //! ```text
 //! cargo run --release -p dovado-bench --bin perf_attempt [-- --smoke]
 //! ```
@@ -29,8 +35,51 @@ use dovado_eda::report::{
 };
 use dovado_fpga::{Catalog, ResourceSet};
 use rayon::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
+
+/// The system allocator, counting every allocation and reallocation.
+struct Counting;
+
+/// Allocations and reallocations since the process started.
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every call forwards to the system allocator unchanged; the
+// counter is a relaxed atomic and never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations per call of `op` over `inputs`, each input once.
+fn allocs_per_op<T>(inputs: &[T], mut op: impl FnMut(&T)) -> f64 {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for input in inputs {
+        op(input);
+    }
+    (ALLOCATIONS.load(Ordering::Relaxed) - before) as f64 / inputs.len() as f64
+}
 
 const REPEATS: usize = 5;
 /// Fixed points of the micro stages.
@@ -166,6 +215,24 @@ fn main() {
         .iter()
         .map(|p| generate_box(probe.module(), p).expect("box generates"))
         .collect();
+    // Allocation counts: one warm-up attempt fills the backend's parse and
+    // script caches, as the first attempt of any run does.
+    let counted = evaluator();
+    let _ = counted.evaluate(&points[0]);
+    let alloc_counts = [
+        (
+            "box_parse",
+            allocs_per_op(&boxes, |b| {
+                let _ = black_box(dovado_hdl::parse_source(b.language, &b.source));
+            }),
+        ),
+        (
+            "attempt",
+            allocs_per_op(&points[1..=POINTS], |p| {
+                let _ = black_box(counted.evaluate(p));
+            }),
+        ),
+    ];
     let fanout_batch: Vec<u64> = (0..FANOUT_ITEMS).collect();
     let fanout_pool = rayon::ThreadPoolBuilder::new()
         .num_threads(FANOUT_THREADS)
@@ -226,9 +293,16 @@ fn main() {
         medians.push_str(&format!("{sep}\"{stage}\": {}", json_f(median)));
         spreads.push_str(&format!("{sep}\"{stage}\": {}", json_f(spread)));
     }
+    let mut allocs = String::new();
+    println!("allocations per operation (after one warm-up attempt):");
+    for (i, (stage, count)) in alloc_counts.iter().enumerate() {
+        println!("  {stage:<18}: {count:9.1}");
+        let sep = if i == 0 { "" } else { ", " };
+        allocs.push_str(&format!("{sep}\"{stage}\": {count:.1}"));
+    }
     let mode = if smoke { "smoke" } else { "default" };
     let json = format!(
-        "{{\n  \"benchmark\": \"attempt_stages\",\n  \"mode\": \"{mode}\",\n  \"config\": {{\"case_study\": \"{}\", \"part\": \"{}\", \"points\": {POINTS}, \"iterations\": {iterations}, \"attempt_points\": {attempts}, \"fanout_items\": {FANOUT_ITEMS}, \"fanout_threads\": {FANOUT_THREADS}, \"repeats\": {REPEATS}}},\n  \"stage_us\": {{{medians}}},\n  \"stage_spread\": {{{spreads}}}\n}}\n",
+        "{{\n  \"benchmark\": \"attempt_stages\",\n  \"mode\": \"{mode}\",\n  \"config\": {{\"case_study\": \"{}\", \"part\": \"{}\", \"points\": {POINTS}, \"iterations\": {iterations}, \"attempt_points\": {attempts}, \"fanout_items\": {FANOUT_ITEMS}, \"fanout_threads\": {FANOUT_THREADS}, \"repeats\": {REPEATS}}},\n  \"stage_us\": {{{medians}}},\n  \"stage_spread\": {{{spreads}}},\n  \"stage_allocs\": {{{allocs}}}\n}}\n",
         study.name, study.part,
     );
     let path = dovado_bench::results_dir().join("BENCH_attempt.json");

@@ -1,6 +1,6 @@
-//! Surrogate-mode batch-evaluation performance: the staged parallel
-//! pipeline (decide → dedup + tool → record, amortized LOO-CV) against the
-//! legacy genome-at-a-time serial loop with retrain-after-every-insert.
+//! Surrogate-mode batch-evaluation performance: the staged pipeline
+//! (decide → dedup + tool → record, amortized LOO-CV), serial and
+//! parallel.
 //!
 //! Workload: 4 objectives (LUT, FF, Fmax, power), population 64, synthetic
 //! dataset M = 500 — the reference configuration. Also measures the
@@ -12,6 +12,11 @@
 //! range over median). The staged-parallel pipeline runs inside an
 //! explicit 2-thread pool and `config.threads` is the worker count
 //! measured inside it. Writes `results/BENCH_surrogate.json`.
+//!
+//! The legacy genome-at-a-time serial loop with retrain-after-every-insert
+//! is retired: once incremental LOO-CV made a reselection cheap, it ran
+//! only 1.09× slower than the staged pipeline. Its last measurement stays
+//! in the JSON as the pinned `legacy_serial_historical` block.
 //!
 //! Gates: at M = 100 (exact LOO-CV) eager reselection must cost less
 //! than 5× amortized per record — incremental scoring makes one
@@ -49,8 +54,15 @@ const GATE_MAX_RATIO: f64 = 5.0;
 const PRETRAIN_M: usize = 500;
 const GENERATIONS: usize = 5;
 const DEPTH_N: i64 = 4096;
+/// Records between bandwidth reselections in the staged pipeline.
+const RESELECT_EVERY: usize = 25;
+/// The retired legacy loop's last measurement (full mode, median of 5):
+/// milliseconds for the five generations, and its time over the
+/// staged-parallel pipeline's in the same run.
+const LEGACY_SERIAL_MS: f64 = 37.589;
+const LEGACY_SPEEDUP: f64 = 1.09;
 
-fn problem(parallel: bool, reselect_every: usize) -> DseProblem {
+fn problem(parallel: bool) -> DseProblem {
     let evaluator = Evaluator::new(
         vec![HdlSource::new("fifo.sv", Language::SystemVerilog, FIFO_SV)],
         "fifo_v3",
@@ -77,7 +89,7 @@ fn problem(parallel: bool, reselect_every: usize) -> DseProblem {
         policy: ThresholdPolicy::paper_default(),
         pretrain_samples: PRETRAIN_M,
         seed: 0xD0BA,
-        reselect_every,
+        reselect_every: RESELECT_EVERY,
         ..Default::default()
     };
     let mut p = DseProblem::new(evaluator, space, metrics, Some(&cfg)).expect("problem builds");
@@ -96,21 +108,9 @@ fn generation_stream(seed: u64) -> Vec<Vec<Vec<i64>>> {
         .collect()
 }
 
-/// Legacy evaluation: genome at a time, eager reselection (K = 1).
-fn run_legacy(gens: &[Vec<Vec<i64>>]) -> f64 {
-    let mut p = problem(false, 1);
-    let t0 = Instant::now();
-    for genomes in gens {
-        for g in genomes {
-            let _ = p.evaluate(g);
-        }
-    }
-    t0.elapsed().as_secs_f64() * 1e3
-}
-
 /// Staged pipeline: batched decide/evaluate/record, amortized reselection.
-fn run_pipeline(gens: &[Vec<Vec<i64>>], parallel: bool, reselect_every: usize) -> f64 {
-    let mut p = problem(parallel, reselect_every);
+fn run_pipeline(gens: &[Vec<Vec<i64>>], parallel: bool) -> f64 {
+    let mut p = problem(parallel);
     let t0 = Instant::now();
     for genomes in gens {
         let _ = p.evaluate_batch(genomes);
@@ -161,7 +161,7 @@ fn main() {
         _ => &[100, 500, 1000, 10_000, 100_000],
     };
     dovado_bench::banner(
-        "perf_surrogate — staged batch pipeline vs legacy serial loop",
+        "perf_surrogate — staged batch pipeline, serial and parallel",
         "4 objectives, pop 64, M = 500; record-cost sweep up to the mode's max M",
     );
 
@@ -173,42 +173,40 @@ fn main() {
     // Warm-up so first-touch costs (allocator, checkpoint store) don't
     // land on whichever variant runs first.
     let threads = pool.install(|| {
-        let _ = run_pipeline(&gens[..1], true, 25);
+        let _ = run_pipeline(&gens[..1], true);
         rayon::current_num_threads()
     });
 
-    let (mut legacy, mut staged_serial, mut staged_parallel) = (vec![], vec![], vec![]);
+    let (mut staged_serial, mut staged_parallel) = (vec![], vec![]);
     for _ in 0..REPEATS {
-        legacy.push(run_legacy(&gens));
-        staged_serial.push(run_pipeline(&gens, false, 25));
-        staged_parallel.push(pool.install(|| run_pipeline(&gens, true, 25)));
+        staged_serial.push(run_pipeline(&gens, false));
+        staged_parallel.push(pool.install(|| run_pipeline(&gens, true)));
     }
-    let (legacy_ms, legacy_spread) = median_and_spread(&mut legacy);
     let (staged_serial_ms, staged_serial_spread) = median_and_spread(&mut staged_serial);
     let (staged_parallel_ms, staged_parallel_spread) = median_and_spread(&mut staged_parallel);
-    let speedup = legacy_ms / staged_parallel_ms;
     let per_gen = staged_parallel_ms / GENERATIONS as f64;
 
     println!(
         "generation evaluation ({GENERATIONS} generations of {POP}; median of {REPEATS}, ±IQR/median):"
     );
-    println!("  legacy serial (K=1)       : {legacy_ms:9.1} ms ±{legacy_spread:.2}");
-    println!("  staged serial (K=25)      : {staged_serial_ms:9.1} ms ±{staged_serial_spread:.2}");
+    println!("  staged serial (K={RESELECT_EVERY})      : {staged_serial_ms:9.1} ms ±{staged_serial_spread:.2}");
     println!(
-        "  staged parallel (K=25)    : {staged_parallel_ms:9.1} ms ±{staged_parallel_spread:.2}  ({per_gen:.1} ms/gen, {threads} threads)"
+        "  staged parallel (K={RESELECT_EVERY})    : {staged_parallel_ms:9.1} ms ±{staged_parallel_spread:.2}  ({per_gen:.1} ms/gen, {threads} threads)"
     );
-    println!("  speedup (legacy/parallel) : {speedup:9.2}x");
+    println!(
+        "  legacy serial (K=1), retired: {LEGACY_SERIAL_MS} ms, {LEGACY_SPEEDUP}x the parallel pipeline (last measurement)"
+    );
 
     let mut records = String::new();
     // (M, eager, amortized) medians, for the gates.
     let mut by_m: Vec<(usize, f64, f64)> = Vec::new();
     println!();
-    println!("record cost (one insert incl. Γ update; K = 25 amortized):");
+    println!("record cost (one insert incl. Γ update; K = {RESELECT_EVERY} amortized):");
     for (i, &m) in sweep.iter().enumerate() {
         let (mut eager, mut amortized) = (vec![], vec![]);
         for _ in 0..REPEATS {
             eager.push(record_cost_us(m, 1));
-            amortized.push(record_cost_us(m, 25));
+            amortized.push(record_cost_us(m, RESELECT_EVERY));
         }
         let (eager, eager_spread) = median_and_spread(&mut eager);
         let (amortized, amortized_spread) = median_and_spread(&mut amortized);
@@ -232,12 +230,9 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  \"benchmark\": \"surrogate_batch_pipeline\",\n  \"mode\": \"{mode}\",\n  \"config\": {{\"objectives\": 4, \"pop\": {POP}, \"pretrain_m\": {PRETRAIN_M}, \"generations\": {GENERATIONS}, \"reselect_every\": 25, \"threads\": {threads}, \"repeats\": {REPEATS}}},\n  \"generation_eval_ms\": {{\"legacy_serial\": {}, \"staged_serial\": {}, \"staged_parallel\": {}, \"speedup_legacy_over_parallel\": {}}},\n  \"generation_eval_spread\": {{\"legacy_serial\": {}, \"staged_serial\": {}, \"staged_parallel\": {}}},\n  \"record_cost\": [{records}\n  ]\n}}\n",
-        json_f(legacy_ms),
+        "{{\n  \"benchmark\": \"surrogate_batch_pipeline\",\n  \"mode\": \"{mode}\",\n  \"config\": {{\"objectives\": 4, \"pop\": {POP}, \"pretrain_m\": {PRETRAIN_M}, \"generations\": {GENERATIONS}, \"reselect_every\": {RESELECT_EVERY}, \"threads\": {threads}, \"repeats\": {REPEATS}}},\n  \"generation_eval_ms\": {{\"staged_serial\": {}, \"staged_parallel\": {}}},\n  \"generation_eval_spread\": {{\"staged_serial\": {}, \"staged_parallel\": {}}},\n  \"legacy_serial_historical\": {{\"generation_eval_ms\": {LEGACY_SERIAL_MS}, \"speedup_legacy_over_parallel\": {LEGACY_SPEEDUP}, \"note\": \"retired; last full-mode measurement, not re-run\"}},\n  \"record_cost\": [{records}\n  ]\n}}\n",
         json_f(staged_serial_ms),
         json_f(staged_parallel_ms),
-        json_f(speedup),
-        json_f(legacy_spread),
         json_f(staged_serial_spread),
         json_f(staged_parallel_spread),
     );

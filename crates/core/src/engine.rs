@@ -35,6 +35,7 @@ use crate::trace::{AttemptOutcome, FlowEvent, TraceSummary};
 use dovado_eda::{report, EdaError, EvalKey, EvalStore, FaultInjector};
 use dovado_hdl::ModuleInterface;
 use parking_lot::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// How [`Evaluator::evaluate_many`] schedules its points.
@@ -239,8 +240,12 @@ pub struct Evaluator {
     /// The spine every accounting signal is emitted on.
     bus: EventBus,
     /// Whether any prior run left a synthesis checkpoint (enables the
-    /// incremental read on subsequent scripts).
-    has_checkpoint: Arc<Mutex<bool>>,
+    /// incremental read on subsequent scripts). Stored only when it
+    /// changes, so successful attempts on other threads read a clean
+    /// line instead of taking turns at a lock. Relaxed accesses suffice:
+    /// dispatch snapshots it once per batch, after the previous batch
+    /// joined.
+    has_checkpoint: Arc<AtomicBool>,
     /// Persistent evaluation store plus the evaluator's content key;
     /// `None` = always run the tool.
     store: Option<(EvalStore, EvalKey)>,
@@ -313,7 +318,7 @@ impl Evaluator {
             ctx: Arc::new(ctx),
             backend,
             bus: EventBus::new(),
-            has_checkpoint: Arc::new(Mutex::new(false)),
+            has_checkpoint: Arc::new(AtomicBool::new(false)),
             store: None,
         }
     }
@@ -516,7 +521,7 @@ impl Evaluator {
     /// running evaluation happened to finish first — and the trace stays
     /// byte-identical across serial, rayon, and distributed schedules.
     fn checkpoint_basis(&self) -> bool {
-        *self.has_checkpoint.lock()
+        self.has_checkpoint.load(Ordering::Relaxed)
     }
 
     /// The work-stealing dispatch behind [`Schedule::Distributed`]: the
@@ -661,7 +666,7 @@ impl Evaluator {
                         // The incremental basis is suspect — rebuild from
                         // scratch on the remaining attempts.
                         incremental = false;
-                        *self.has_checkpoint.lock() = false;
+                        self.set_checkpoint_flag(false);
                     }
                     let outcome = AttemptOutcome::TransientFailure(e.to_string());
                     self.bus
@@ -688,6 +693,13 @@ impl Evaluator {
         unreachable!("the final attempt always returns")
     }
 
+    /// Stores `value` in the checkpoint flag when it differs.
+    fn set_checkpoint_flag(&self, value: bool) {
+        if self.has_checkpoint.load(Ordering::Relaxed) != value {
+            self.has_checkpoint.store(value, Ordering::Relaxed);
+        }
+    }
+
     /// The attempt step: one tool session, scripts in, metrics out.
     fn attempt(&self, point: &DesignPoint, step: FlowStep, incremental: bool) -> AttemptReport {
         let mut session = self.backend.open_session();
@@ -695,7 +707,7 @@ impl Evaluator {
         let tool_time_s = session.elapsed_s();
         let cached = session.used_exact_checkpoint();
         if result.is_ok() {
-            *self.has_checkpoint.lock() = true;
+            self.set_checkpoint_flag(true);
         }
         AttemptReport {
             result,

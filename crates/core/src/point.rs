@@ -1,7 +1,7 @@
 //! Design points: one concrete assignment of values to free parameters.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A concrete parameter assignment, ordered as declared in the space.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -64,12 +64,12 @@ impl DesignPoint {
 
     /// The `NAME=VALUE NAME=VALUE` form used in tool scripts.
     pub fn as_assignments(&self) -> String {
-        self.names
-            .iter()
-            .zip(&self.values)
-            .map(|(n, v)| format!("{n}={v}"))
-            .collect::<Vec<_>>()
-            .join(" ")
+        let mut out = String::new();
+        for (i, (n, v)) in self.names.iter().zip(&self.values).enumerate() {
+            let sep = if i == 0 { "" } else { " " };
+            let _ = write!(out, "{sep}{n}={v}");
+        }
+        out
     }
 }
 

@@ -80,6 +80,29 @@ pub trait ArchModel: Send + Sync {
     fn elaborate(&self, ctx: &ElabContext<'_>) -> EdaResult<Netlist>;
 }
 
+/// Whether `name` starts with `prefix` (lowercase ASCII), ASCII case
+/// folded. The name-matching helpers fold case in the comparison, so
+/// picking a model for every elaborated module copies no name.
+pub(crate) fn starts_with_ci(name: &str, prefix: &str) -> bool {
+    name.len() >= prefix.len()
+        && name.as_bytes()[..prefix.len()].eq_ignore_ascii_case(prefix.as_bytes())
+}
+
+/// Whether `name` ends with `suffix` (lowercase ASCII), ASCII case folded.
+pub(crate) fn ends_with_ci(name: &str, suffix: &str) -> bool {
+    name.len() >= suffix.len()
+        && name.as_bytes()[name.len() - suffix.len()..].eq_ignore_ascii_case(suffix.as_bytes())
+}
+
+/// Whether `name` contains `needle` (lowercase ASCII), ASCII case folded.
+pub(crate) fn contains_ci(name: &str, needle: &str) -> bool {
+    needle.is_empty()
+        || name
+            .as_bytes()
+            .windows(needle.len())
+            .any(|w| w.eq_ignore_ascii_case(needle.as_bytes()))
+}
+
 /// Ordered model registry with a generic fallback.
 pub struct ModelRegistry {
     models: Vec<Box<dyn ArchModel>>,
@@ -306,5 +329,23 @@ endmodule"#;
         assert_ne!(h(&p1, &part_a), h(&p2, &part_a));
         assert_ne!(h(&p1, &part_a), h(&p1, &part_b));
         assert_eq!(h(&p1, &part_a), h(&p1, &part_a));
+    }
+
+    #[test]
+    fn name_helpers_fold_ascii_case_as_a_lowercased_copy_would() {
+        assert!(starts_with_ci("NeoRV32_top", "neorv32"));
+        assert!(!starts_with_ci("neo", "neorv32"));
+        assert!(ends_with_ci("PREFETCH_FIFO", "_fifo"));
+        assert!(!ends_with_ci("fifo", "_fifo"));
+        assert!(contains_ci("cpl_Queue_Manager", "queue_manager"));
+        assert!(!contains_ci("queue", "queue_manager"));
+        // Non-ASCII letters are not folded, as `to_ascii_lowercase` leaves
+        // them too.
+        for name in ["ÉTIREX", "étirex_core", "TIREX_É"] {
+            let lower = name.to_ascii_lowercase();
+            assert_eq!(starts_with_ci(name, "étirex"), lower.starts_with("étirex"));
+            assert_eq!(ends_with_ci(name, "_é"), lower.ends_with("_é"));
+            assert_eq!(contains_ci(name, "tirex"), lower.contains("tirex"));
+        }
     }
 }

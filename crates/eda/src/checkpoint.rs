@@ -24,13 +24,14 @@ pub enum FlowStep {
     Implementation,
 }
 
-/// A stored checkpoint.
+/// A stored checkpoint. The payload is shared: the session that put it
+/// and every exact hit read one result, never a copy.
 #[derive(Debug, Clone)]
 pub enum Checkpoint {
     /// Synthesis result.
-    Synth(SynthResult),
+    Synth(Arc<SynthResult>),
     /// Implementation result.
-    Impl(ImplResult),
+    Impl(Arc<ImplResult>),
 }
 
 /// How much of a fresh run's cost a reuse class still pays.
@@ -55,12 +56,30 @@ impl Reuse {
     }
 }
 
+/// An incremental basis: a checkpoint of `module` on `part` at `step`
+/// exists. Module and part compare with ASCII case folded.
+struct Basis {
+    module: String,
+    part: String,
+    step: FlowStep,
+}
+
+impl Basis {
+    fn matches(&self, module: &str, part: &str, step: FlowStep) -> bool {
+        self.step == step
+            && self.module.eq_ignore_ascii_case(module)
+            && self.part.eq_ignore_ascii_case(part)
+    }
+}
+
 #[derive(Default)]
 struct Inner {
     /// Exact results by (design_hash, step).
     exact: HashMap<(u64, FlowStep), Checkpoint>,
-    /// Incremental basis by (module, part, step) → most recent design hash.
-    by_module: HashMap<(String, String, FlowStep), u64>,
+    /// Every (module, part, step) a checkpoint was put for. A run sees a
+    /// handful (one module per part and step), so a scan that folds case
+    /// in the comparison serves lookups without lowercased copies.
+    bases: Vec<Basis>,
 }
 
 /// A shareable, thread-safe checkpoint store.
@@ -79,29 +98,37 @@ impl CheckpointStore {
     pub fn put(&self, design_hash: u64, module: &str, part: &str, step: FlowStep, cp: Checkpoint) {
         let mut g = self.inner.lock();
         g.exact.insert((design_hash, step), cp);
-        g.by_module.insert(
-            (module.to_ascii_lowercase(), part.to_ascii_lowercase(), step),
-            design_hash,
-        );
+        if !g.bases.iter().any(|b| b.matches(module, part, step)) {
+            g.bases.push(Basis {
+                module: module.to_string(),
+                part: part.to_string(),
+                step,
+            });
+        }
     }
 
-    /// Exact lookup.
-    pub fn get_exact(&self, design_hash: u64, step: FlowStep) -> Option<Checkpoint> {
-        self.inner.lock().exact.get(&(design_hash, step)).cloned()
-    }
-
-    /// Classifies the reuse available for a run.
-    pub fn classify(&self, design_hash: u64, module: &str, part: &str, step: FlowStep) -> Reuse {
+    /// The reuse a run of `step` on `design_hash` gets, with the
+    /// checkpoint that answers it when the reuse is exact, under one
+    /// lock. An exact checkpoint applies to every run, incremental or not
+    /// (the paper's "Vivado … employs cached results as the answer"); a
+    /// prior checkpoint of the same module and part applies only when
+    /// the run asked for the `incremental` flow.
+    pub fn lookup(
+        &self,
+        design_hash: u64,
+        module: &str,
+        part: &str,
+        step: FlowStep,
+        incremental: bool,
+    ) -> (Reuse, Option<Checkpoint>) {
         let g = self.inner.lock();
-        if g.exact.contains_key(&(design_hash, step)) {
-            return Reuse::Exact;
+        if let Some(cp) = g.exact.get(&(design_hash, step)) {
+            return (Reuse::Exact, Some(cp.clone()));
         }
-        if g.by_module
-            .contains_key(&(module.to_ascii_lowercase(), part.to_ascii_lowercase(), step))
-        {
-            return Reuse::Incremental;
+        if incremental && g.bases.iter().any(|b| b.matches(module, part, step)) {
+            return (Reuse::Incremental, None);
         }
-        Reuse::None
+        (Reuse::None, None)
     }
 
     /// Number of stored checkpoints.
@@ -118,7 +145,7 @@ impl CheckpointStore {
     pub fn clear(&self) {
         let mut g = self.inner.lock();
         g.exact.clear();
-        g.by_module.clear();
+        g.bases.clear();
     }
 }
 
@@ -129,27 +156,53 @@ mod tests {
     use crate::synth::SynthDirective;
 
     fn synth_cp() -> Checkpoint {
-        Checkpoint::Synth(SynthResult {
+        Checkpoint::Synth(Arc::new(SynthResult {
             netlist: Netlist::empty("m"),
             runtime_s: 1.0,
             directive: SynthDirective::Default,
             log: String::new(),
-        })
+        }))
+    }
+
+    /// The reuse class a run finds, incremental flow requested.
+    fn classify(
+        store: &CheckpointStore,
+        hash: u64,
+        module: &str,
+        part: &str,
+        step: FlowStep,
+    ) -> Reuse {
+        store.lookup(hash, module, part, step, true).0
     }
 
     #[test]
     fn exact_reuse_after_put() {
         let store = CheckpointStore::new();
         assert_eq!(
-            store.classify(42, "m", "p", FlowStep::Synthesis),
+            classify(&store, 42, "m", "p", FlowStep::Synthesis),
             Reuse::None
         );
         store.put(42, "m", "p", FlowStep::Synthesis, synth_cp());
-        assert_eq!(
-            store.classify(42, "m", "p", FlowStep::Synthesis),
-            Reuse::Exact
-        );
-        assert!(store.get_exact(42, FlowStep::Synthesis).is_some());
+        let (reuse, hit) = store.lookup(42, "m", "p", FlowStep::Synthesis, true);
+        assert_eq!(reuse, Reuse::Exact);
+        assert!(matches!(hit, Some(Checkpoint::Synth(_))));
+    }
+
+    #[test]
+    fn an_exact_hit_shares_the_stored_result() {
+        let store = CheckpointStore::new();
+        let cp = synth_cp();
+        let Checkpoint::Synth(put) = &cp else {
+            unreachable!()
+        };
+        let put = Arc::clone(put);
+        store.put(42, "m", "p", FlowStep::Synthesis, cp);
+        for incremental in [false, true] {
+            match store.lookup(42, "m", "p", FlowStep::Synthesis, incremental) {
+                (Reuse::Exact, Some(Checkpoint::Synth(hit))) => assert!(Arc::ptr_eq(&hit, &put)),
+                other => panic!("expected an exact hit, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -158,19 +211,28 @@ mod tests {
         store.put(42, "fifo", "xc7k70t", FlowStep::Synthesis, synth_cp());
         // Different design hash (other params), same module/part/step.
         assert_eq!(
-            store.classify(43, "fifo", "xc7k70t", FlowStep::Synthesis),
+            classify(&store, 43, "fifo", "xc7k70t", FlowStep::Synthesis),
             Reuse::Incremental
         );
         // Different part → no basis.
         assert_eq!(
-            store.classify(43, "fifo", "xczu3eg", FlowStep::Synthesis),
+            classify(&store, 43, "fifo", "xczu3eg", FlowStep::Synthesis),
             Reuse::None
         );
         // Different step → no basis.
         assert_eq!(
-            store.classify(43, "fifo", "xc7k70t", FlowStep::Implementation),
+            classify(&store, 43, "fifo", "xc7k70t", FlowStep::Implementation),
             Reuse::None
         );
+    }
+
+    #[test]
+    fn a_basis_counts_only_for_an_incremental_run() {
+        let store = CheckpointStore::new();
+        store.put(42, "fifo", "xc7k70t", FlowStep::Synthesis, synth_cp());
+        let (reuse, hit) = store.lookup(43, "fifo", "xc7k70t", FlowStep::Synthesis, false);
+        assert_eq!(reuse, Reuse::None);
+        assert!(hit.is_none());
     }
 
     #[test]
@@ -178,9 +240,12 @@ mod tests {
         let store = CheckpointStore::new();
         store.put(1, "FIFO", "XC7K70T", FlowStep::Synthesis, synth_cp());
         assert_eq!(
-            store.classify(2, "fifo", "xc7k70t", FlowStep::Synthesis),
+            classify(&store, 2, "fifo", "xc7k70t", FlowStep::Synthesis),
             Reuse::Incremental
         );
+        // The same basis in another case adds no second entry.
+        store.put(3, "fifo", "xc7k70t", FlowStep::Synthesis, synth_cp());
+        assert_eq!(store.inner.lock().bases.len(), 1);
     }
 
     #[test]
@@ -197,7 +262,7 @@ mod tests {
         store.clear();
         assert!(store.is_empty());
         assert_eq!(
-            store.classify(1, "m", "p", FlowStep::Synthesis),
+            classify(&store, 1, "m", "p", FlowStep::Synthesis),
             Reuse::None
         );
     }

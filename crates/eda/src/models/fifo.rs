@@ -13,7 +13,7 @@
 //! the paper's Fig. 3 experiment needs: "a module that provides enough
 //! samples for accuracy assessment".
 
-use crate::archmodel::{ArchModel, ElabContext};
+use crate::archmodel::{ends_with_ci, ArchModel, ElabContext};
 use crate::error::EdaResult;
 use crate::netlist::Netlist;
 use dovado_fpga::{ResourceKind, ResourceSet};
@@ -29,8 +29,10 @@ impl ArchModel for FifoModel {
     }
 
     fn matches(&self, module_name: &str) -> bool {
-        let n = module_name.to_ascii_lowercase();
-        n == "fifo" || n == "fifo_v3" || n == "cv32e40p_fifo" || n.ends_with("_fifo")
+        ["fifo", "fifo_v3", "cv32e40p_fifo"]
+            .iter()
+            .any(|n| module_name.eq_ignore_ascii_case(n))
+            || ends_with_ci(module_name, "_fifo")
     }
 
     fn elaborate(&self, ctx: &ElabContext<'_>) -> EdaResult<Netlist> {

@@ -12,7 +12,7 @@
 //! * achievable frequency sits near 200 MHz on the Kintex-7, with pipeline
 //!   stages buying back logic depth.
 
-use crate::archmodel::{ArchModel, ElabContext};
+use crate::archmodel::{contains_ci, ArchModel, ElabContext};
 use crate::error::EdaResult;
 use crate::netlist::Netlist;
 use dovado_fpga::{ResourceKind, ResourceSet};
@@ -33,8 +33,7 @@ impl ArchModel for QueueManagerModel {
     }
 
     fn matches(&self, module_name: &str) -> bool {
-        let n = module_name.to_ascii_lowercase();
-        n.contains("queue_manager")
+        contains_ci(module_name, "queue_manager")
     }
 
     fn elaborate(&self, ctx: &ElabContext<'_>) -> EdaResult<Netlist> {

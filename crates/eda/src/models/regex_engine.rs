@@ -11,7 +11,7 @@
 //! that gap comes from the per-device [`dovado_fpga::TimingModel`], not
 //! from anything TiReX-specific here.
 
-use crate::archmodel::{ArchModel, ElabContext};
+use crate::archmodel::{starts_with_ci, ArchModel, ElabContext};
 use crate::error::EdaResult;
 use crate::netlist::Netlist;
 use dovado_fpga::{ResourceKind, ResourceSet};
@@ -27,7 +27,7 @@ impl ArchModel for TirexModel {
     }
 
     fn matches(&self, module_name: &str) -> bool {
-        module_name.to_ascii_lowercase().starts_with("tirex")
+        starts_with_ci(module_name, "tirex")
     }
 
     fn elaborate(&self, ctx: &ElabContext<'_>) -> EdaResult<Netlist> {

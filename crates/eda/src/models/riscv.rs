@@ -10,7 +10,7 @@
 //!   the experiment itself targets its FIFO submodule, handled by
 //!   [`crate::models::fifo`]). Included so whole-core evaluations complete.
 
-use crate::archmodel::{ArchModel, ElabContext};
+use crate::archmodel::{contains_ci, starts_with_ci, ArchModel, ElabContext};
 use crate::error::EdaResult;
 use crate::netlist::Netlist;
 use dovado_fpga::{ResourceKind, ResourceSet};
@@ -27,7 +27,7 @@ impl ArchModel for Neorv32Model {
     }
 
     fn matches(&self, module_name: &str) -> bool {
-        module_name.to_ascii_lowercase().starts_with("neorv32")
+        starts_with_ci(module_name, "neorv32")
     }
 
     fn elaborate(&self, ctx: &ElabContext<'_>) -> EdaResult<Netlist> {
@@ -101,8 +101,7 @@ impl ArchModel for Cv32e40pModel {
     }
 
     fn matches(&self, module_name: &str) -> bool {
-        let n = module_name.to_ascii_lowercase();
-        n.starts_with("cv32e40p") && !n.contains("fifo")
+        starts_with_ci(module_name, "cv32e40p") && !contains_ci(module_name, "fifo")
     }
 
     fn elaborate(&self, ctx: &ElabContext<'_>) -> EdaResult<Netlist> {

@@ -1,10 +1,17 @@
 //! The TCL interpreter: substitution, builtins, and dispatch to the
 //! embedding context's commands.
+//!
+//! Words borrow from the script's cached parse: a literal or braced word
+//! reaches its command as a slice of the parse, and only a word that a
+//! `$variable` or `[command]` substitution changed owns its text. One
+//! words buffer serves every command of a script.
 
 use crate::error::{EdaError, EdaResult};
 use crate::tcl::expr::eval_expr_at;
 use crate::tcl::parser::{parse_script, Command, Part, ScriptCache, Word};
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// How deeply scripts may nest: the script handed to [`Interp::eval`] is
 /// level 1, and each command substitution, control-structure body and
@@ -16,12 +23,13 @@ pub const MAX_SCRIPT_DEPTH: usize = 64;
 /// The embedding context supplies non-builtin commands (the Vivado command
 /// set, in this crate's case).
 pub trait TclContext {
-    /// Executes `name args…`, returning the command's string result.
+    /// Executes `name args…`, returning the command's string result. An
+    /// argument borrows the script's parse unless a substitution built it.
     fn run_command(
         &mut self,
         interp: &mut Interp,
         name: &str,
-        args: &[String],
+        args: &[Cow<'_, str>],
     ) -> EdaResult<String>;
 }
 
@@ -34,7 +42,7 @@ impl TclContext for NoContext {
         &mut self,
         _interp: &mut Interp,
         name: &str,
-        _args: &[String],
+        _args: &[Cow<'_, str>],
     ) -> EdaResult<String> {
         Err(EdaError::Tcl(format!("invalid command name \"{name}\"")))
     }
@@ -49,17 +57,17 @@ enum Flow {
 }
 
 /// A user-defined procedure (`proc name {params} {body}`).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Proc {
     params: Vec<String>,
     body: String,
 }
 
 /// Interpreter state: variables and collected `puts` output.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Interp {
     vars: HashMap<String, String>,
-    procs: HashMap<String, Proc>,
+    procs: HashMap<String, Arc<Proc>>,
     /// Loop control raised inside an `if` body, consumed by the enclosing
     /// loop (or surfaced as an error at the top level).
     pending_flow: Option<Flow>,
@@ -74,18 +82,29 @@ pub struct Interp {
     pub output: String,
 }
 
+impl Default for Interp {
+    fn default() -> Interp {
+        Interp::new()
+    }
+}
+
 impl Interp {
     /// Creates a fresh interpreter with a private script cache.
     pub fn new() -> Interp {
-        Interp::default()
+        Interp::with_scripts(ScriptCache::new())
     }
 
     /// Creates a fresh interpreter that parses scripts through `scripts`,
     /// shared with other interpreters.
     pub fn with_scripts(scripts: ScriptCache) -> Interp {
         Interp {
+            vars: HashMap::new(),
+            procs: HashMap::new(),
+            pending_flow: None,
             scripts,
-            ..Interp::default()
+            depth: 0,
+            line: 0,
+            output: String::new(),
         }
     }
 
@@ -116,6 +135,8 @@ impl Interp {
                 self.line
             )));
         }
+        // Holding the parse keeps every word borrowed from it alive, even
+        // if a nested script empties the cache meanwhile.
         let commands = self.scripts.parse(script)?;
         self.depth += 1;
         let result = self.run_commands(ctx, &commands);
@@ -129,25 +150,26 @@ impl Interp {
         commands: &[Command],
     ) -> EdaResult<(String, Flow)> {
         let mut last = String::new();
+        let widest = commands.iter().map(|c| c.words.len()).max().unwrap_or(0);
+        let mut words: Vec<Cow<'_, str>> = Vec::with_capacity(widest);
         for cmd in commands {
             if self.depth == 1 {
                 self.line = cmd.line;
             }
-            let mut words = Vec::with_capacity(cmd.words.len());
+            words.clear();
             for w in &cmd.words {
-                words.push(self.subst_word(ctx, w)?);
+                let word = self.subst_word(ctx, w)?;
+                words.push(word);
             }
-            if words.is_empty() {
+            let Some((name, args)) = words.split_first() else {
                 continue;
-            }
-            let name = words[0].clone();
-            let args = &words[1..];
-            match name.as_str() {
+            };
+            match name.as_ref() {
                 "break" => return Ok((last, Flow::Break)),
                 "continue" => return Ok((last, Flow::Continue)),
                 _ => {}
             }
-            last = self.dispatch(ctx, &name, args)?;
+            last = self.dispatch(ctx, name, args)?;
             // `break`/`continue` raised inside an `if` body propagates out
             // of the surrounding script.
             if let Some(flow) = self.pending_flow.take() {
@@ -165,71 +187,79 @@ impl Interp {
         let escaped = s.replace('\\', "\\\\").replace('"', "\\\"");
         let cmds = parse_script(&format!("__subst \"{escaped}\""))?;
         let word = &cmds[0].words[1];
-        self.subst_word(ctx, word)
+        Ok(self.subst_word(ctx, word)?.into_owned())
     }
 
-    fn subst_word<C: TclContext>(&mut self, ctx: &mut C, w: &Word) -> EdaResult<String> {
-        match w {
-            Word::Braced(s) => Ok(s.clone()),
-            Word::Bare(parts) => {
-                let mut out = String::new();
-                for p in parts {
-                    match p {
-                        Part::Lit(s) => out.push_str(s),
-                        Part::Var(name) => {
-                            let v = self.vars.get(name).ok_or_else(|| {
-                                EdaError::Tcl(format!("can't read \"{name}\": no such variable"))
-                            })?;
-                            out.push_str(v);
-                        }
-                        Part::Cmd(script) => {
-                            let v = self.eval(ctx, script)?;
-                            out.push_str(&v);
-                        }
-                    }
+    /// The text of word `w`: borrowed from the parse when it is literal,
+    /// built when a substitution changes it.
+    fn subst_word<'w, C: TclContext>(
+        &mut self,
+        ctx: &mut C,
+        w: &'w Word,
+    ) -> EdaResult<Cow<'w, str>> {
+        let parts = match w {
+            Word::Braced(s) => return Ok(Cow::Borrowed(s)),
+            Word::Bare(parts) => parts,
+        };
+        match parts.as_slice() {
+            [] => return Ok(Cow::Borrowed("")),
+            [Part::Lit(s)] => return Ok(Cow::Borrowed(s)),
+            [Part::Cmd(script)] => return self.eval(ctx, script).map(Cow::Owned),
+            _ => {}
+        }
+        let mut out = String::new();
+        for p in parts {
+            match p {
+                Part::Lit(s) => out.push_str(s),
+                Part::Var(name) => out.push_str(self.var(name)?),
+                Part::Cmd(script) => {
+                    let v = self.eval(ctx, script)?;
+                    out.push_str(&v);
                 }
-                Ok(out)
             }
         }
+        Ok(Cow::Owned(out))
+    }
+
+    /// The value of variable `name`, or the error `$name` raises.
+    fn var(&self, name: &str) -> EdaResult<&str> {
+        self.get_var(name)
+            .ok_or_else(|| EdaError::Tcl(format!("can't read \"{name}\": no such variable")))
     }
 
     fn dispatch<C: TclContext>(
         &mut self,
         ctx: &mut C,
         name: &str,
-        args: &[String],
+        args: &[Cow<'_, str>],
     ) -> EdaResult<String> {
         match name {
-            "set" => {
-                match args {
-                    [n] => self.vars.get(n).cloned().ok_or_else(|| {
-                        EdaError::Tcl(format!("can't read \"{n}\": no such variable"))
-                    }),
-                    [n, v] => {
-                        self.vars.insert(n.clone(), v.clone());
-                        Ok(v.clone())
-                    }
-                    _ => Err(EdaError::Tcl("wrong # args: set varName ?value?".into())),
+            "set" => match args {
+                [n] => self.var(n).map(str::to_string),
+                [n, v] => {
+                    self.vars.insert(n.to_string(), v.to_string());
+                    Ok(v.to_string())
                 }
-            }
+                _ => Err(EdaError::Tcl("wrong # args: set varName ?value?".into())),
+            },
             "unset" => {
                 for a in args {
-                    self.vars.remove(a);
+                    self.vars.remove(a.as_ref());
                 }
                 Ok(String::new())
             }
             "puts" => {
                 let (nonewline, text) = match args {
-                    [flag, t] if flag == "-nonewline" => (true, t.clone()),
-                    [t] => (false, t.clone()),
-                    [] => (false, String::new()),
+                    [flag, t] if flag == "-nonewline" => (true, t.as_ref()),
+                    [t] => (false, t.as_ref()),
+                    [] => (false, ""),
                     _ => {
                         return Err(EdaError::Tcl(
                             "wrong # args: puts ?-nonewline? string".into(),
                         ))
                     }
                 };
-                self.output.push_str(&text);
+                self.output.push_str(text);
                 if !nonewline {
                     self.output.push('\n');
                 }
@@ -251,11 +281,11 @@ impl Interp {
                     };
                     let cur: i64 = self
                         .vars
-                        .get(n)
+                        .get(n.as_ref())
                         .map(|v| v.parse().unwrap_or(0))
                         .unwrap_or(0);
                     let v = (cur + by).to_string();
-                    self.vars.insert(n.clone(), v.clone());
+                    self.vars.insert(n.to_string(), v.clone());
                     Ok(v)
                 }
                 _ => Err(EdaError::Tcl(
@@ -267,7 +297,7 @@ impl Interp {
                 [var, list, body] => {
                     let mut last = String::new();
                     for item in list.split_whitespace() {
-                        self.vars.insert(var.clone(), item.to_string());
+                        self.vars.insert(var.to_string(), item.to_string());
                         let (r, flow) = self.eval_flow(ctx, body)?;
                         last = r;
                         match flow {
@@ -304,13 +334,11 @@ impl Interp {
             },
             "proc" => match args {
                 [name, params, body] => {
-                    self.procs.insert(
-                        name.clone(),
-                        Proc {
-                            params: params.split_whitespace().map(str::to_string).collect(),
-                            body: body.clone(),
-                        },
-                    );
+                    let proc = Proc {
+                        params: params.split_whitespace().map(str::to_string).collect(),
+                        body: body.to_string(),
+                    };
+                    self.procs.insert(name.to_string(), Arc::new(proc));
                     Ok(String::new())
                 }
                 _ => Err(EdaError::Tcl("wrong # args: proc name params body".into())),
@@ -339,7 +367,7 @@ impl Interp {
                         .map(|k| (k.clone(), self.vars.get(k).cloned()))
                         .collect();
                     for (k, v) in p.params.iter().zip(args) {
-                        self.vars.insert(k.clone(), v.clone());
+                        self.vars.insert(k.clone(), v.to_string());
                     }
                     let result = self.eval(ctx, &p.body);
                     for (k, old) in saved {
@@ -355,7 +383,7 @@ impl Interp {
         }
     }
 
-    fn run_if<C: TclContext>(&mut self, ctx: &mut C, args: &[String]) -> EdaResult<String> {
+    fn run_if<C: TclContext>(&mut self, ctx: &mut C, args: &[Cow<'_, str>]) -> EdaResult<String> {
         let mut i = 0usize;
         loop {
             if i + 1 >= args.len() {
@@ -371,7 +399,7 @@ impl Interp {
                 return Ok(r);
             }
             i += 2;
-            match args.get(i).map(String::as_str) {
+            match args.get(i).map(AsRef::as_ref) {
                 Some("elseif") => {
                     i += 1;
                     continue;
@@ -400,6 +428,7 @@ impl Interp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tcl::MAX_CACHED_SCRIPTS;
 
     fn run(script: &str) -> (String, String) {
         let mut i = Interp::new();
@@ -662,7 +691,7 @@ mod tests {
                 &mut self,
                 interp: &mut Interp,
                 name: &str,
-                args: &[String],
+                args: &[Cow<'_, str>],
             ) -> EdaResult<String> {
                 interp.set_var("seen", format!("{name}:{}", args.join(",")));
                 Ok("done".into())
@@ -672,5 +701,97 @@ mod tests {
         let r = i.eval(&mut Ctx, "mycmd a b").unwrap();
         assert_eq!(r, "done");
         assert_eq!(i.get_var("seen"), Some("mycmd:a,b"));
+    }
+
+    /// Records every command the context runs: its name, and each
+    /// argument's text and whether it borrowed the parse.
+    #[derive(Default)]
+    struct Recorder {
+        calls: Vec<(String, Vec<(String, bool)>)>,
+    }
+
+    impl TclContext for Recorder {
+        fn run_command(
+            &mut self,
+            _interp: &mut Interp,
+            name: &str,
+            args: &[Cow<'_, str>],
+        ) -> EdaResult<String> {
+            let args = args
+                .iter()
+                .map(|a| (a.to_string(), matches!(a, Cow::Borrowed(_))))
+                .collect();
+            self.calls.push((name.to_string(), args));
+            Ok(format!("<{name}>"))
+        }
+    }
+
+    #[test]
+    fn words_reach_the_context_as_before_and_borrow_unless_substituted() {
+        let mut i = Interp::new();
+        let mut rec = Recorder::default();
+        let script = "set b B\nrec lit {br {a} ced} $b [c] a$b\\[x\\][c] \"q $b\" {} \"\" -x";
+        i.eval(&mut rec, script).unwrap();
+        let (name, args) = rec.calls.last().unwrap();
+        assert_eq!(name, "rec");
+        let texts: Vec<&str> = args.iter().map(|(t, _)| t.as_str()).collect();
+        assert_eq!(
+            texts,
+            [
+                "lit",
+                "br {a} ced",
+                "B",
+                "<c>",
+                "aB[x]<c>",
+                "q B",
+                "",
+                "",
+                "-x"
+            ]
+        );
+        let borrowed: Vec<bool> = args.iter().map(|&(_, b)| b).collect();
+        assert_eq!(
+            borrowed,
+            [true, true, false, false, false, false, true, true, true]
+        );
+        // `[c]` ran as its own command, with no arguments.
+        assert_eq!(rec.calls[0], ("c".to_string(), Vec::new()));
+    }
+
+    #[test]
+    fn kept_values_outlive_their_scripts_cache_entries() {
+        let mut i = Interp::new();
+        let defs = "set kept {braced value}\n\
+                    proc greet {who} { set greeting \"hi $who\" }\n\
+                    foreach item {a b c} { set last $item }";
+        i.eval(&mut NoContext, defs).unwrap();
+        // 64 other texts fill the shared cache, and the next one empties
+        // it: the parse those values were read from is gone.
+        for n in 0..=MAX_CACHED_SCRIPTS {
+            i.eval(&mut NoContext, &format!("set filler {n}")).unwrap();
+        }
+        assert!(i.scripts.cached(defs).is_none());
+        assert_eq!(i.eval(&mut NoContext, "set kept").unwrap(), "braced value");
+        assert_eq!(i.eval(&mut NoContext, "greet bob").unwrap(), "hi bob");
+        assert_eq!(i.eval(&mut NoContext, "set last").unwrap(), "c");
+        assert_eq!(i.get_var("item"), Some("c"));
+    }
+
+    #[test]
+    fn a_substituted_command_name_still_dispatches() {
+        let mut i = Interp::new();
+        let mut rec = Recorder::default();
+        let r = i
+            .eval(
+                &mut rec,
+                "set p puts\n$p hello\nset v set\n[list $v] x 5\nset c rec\n${c}2 a\n[list $c] b",
+            )
+            .unwrap();
+        assert_eq!(r, "<rec>");
+        assert_eq!(i.output, "hello\n");
+        assert_eq!(i.get_var("x"), Some("5"));
+        let names: Vec<&str> = rec.calls.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["rec2", "rec"]);
+        assert_eq!(rec.calls[1].1, [("b".to_string(), true)]);
     }
 }

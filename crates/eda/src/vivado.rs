@@ -35,6 +35,7 @@ use crate::synth::{synth_runtime_s, synthesize, SynthDirective, SynthResult};
 use crate::tcl::{Interp, ScriptCache, TclContext};
 use dovado_fpga::{Catalog, ResourceSet};
 use dovado_hdl::Language;
+use std::borrow::Cow;
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -125,8 +126,12 @@ pub struct VivadoSim {
     fs: BTreeMap<String, File>,
     project: Option<Project>,
     state: FlowState,
-    synth_result: Option<SynthResult>,
-    impl_result: Option<ImplResult>,
+    /// Result of the last `synth_design`, shared with the checkpoint
+    /// store.
+    synth_result: Option<Arc<SynthResult>>,
+    /// Result of the last `route_design`, shared with the checkpoint
+    /// store.
+    impl_result: Option<Arc<ImplResult>>,
     /// Whether the next synth/impl step may use the incremental flow.
     incremental_requested: bool,
     /// Whether a synth/impl step was answered by an exact checkpoint.
@@ -278,14 +283,16 @@ impl VivadoSim {
         self.state
     }
 
-    /// Result of the last `synth_design`, if any.
+    /// Result of the last `synth_design`, if any. Its log has moved to
+    /// [`VivadoSim::journal`].
     pub fn synth_result(&self) -> Option<&SynthResult> {
-        self.synth_result.as_ref()
+        self.synth_result.as_deref()
     }
 
-    /// Result of the last `route_design`, if any.
+    /// Result of the last `route_design`, if any. Its log has moved to
+    /// [`VivadoSim::journal`].
     pub fn impl_result(&self) -> Option<&ImplResult> {
-        self.impl_result.as_ref()
+        self.impl_result.as_deref()
     }
 
     /// The open project.
@@ -303,14 +310,14 @@ impl VivadoSim {
 
     // ---- command implementations -------------------------------------
 
-    fn cmd_create_project(&mut self, args: &[String]) -> EdaResult<String> {
+    fn cmd_create_project(&mut self, args: &[Cow<'_, str>]) -> EdaResult<String> {
         let mut name = None;
         let mut part_name = None;
         let mut i = 0;
         while i < args.len() {
-            match args[i].as_str() {
+            match args[i].as_ref() {
                 "-part" => {
-                    part_name = Some(args.get(i + 1).cloned().ok_or_else(|| {
+                    part_name = Some(args.get(i + 1).map(|a| a.to_string()).ok_or_else(|| {
                         EdaError::Tcl("create_project: -part needs a value".into())
                     })?);
                     i += 2;
@@ -339,16 +346,16 @@ impl VivadoSim {
         Ok(name)
     }
 
-    fn cmd_read_hdl(&mut self, language: Language, args: &[String]) -> EdaResult<String> {
-        let mut library: Option<String> = None;
+    fn cmd_read_hdl(&mut self, language: Language, args: &[Cow<'_, str>]) -> EdaResult<String> {
+        let mut library: Option<&str> = None;
         let mut lang = language;
         let mut paths = Vec::new();
         let mut i = 0;
         while i < args.len() {
-            match args[i].as_str() {
+            match args[i].as_ref() {
                 "-library" | "-lib" => {
                     library =
-                        Some(args.get(i + 1).cloned().ok_or_else(|| {
+                        Some(args.get(i + 1).ok_or_else(|| {
                             EdaError::Tcl("read_*: -library needs a value".into())
                         })?);
                     i += 2;
@@ -359,7 +366,7 @@ impl VivadoSim {
                 }
                 "-vhdl2008" => i += 1,
                 p => {
-                    paths.push(p.to_string());
+                    paths.push(p);
                     i += 1;
                 }
             }
@@ -370,24 +377,24 @@ impl VivadoSim {
         for p in paths {
             let text = self
                 .fs
-                .get(&p)
+                .get(p)
                 .map(File::text)
-                .ok_or_else(|| EdaError::FileNotFound(p.clone()))?;
+                .ok_or_else(|| EdaError::FileNotFound(p.to_string()))?;
             let project = self.project.as_mut().ok_or_else(no_project)?;
-            let file = self.parses.parse(&p, lang, text)?;
-            project.add_parsed(&p, lang, file, library.as_deref());
+            let file = self.parses.parse(p, lang, text)?;
+            project.add_parsed(p, lang, file, library);
             self.sim_time_s += 0.5;
             self.log(format!("read {p} as {lang}"));
         }
         Ok(String::new())
     }
 
-    fn cmd_set_property(&mut self, args: &[String]) -> EdaResult<String> {
+    fn cmd_set_property(&mut self, args: &[Cow<'_, str>]) -> EdaResult<String> {
         if args.len() < 3 {
             return Err(EdaError::Tcl("set_property name value object".into()));
         }
         let prop = args[0].to_ascii_lowercase();
-        let value = args[1].clone();
+        let value = args[1].to_string();
         match prop.as_str() {
             "top" => {
                 self.project_mut()?.top = Some(value.clone());
@@ -423,12 +430,12 @@ impl VivadoSim {
         Ok(String::new())
     }
 
-    fn cmd_create_clock(&mut self, args: &[String]) -> EdaResult<String> {
+    fn cmd_create_clock(&mut self, args: &[Cow<'_, str>]) -> EdaResult<String> {
         let mut period = None;
         let mut port = None;
         let mut i = 0;
         while i < args.len() {
-            match args[i].as_str() {
+            match args[i].as_ref() {
                 "-period" => {
                     let v = args
                         .get(i + 1)
@@ -462,7 +469,7 @@ impl VivadoSim {
         Ok(String::new())
     }
 
-    fn cmd_get_ports(&mut self, args: &[String]) -> EdaResult<String> {
+    fn cmd_get_ports(&mut self, args: &[Cow<'_, str>]) -> EdaResult<String> {
         let pattern = args
             .first()
             .ok_or_else(|| EdaError::Tcl("get_ports: missing pattern".into()))?;
@@ -480,32 +487,31 @@ impl VivadoSim {
                 }
             }
         }
-        Ok(pattern.clone())
+        Ok(pattern.to_string())
     }
 
-    fn cmd_synth_design(&mut self, args: &[String]) -> EdaResult<String> {
+    fn cmd_synth_design(&mut self, args: &[Cow<'_, str>]) -> EdaResult<String> {
         let mut directive = SynthDirective::Default;
         let mut incremental = self.incremental_requested;
         let mut i = 0;
         while i < args.len() {
-            match args[i].as_str() {
+            match args[i].as_ref() {
                 "-top" => {
                     let v = args
                         .get(i + 1)
                         .ok_or_else(|| EdaError::Tcl("synth_design: -top needs value".into()))?
-                        .clone();
+                        .to_string();
                     self.project_mut()?.top = Some(v);
                     i += 2;
                 }
                 "-part" => {
                     let v = args
                         .get(i + 1)
-                        .ok_or_else(|| EdaError::Tcl("synth_design: -part needs value".into()))?
-                        .clone();
+                        .ok_or_else(|| EdaError::Tcl("synth_design: -part needs value".into()))?;
                     let part = self
                         .catalog
-                        .resolve(&v)
-                        .ok_or_else(|| EdaError::UnknownPart(v.clone()))?
+                        .resolve(v)
+                        .ok_or_else(|| EdaError::UnknownPart(v.to_string()))?
                         .clone();
                     self.project_mut()?.part = part;
                     i += 2;
@@ -560,26 +566,17 @@ impl VivadoSim {
         // directive is a different synthesis.
         let synth_key = combine(netlist.design_hash, hash_str(directive.as_vivado()));
 
-        let reuse = if incremental {
-            self.checkpoints
-                .classify(synth_key, &module, &part.name, FlowStep::Synthesis)
-        } else if self
-            .checkpoints
-            .classify(synth_key, &module, &part.name, FlowStep::Synthesis)
-            == Reuse::Exact
-        {
-            // Exact cache hits apply even without the incremental flow: the
-            // paper's first control-model case ("Vivado … employs cached
-            // results as the answer").
-            Reuse::Exact
-        } else {
-            Reuse::None
-        };
-
-        let result = match (
-            reuse,
-            self.checkpoints.get_exact(synth_key, FlowStep::Synthesis),
-        ) {
+        // Exact cache hits apply even without the incremental flow: the
+        // paper's first control-model case ("Vivado … employs cached
+        // results as the answer").
+        let (reuse, hit) = self.checkpoints.lookup(
+            synth_key,
+            &module,
+            &part.name,
+            FlowStep::Synthesis,
+            incremental,
+        );
+        let result = match (reuse, hit) {
             (Reuse::Exact, Some(Checkpoint::Synth(prev))) => {
                 self.sim_time_s += synth_runtime_s(netlist.cells.total(), directive)
                     * Reuse::Exact.runtime_factor();
@@ -595,13 +592,14 @@ impl VivadoSim {
                 r.netlist.design_hash = synth_key;
                 r.runtime_s *= reuse.runtime_factor();
                 self.sim_time_s += r.runtime_s;
-                self.log(r.log.clone());
+                self.log(std::mem::take(&mut r.log));
+                let r = Arc::new(r);
                 self.checkpoints.put(
                     synth_key,
                     &module,
                     &part.name,
                     FlowStep::Synthesis,
-                    Checkpoint::Synth(r.clone()),
+                    Checkpoint::Synth(Arc::clone(&r)),
                 );
                 r
             }
@@ -615,7 +613,7 @@ impl VivadoSim {
         Ok(module)
     }
 
-    fn cmd_place_design(&mut self, _args: &[String]) -> EdaResult<String> {
+    fn cmd_place_design(&mut self, _args: &[Cow<'_, str>]) -> EdaResult<String> {
         if self.state == FlowState::Fresh {
             return Err(EdaError::FlowOrder(
                 "place_design before synth_design".into(),
@@ -628,7 +626,7 @@ impl VivadoSim {
         Ok(String::new())
     }
 
-    fn cmd_route_design(&mut self, args: &[String]) -> EdaResult<String> {
+    fn cmd_route_design(&mut self, args: &[Cow<'_, str>]) -> EdaResult<String> {
         if self.state == FlowState::Fresh {
             return Err(EdaError::FlowOrder(
                 "route_design before synth_design".into(),
@@ -654,6 +652,7 @@ impl VivadoSim {
             FaultKind::RouteCrash,
         )?;
 
+        // A second handle on the shared result, not a copy of it.
         let synth = self
             .synth_result
             .clone()
@@ -666,25 +665,15 @@ impl VivadoSim {
             combine(synth.netlist.design_hash, period.to_bits()),
             hash_str(directive.as_vivado()),
         );
-        let module = synth.netlist.module.clone();
-        let reuse = if self.incremental_requested {
-            self.checkpoints
-                .classify(impl_key, &module, &part.name, FlowStep::Implementation)
-        } else if self
-            .checkpoints
-            .classify(impl_key, &module, &part.name, FlowStep::Implementation)
-            == Reuse::Exact
-        {
-            Reuse::Exact
-        } else {
-            Reuse::None
-        };
-
-        let result = match (
-            reuse,
-            self.checkpoints
-                .get_exact(impl_key, FlowStep::Implementation),
-        ) {
+        let module = &synth.netlist.module;
+        let (reuse, hit) = self.checkpoints.lookup(
+            impl_key,
+            module,
+            &part.name,
+            FlowStep::Implementation,
+            self.incremental_requested,
+        );
+        let result = match (reuse, hit) {
             (Reuse::Exact, Some(Checkpoint::Impl(prev))) => {
                 self.sim_time_s +=
                     impl_runtime_s(synth.netlist.cells.total(), prev.utilization, directive)
@@ -697,13 +686,14 @@ impl VivadoSim {
                 let mut r = place_and_route(&synth.netlist, &part, period, directive, self.seed)?;
                 r.runtime_s *= reuse.runtime_factor();
                 self.sim_time_s += r.runtime_s;
-                self.log(r.log.clone());
+                self.log(std::mem::take(&mut r.log));
+                let r = Arc::new(r);
                 self.checkpoints.put(
                     impl_key,
-                    &module,
+                    module,
                     &part.name,
                     FlowStep::Implementation,
-                    Checkpoint::Impl(r.clone()),
+                    Checkpoint::Impl(Arc::clone(&r)),
                 );
                 r
             }
@@ -737,7 +727,7 @@ impl VivadoSim {
         Ok((&synth.netlist, figures))
     }
 
-    fn cmd_report_utilization(&mut self, args: &[String]) -> EdaResult<String> {
+    fn cmd_report_utilization(&mut self, args: &[Cow<'_, str>]) -> EdaResult<String> {
         let synth = self
             .synth_result
             .as_ref()
@@ -757,7 +747,7 @@ impl VivadoSim {
         self.finish_report(args, report)
     }
 
-    fn cmd_report_timing(&mut self, args: &[String]) -> EdaResult<String> {
+    fn cmd_report_timing(&mut self, args: &[Cow<'_, str>]) -> EdaResult<String> {
         let (netlist, figures) = self.current_timing()?;
         let report = Report::Timing {
             module: netlist.module.clone(),
@@ -769,7 +759,7 @@ impl VivadoSim {
 
     /// `report_power [-file f]`: estimated at the *achievable* frequency
     /// (Eq. 1's Fmax), the operating point DSE cares about.
-    fn cmd_report_power(&mut self, args: &[String]) -> EdaResult<String> {
+    fn cmd_report_power(&mut self, args: &[Cow<'_, str>]) -> EdaResult<String> {
         let (netlist, figures) = self.current_timing()?;
         let proj = self.project.as_ref().expect("timing implies a project");
         let clock_mhz = figures.fmax_mhz();
@@ -786,7 +776,7 @@ impl VivadoSim {
     /// something reads it; otherwise returns the text as the command
     /// result. Report faults are drawn as the command runs, truncation
     /// first, and a faulted report is rendered and mangled at once.
-    fn finish_report(&mut self, args: &[String], report: Report) -> EdaResult<String> {
+    fn finish_report(&mut self, args: &[Cow<'_, str>], report: Report) -> EdaResult<String> {
         let fault = self.faults.as_ref().and_then(|inj| {
             [FaultKind::ReportTruncated, FaultKind::ReportGarbled]
                 .into_iter()
@@ -806,7 +796,7 @@ impl VivadoSim {
                 let path = args
                     .get(i + 1)
                     .ok_or_else(|| EdaError::Tcl("-file needs a path".into()))?
-                    .clone();
+                    .to_string();
                 let file = match mangled {
                     Some(text) => File::Text(text),
                     None => File::Report(report, OnceCell::new()),
@@ -818,12 +808,11 @@ impl VivadoSim {
         }
     }
 
-    fn cmd_write_checkpoint(&mut self, args: &[String]) -> EdaResult<String> {
+    fn cmd_write_checkpoint(&mut self, args: &[Cow<'_, str>]) -> EdaResult<String> {
         let path = args
             .iter()
             .find(|a| !a.starts_with('-'))
-            .ok_or_else(|| EdaError::Tcl("write_checkpoint: missing path".into()))?
-            .clone();
+            .ok_or_else(|| EdaError::Tcl("write_checkpoint: missing path".into()))?;
         let hash = match (&self.impl_result, &self.synth_result) {
             (Some(r), _) => combine(r.netlist.design_hash, 2),
             (None, Some(s)) => combine(s.netlist.design_hash, 1),
@@ -834,24 +823,24 @@ impl VivadoSim {
             }
         };
         self.fs
-            .insert(path.clone(), File::Text(format!("dcp:{hash:016x}")));
+            .insert(path.to_string(), File::Text(format!("dcp:{hash:016x}")));
         self.sim_time_s += 3.0;
         self.log(format!("write_checkpoint {path}"));
         Ok(String::new())
     }
 
-    fn cmd_read_checkpoint(&mut self, args: &[String]) -> EdaResult<String> {
+    fn cmd_read_checkpoint(&mut self, args: &[Cow<'_, str>]) -> EdaResult<String> {
         let mut incremental = false;
         let mut path = None;
         for a in args {
             if a == "-incremental" {
                 incremental = true;
             } else if !a.starts_with('-') {
-                path = Some(a.clone());
+                path = Some(a.as_ref());
             }
         }
         let path = path.ok_or_else(|| EdaError::Tcl("read_checkpoint: missing path".into()))?;
-        if !self.fs.contains_key(&path) {
+        if !self.fs.contains_key(path) {
             return Err(EdaError::Checkpoint(format!(
                 "checkpoint `{path}` does not exist"
             )));
@@ -861,7 +850,7 @@ impl VivadoSim {
                 // The on-disk artifact is gone for good: drop it so a
                 // retry that still references it fails fast instead of
                 // re-reading garbage.
-                self.fs.remove(&path);
+                self.fs.remove(path);
                 self.log(format!("read_checkpoint {path}: integrity check FAILED"));
                 return Err(EdaError::Checkpoint(format!(
                     "checkpoint `{path}` is corrupt"
@@ -900,7 +889,7 @@ impl TclContext for VivadoSim {
         &mut self,
         _interp: &mut Interp,
         name: &str,
-        args: &[String],
+        args: &[Cow<'_, str>],
     ) -> EdaResult<String> {
         match name {
             "create_project" => self.cmd_create_project(args),
@@ -928,7 +917,7 @@ impl TclContext for VivadoSim {
             "read_checkpoint" => self.cmd_read_checkpoint(args),
             "version" => Ok("Vivado v2019.2 (simulated by dovado-eda)".into()),
             "get_parts" => {
-                let pattern = args.first().map(String::as_str).unwrap_or("*");
+                let pattern = args.first().map(AsRef::as_ref).unwrap_or("*");
                 let parts: Vec<String> = self
                     .catalog
                     .parts()

@@ -28,23 +28,28 @@ pub enum TokenKind {
     Eof,
 }
 
-/// One lexed token.
+/// One lexed token. Its text borrows the source it was lexed from, so
+/// lexing allocates nothing per token but a string literal's value.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+pub struct Token<'a> {
     /// The token class.
     pub kind: TokenKind,
-    /// The lexeme as written (identifiers keep their original case).
-    pub text: String,
+    /// The lexeme as written: the source slice under [`Token::span`]
+    /// (identifiers keep their original case). Escaped and extended
+    /// identifiers are the exception: the text leaves out their
+    /// delimiters (a Verilog `\name`'s leading backslash, a VHDL
+    /// `\name\`'s two), and a VHDL doubled backslash stays doubled.
+    pub text: &'a str,
     /// Source location.
     pub span: Span,
 }
 
-impl Token {
+impl<'a> Token<'a> {
     /// End-of-file token at the given span.
     pub fn eof(span: Span) -> Self {
         Token {
             kind: TokenKind::Eof,
-            text: String::new(),
+            text: "",
             span,
         }
     }
@@ -70,7 +75,7 @@ impl Token {
     }
 }
 
-impl fmt::Display for Token {
+impl fmt::Display for Token<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match &self.kind {
             TokenKind::Eof => write!(f, "<eof>"),
@@ -81,6 +86,9 @@ impl fmt::Display for Token {
 }
 
 /// A character cursor with byte-offset and line/column tracking.
+///
+/// HDL sources are almost all ASCII, so each step reads one byte and
+/// decodes a UTF-8 character only when that byte is not ASCII.
 pub struct Cursor<'a> {
     src: &'a str,
     /// Byte offset of the next unread character.
@@ -115,16 +123,24 @@ impl<'a> Cursor<'a> {
         self.pos >= self.src.len()
     }
 
+    /// The character starting at byte offset `at`, if any.
+    fn char_at(&self, at: usize) -> Option<char> {
+        match self.src.as_bytes().get(at) {
+            Some(&b) if b.is_ascii() => Some(b as char),
+            Some(_) => self.src[at..].chars().next(),
+            None => None,
+        }
+    }
+
     /// Peeks at the next character without consuming it.
     pub fn peek(&self) -> Option<char> {
-        self.src[self.pos..].chars().next()
+        self.char_at(self.pos)
     }
 
     /// Peeks at the character after the next one.
     pub fn peek2(&self) -> Option<char> {
-        let mut it = self.src[self.pos..].chars();
-        it.next();
-        it.next()
+        let next = self.peek()?;
+        self.char_at(self.pos + next.len_utf8())
     }
 
     /// Consumes and returns the next character.
@@ -183,22 +199,47 @@ impl<'a> Cursor<'a> {
         Span::new(mark.0, self.pos, mark.1, mark.2)
     }
 
+    /// The source text from a previously taken [`Cursor::mark`] to the
+    /// current position.
+    pub fn text_from(&self, mark: (usize, u32, u32)) -> &'a str {
+        &self.src[mark.0..self.pos]
+    }
+
+    /// A token of `kind` spanning from `mark` to the current position,
+    /// its text the source slice it spans.
+    pub fn token_from(&self, mark: (usize, u32, u32), kind: TokenKind) -> Token<'a> {
+        Token {
+            kind,
+            text: self.text_from(mark),
+            span: self.span_from(mark),
+        }
+    }
+
     /// Span of zero width at the current position (for EOF tokens).
     pub fn here(&self) -> Span {
         Span::new(self.pos, self.pos, self.line, self.col)
     }
 }
 
+/// A token vector sized for `source`: a declaration-heavy HDL text holds
+/// about one token per four bytes, so most files lex without regrowing it.
+pub(crate) fn token_buffer<'a>(source: &str) -> Vec<Token<'a>> {
+    Vec::with_capacity(source.len() / 4 + 8)
+}
+
 /// A finished token stream with parser-friendly accessors.
+///
+/// Consuming a token only moves the cursor; [`TokenStream::next_tok`]
+/// hands out a copy, which borrows the same source text.
 #[derive(Debug, Clone)]
-pub struct TokenStream {
-    tokens: Vec<Token>,
+pub struct TokenStream<'a> {
+    tokens: Vec<Token<'a>>,
     idx: usize,
 }
 
-impl TokenStream {
+impl<'a> TokenStream<'a> {
     /// Wraps a token vector; appends an EOF token if missing.
-    pub fn new(mut tokens: Vec<Token>) -> Self {
+    pub fn new(mut tokens: Vec<Token<'a>>) -> Self {
         if tokens.last().is_none_or(|t| !t.is_eof()) {
             let span = tokens.last().map(|t| t.span).unwrap_or_default();
             tokens.push(Token::eof(span));
@@ -207,22 +248,27 @@ impl TokenStream {
     }
 
     /// The token about to be consumed.
-    pub fn peek(&self) -> &Token {
+    pub fn peek(&self) -> &Token<'a> {
         &self.tokens[self.idx.min(self.tokens.len() - 1)]
     }
 
     /// Looks `n` tokens ahead (0 = same as [`TokenStream::peek`]).
-    pub fn peek_n(&self, n: usize) -> &Token {
+    pub fn peek_n(&self, n: usize) -> &Token<'a> {
         let i = (self.idx + n).min(self.tokens.len() - 1);
         &self.tokens[i]
     }
 
-    /// Consumes and returns the next token.
-    pub fn next_tok(&mut self) -> Token {
-        let t = self.tokens[self.idx.min(self.tokens.len() - 1)].clone();
+    /// Consumes the next token; past the end, the EOF token stays next.
+    pub fn advance(&mut self) {
         if self.idx < self.tokens.len() - 1 {
             self.idx += 1;
         }
+    }
+
+    /// Consumes and returns the next token.
+    pub fn next_tok(&mut self) -> Token<'a> {
+        let t = self.peek().clone();
+        self.advance();
         t
     }
 
@@ -243,38 +289,37 @@ impl TokenStream {
 
     /// Consumes the next token if it is the symbol `sym`.
     pub fn eat_sym(&mut self, sym: &str) -> bool {
-        if self.peek().is_sym(sym) {
-            self.next_tok();
-            true
-        } else {
-            false
+        let hit = self.peek().is_sym(sym);
+        if hit {
+            self.advance();
         }
+        hit
     }
 
     /// Consumes the next token if it is the keyword `kw` (case-insensitive).
     pub fn eat_kw_ci(&mut self, kw: &str) -> bool {
-        if self.peek().is_kw_ci(kw) {
-            self.next_tok();
-            true
-        } else {
-            false
+        let hit = self.peek().is_kw_ci(kw);
+        if hit {
+            self.advance();
         }
+        hit
     }
 
     /// Consumes the next token if it is exactly the keyword `kw`.
     pub fn eat_kw(&mut self, kw: &str) -> bool {
-        if self.peek().is_kw(kw) {
-            self.next_tok();
-            true
-        } else {
-            false
+        let hit = self.peek().is_kw(kw);
+        if hit {
+            self.advance();
         }
+        hit
     }
 
-    /// Requires the symbol `sym` next, consuming it.
-    pub fn expect_sym(&mut self, sym: &str) -> ParseResult<Token> {
+    /// Requires the symbol `sym` next, consuming it; returns its span.
+    pub fn expect_sym(&mut self, sym: &str) -> ParseResult<Span> {
         if self.peek().is_sym(sym) {
-            Ok(self.next_tok())
+            let span = self.peek().span;
+            self.advance();
+            Ok(span)
         } else {
             Err(ParseError::new(
                 format!("expected `{sym}`, found `{}`", self.peek()),
@@ -284,7 +329,7 @@ impl TokenStream {
     }
 
     /// Requires an identifier next, consuming and returning it.
-    pub fn expect_ident(&mut self) -> ParseResult<Token> {
+    pub fn expect_ident(&mut self) -> ParseResult<Token<'a>> {
         if self.peek().kind == TokenKind::Ident {
             Ok(self.next_tok())
         } else {
@@ -295,10 +340,13 @@ impl TokenStream {
         }
     }
 
-    /// Requires the case-insensitive keyword `kw` next, consuming it.
-    pub fn expect_kw_ci(&mut self, kw: &str) -> ParseResult<Token> {
+    /// Requires the case-insensitive keyword `kw` next, consuming it;
+    /// returns its span.
+    pub fn expect_kw_ci(&mut self, kw: &str) -> ParseResult<Span> {
         if self.peek().is_kw_ci(kw) {
-            Ok(self.next_tok())
+            let span = self.peek().span;
+            self.advance();
+            Ok(span)
         } else {
             Err(ParseError::new(
                 format!("expected keyword `{kw}`, found `{}`", self.peek()),
@@ -311,16 +359,16 @@ impl TokenStream {
     /// Returns the matched symbol text, if any.
     ///
     /// Used for error recovery and for skipping uninteresting bodies.
-    pub fn skip_until_sym(&mut self, syms: &[&str]) -> Option<String> {
+    pub fn skip_until_sym(&mut self, syms: &[&str]) -> Option<&'a str> {
         loop {
             let t = self.peek();
             if t.is_eof() {
                 return None;
             }
-            if t.kind == TokenKind::Sym && syms.contains(&t.text.as_str()) {
-                return Some(t.text.clone());
+            if t.kind == TokenKind::Sym && syms.contains(&t.text) {
+                return Some(t.text);
             }
-            self.next_tok();
+            self.advance();
         }
     }
 
@@ -329,7 +377,7 @@ impl TokenStream {
     pub fn skip_balanced_parens(&mut self) -> ParseResult<()> {
         let mut depth = 1usize;
         loop {
-            let t = self.next_tok();
+            let t = self.peek();
             if t.is_eof() {
                 return Err(ParseError::new("unbalanced parentheses", t.span));
             }
@@ -337,9 +385,10 @@ impl TokenStream {
                 depth += 1;
             } else if t.is_sym(")") {
                 depth -= 1;
-                if depth == 0 {
-                    return Ok(());
-                }
+            }
+            self.advance();
+            if depth == 0 {
+                return Ok(());
             }
         }
     }
@@ -388,8 +437,19 @@ pub(crate) fn with_main_stack(f: impl FnOnce() + Send + 'static) {
 /// Shared helper: decode a decimal integer literal, tolerating `_`
 /// separators (legal in both languages).
 pub fn parse_decimal(text: &str) -> Option<i64> {
+    if !text.contains('_') {
+        return text.parse::<i64>().ok();
+    }
     let clean: String = text.chars().filter(|c| *c != '_').collect();
     clean.parse::<i64>().ok()
+}
+
+/// Shared helper: decode a real literal, tolerating `_` separators.
+pub fn parse_real(text: &str) -> Option<f64> {
+    if !text.contains('_') {
+        return text.parse().ok();
+    }
+    text.replace('_', "").parse().ok()
 }
 
 /// Shared helper: decode digits of the given radix, tolerating `_`.
@@ -421,10 +481,10 @@ pub fn parse_radix(text: &str, radix: u32) -> Option<i64> {
 mod tests {
     use super::*;
 
-    fn tok(kind: TokenKind, text: &str) -> Token {
+    fn tok(kind: TokenKind, text: &str) -> Token<'_> {
         Token {
             kind,
-            text: text.into(),
+            text,
             span: Span::dummy(),
         }
     }
@@ -528,7 +588,7 @@ mod tests {
             tok(TokenKind::Sym, ";"),
             tok(TokenKind::Ident, "rest"),
         ]);
-        assert_eq!(ts.skip_until_sym(&[";"]).as_deref(), Some(";"));
+        assert_eq!(ts.skip_until_sym(&[";"]), Some(";"));
         assert!(ts.peek().is_sym(";"));
     }
 

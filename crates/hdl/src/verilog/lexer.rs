@@ -6,7 +6,10 @@
 //! and the operator set needed for declaration parsing.
 
 use crate::error::{ParseError, ParseResult};
-use crate::lexer::{parse_decimal, parse_radix, Cursor, Token, TokenKind, TokenStream};
+use crate::lexer::{
+    parse_decimal, parse_radix, parse_real, token_buffer, Cursor, Token, TokenKind, TokenStream,
+};
+use crate::span::Span;
 
 /// Multi-character operators, longest first so maximal munch works.
 const MULTI_SYMS: &[&str] = &[
@@ -36,10 +39,11 @@ const LINE_DIRECTIVES: &[&str] = &[
     "end_keywords",
 ];
 
-/// Lexes a Verilog/SystemVerilog buffer into a token stream.
-pub fn lex(source: &str) -> ParseResult<TokenStream> {
+/// Lexes a Verilog/SystemVerilog buffer into a token stream whose texts
+/// borrow `source`.
+pub fn lex(source: &str) -> ParseResult<TokenStream<'_>> {
     let mut cur = Cursor::new(source);
-    let mut out: Vec<Token> = Vec::new();
+    let mut out: Vec<Token> = token_buffer(source);
 
     loop {
         // Whitespace and comments.
@@ -83,50 +87,34 @@ pub fn lex(source: &str) -> ParseResult<TokenStream> {
         // Compiler directives.
         if c == '`' {
             cur.bump();
-            let word = cur
-                .eat_while(|ch| ch.is_ascii_alphanumeric() || ch == '_')
-                .to_string();
+            let word = cur.eat_while(|ch| ch.is_ascii_alphanumeric() || ch == '_');
             if word == "include" {
                 // `include "file" — emit a marker symbol; the string token
                 // follows naturally.
-                out.push(Token {
-                    kind: TokenKind::Sym,
-                    text: "`include".into(),
-                    span: cur.span_from(mark),
-                });
+                out.push(cur.token_from(mark, TokenKind::Sym));
                 continue;
             }
-            if LINE_DIRECTIVES.contains(&word.as_str()) {
+            if LINE_DIRECTIVES.contains(&word) {
                 cur.skip_line();
                 continue;
             }
             // Macro usage: treat as an identifier spelled with the backtick
             // so downstream width expressions stay symbolic.
-            out.push(Token {
-                kind: TokenKind::Ident,
-                text: format!("`{word}"),
-                span: cur.span_from(mark),
-            });
+            out.push(cur.token_from(mark, TokenKind::Ident));
             continue;
         }
 
         // Identifiers / keywords / system identifiers.
         if c.is_ascii_alphabetic() || c == '_' || c == '$' {
-            let word = cur
-                .eat_while(|ch| ch.is_ascii_alphanumeric() || ch == '_' || ch == '$')
-                .to_string();
-            out.push(Token {
-                kind: TokenKind::Ident,
-                text: word,
-                span: cur.span_from(mark),
-            });
+            cur.eat_while(|ch| ch.is_ascii_alphanumeric() || ch == '_' || ch == '$');
+            out.push(cur.token_from(mark, TokenKind::Ident));
             continue;
         }
 
         // Escaped identifier: backslash up to whitespace.
         if c == '\\' {
             cur.bump();
-            let word = cur.eat_while(|ch| !ch.is_whitespace()).to_string();
+            let word = cur.eat_while(|ch| !ch.is_whitespace());
             if word.is_empty() {
                 return Err(ParseError::new(
                     "empty escaped identifier",
@@ -157,38 +145,29 @@ pub fn lex(source: &str) -> ParseResult<TokenStream> {
                     };
                     cur.bump();
                     cur.eat_while(|ch| ch.is_whitespace());
-                    let digits = cur
-                        .eat_while(|ch| ch.is_ascii_alphanumeric() || ch == '_' || ch == '?')
-                        .to_string();
-                    let value = parse_radix(&digits, radix).ok_or_else(|| {
+                    let digits =
+                        cur.eat_while(|ch| ch.is_ascii_alphanumeric() || ch == '_' || ch == '?');
+                    let value = parse_radix(digits, radix).ok_or_else(|| {
                         ParseError::new(
                             format!("invalid digits `{digits}` for base {radix}"),
                             cur.span_from(mark),
                         )
                     })?;
-                    let span = cur.span_from(mark);
-                    out.push(Token {
-                        kind: TokenKind::Int(value),
-                        text: span.slice(source).to_string(),
-                        span,
-                    });
+                    out.push(cur.token_from(mark, TokenKind::Int(value)));
                 }
                 Some('0' | '1' | 'x' | 'X' | 'z' | 'Z') => {
                     let d = cur.bump().expect("peeked");
                     let value = if d == '1' { 1 } else { 0 };
-                    let span = cur.span_from(mark);
-                    out.push(Token {
-                        kind: TokenKind::Int(value),
-                        text: span.slice(source).to_string(),
-                        span,
-                    });
+                    out.push(cur.token_from(mark, TokenKind::Int(value)));
                 }
                 _ => {
                     // Lone tick (e.g. cast `int'(x)`): emit as a symbol.
+                    // A signedness `s` read after it is dropped.
+                    let (start, line, col) = mark;
                     out.push(Token {
                         kind: TokenKind::Sym,
-                        text: "'".into(),
-                        span: cur.span_from(mark),
+                        text: &source[start..start + 1],
+                        span: Span::new(start, start + 1, line, col),
                     });
                 }
             }
@@ -197,9 +176,7 @@ pub fn lex(source: &str) -> ParseResult<TokenStream> {
 
         // Numbers: sized literal, decimal, real.
         if c.is_ascii_digit() {
-            let digits = cur
-                .eat_while(|ch| ch.is_ascii_digit() || ch == '_')
-                .to_string();
+            let digits = cur.eat_while(|ch| ch.is_ascii_digit() || ch == '_');
             // Sized based literal: 8'hFF
             if cur.peek() == Some('\'')
                 && matches!(
@@ -226,21 +203,14 @@ pub fn lex(source: &str) -> ParseResult<TokenStream> {
                     }
                 };
                 cur.eat_while(|ch| ch.is_whitespace());
-                let body = cur
-                    .eat_while(|ch| ch.is_ascii_alphanumeric() || ch == '_' || ch == '?')
-                    .to_string();
-                let value = parse_radix(&body, radix).ok_or_else(|| {
+                let body = cur.eat_while(|ch| ch.is_ascii_alphanumeric() || ch == '_' || ch == '?');
+                let value = parse_radix(body, radix).ok_or_else(|| {
                     ParseError::new(
                         format!("invalid digits `{body}` for base {radix}"),
                         cur.span_from(mark),
                     )
                 })?;
-                let span = cur.span_from(mark);
-                out.push(Token {
-                    kind: TokenKind::Int(value),
-                    text: span.slice(source).to_string(),
-                    span,
-                });
+                out.push(cur.token_from(mark, TokenKind::Int(value)));
                 continue;
             }
             // Real literal.
@@ -254,28 +224,20 @@ pub fn lex(source: &str) -> ParseResult<TokenStream> {
                     }
                     cur.eat_while(|ch| ch.is_ascii_digit());
                 }
-                let span = cur.span_from(mark);
-                let text = span.slice(source).to_string();
-                let value: f64 = text
-                    .replace('_', "")
-                    .parse()
-                    .map_err(|_| ParseError::new(format!("invalid real literal `{text}`"), span))?;
-                out.push(Token {
-                    kind: TokenKind::Real(value),
-                    text,
-                    span,
-                });
+                let text = cur.text_from(mark);
+                let value = parse_real(text).ok_or_else(|| {
+                    ParseError::new(
+                        format!("invalid real literal `{text}`"),
+                        cur.span_from(mark),
+                    )
+                })?;
+                out.push(cur.token_from(mark, TokenKind::Real(value)));
                 continue;
             }
-            let value = parse_decimal(&digits).ok_or_else(|| {
+            let value = parse_decimal(digits).ok_or_else(|| {
                 ParseError::new(format!("invalid integer `{digits}`"), cur.span_from(mark))
             })?;
-            let span = cur.span_from(mark);
-            out.push(Token {
-                kind: TokenKind::Int(value),
-                text: span.slice(source).to_string(),
-                span,
-            });
+            out.push(cur.token_from(mark, TokenKind::Int(value)));
             continue;
         }
 
@@ -305,11 +267,7 @@ pub fn lex(source: &str) -> ParseResult<TokenStream> {
                     }
                 }
             }
-            out.push(Token {
-                kind: TokenKind::Str(text.clone()),
-                text,
-                span: cur.span_from(mark),
-            });
+            out.push(cur.token_from(mark, TokenKind::Str(text)));
             continue;
         }
 
@@ -319,21 +277,13 @@ pub fn lex(source: &str) -> ParseResult<TokenStream> {
             for _ in 0..sym.len() {
                 cur.bump();
             }
-            out.push(Token {
-                kind: TokenKind::Sym,
-                text: (*sym).to_string(),
-                span: cur.span_from(mark),
-            });
+            out.push(cur.token_from(mark, TokenKind::Sym));
             continue;
         }
 
         let ch = cur.bump().expect("not at EOF");
         if ch.is_ascii_graphic() {
-            out.push(Token {
-                kind: TokenKind::Sym,
-                text: ch.to_string(),
-                span: cur.span_from(mark),
-            });
+            out.push(cur.token_from(mark, TokenKind::Sym));
         } else {
             return Err(ParseError::new(
                 format!("unexpected character `{ch}` (U+{:04X})", ch as u32),
@@ -350,7 +300,7 @@ mod tests {
     use super::*;
     use crate::lexer::TokenKind;
 
-    fn all(src: &str) -> Vec<Token> {
+    fn all(src: &str) -> Vec<Token<'_>> {
         let mut ts = lex(src).unwrap();
         let mut out = Vec::new();
         loop {
@@ -384,7 +334,7 @@ mod tests {
     #[test]
     fn comments_skipped() {
         let toks = all("a // line 'h\n b /* block\n*/ c");
-        let texts: Vec<_> = toks.iter().take(3).map(|t| t.text.clone()).collect();
+        let texts: Vec<_> = toks.iter().take(3).map(|t| t.text).collect();
         assert_eq!(texts, vec!["a", "b", "c"]);
     }
 
@@ -445,7 +395,7 @@ mod tests {
     #[test]
     fn multi_char_operators() {
         let toks = all(":: <= >= == ** << >> <<<");
-        let texts: Vec<_> = toks.iter().take(8).map(|t| t.text.clone()).collect();
+        let texts: Vec<_> = toks.iter().take(8).map(|t| t.text).collect();
         assert_eq!(texts, vec!["::", "<=", ">=", "==", "**", "<<", ">>", "<<<"]);
     }
 
@@ -479,5 +429,46 @@ mod tests {
     fn assignment_pattern_tick_brace() {
         let toks = all("'{0, 1}");
         assert!(toks[0].is_sym("'{"));
+    }
+
+    #[test]
+    fn token_texts_are_slices_of_the_source() {
+        let src = "module m #(parameter W = 8'hFF, R = 2.5) (input [3:0] a);\n`WIDTH <<< 'd3 \"s\" \\esc+id x";
+        let mut ts = lex(src).unwrap();
+        while !ts.at_eof() {
+            let t = ts.next_tok();
+            let (start, end) = (t.span.start, t.span.end);
+            // An escaped identifier's text leaves out its backslash.
+            let lexeme = if src[start..].starts_with('\\') {
+                &src[start + 1..end]
+            } else {
+                &src[start..end]
+            };
+            assert_eq!(t.text, lexeme);
+            assert!(
+                std::ptr::eq(t.text.as_ptr(), lexeme.as_ptr()),
+                "`{}` is a copy",
+                t.text
+            );
+        }
+    }
+
+    #[test]
+    fn string_literal_value_is_decoded_and_its_text_is_the_lexeme() {
+        let toks = all(r#"x "a\n\"b\\" y"#);
+        assert_eq!(toks[1].kind, TokenKind::Str("a\n\"b\\".into()));
+        assert_eq!(toks[1].text, r#""a\n\"b\\""#);
+        assert_eq!(toks[1].to_string(), "\"a\n\"b\\\"");
+        assert_eq!(toks[2].text, "y");
+    }
+
+    #[test]
+    fn a_lone_tick_is_one_character_even_after_a_signedness_s() {
+        let toks = all("int'(x) 's(");
+        assert!(toks[1].is_sym("'"));
+        assert!(toks[5].is_sym("'"));
+        assert_eq!((toks[5].span.start, toks[5].span.end), (8, 9));
+        // The `s` is consumed with the tick.
+        assert!(toks[6].is_sym("("));
     }
 }

@@ -149,8 +149,8 @@ impl Infix {
 }
 
 /// The Verilog/SystemVerilog declaration parser.
-pub struct Parser {
-    ts: TokenStream,
+pub struct Parser<'a> {
+    ts: TokenStream<'a>,
     diags: Diagnostics,
     /// Set to true when a SystemVerilog-only construct is seen, upgrading
     /// the reported language from Verilog to SystemVerilog.
@@ -161,9 +161,9 @@ pub struct Parser {
     depth: usize,
 }
 
-impl Parser {
+impl<'a> Parser<'a> {
     /// Wraps a token stream produced by [`crate::verilog::lexer::lex`].
-    pub fn new(ts: TokenStream) -> Self {
+    pub fn new(ts: TokenStream<'a>) -> Self {
         Parser {
             ts,
             diags: Diagnostics::new(),
@@ -196,7 +196,7 @@ impl Parser {
             } else if t.is_kw("package") {
                 self.ts.next_tok();
                 self.saw_sv = true;
-                let name = self.ts.expect_ident()?.text;
+                let name = self.ts.expect_ident()?.text.to_string();
                 self.skip_until_kw("endpackage", &name)?;
                 // optional `: name` label
                 if self.ts.eat_sym(":") {
@@ -209,9 +209,9 @@ impl Parser {
                 let name = if self.ts.peek().kind == TokenKind::Ident {
                     self.ts.next_tok().text
                 } else {
-                    String::new()
+                    ""
                 };
-                self.skip_until_kw("endinterface", &name)?;
+                self.skip_until_kw("endinterface", name)?;
                 if self.ts.eat_sym(":") {
                     let _ = self.ts.expect_ident();
                 }
@@ -252,7 +252,7 @@ impl Parser {
 
     /// `pkg::name` or `pkg::*` joined into one string.
     fn scoped_name_string(&mut self) -> ParseResult<String> {
-        let mut s = self.ts.expect_ident()?.text;
+        let mut s = self.ts.expect_ident()?.text.to_string();
         while self.ts.eat_sym("::") {
             if self.ts.eat_sym("*") {
                 s.push_str("::*");
@@ -260,7 +260,7 @@ impl Parser {
             }
             let part = self.ts.expect_ident()?;
             s.push_str("::");
-            s.push_str(&part.text);
+            s.push_str(part.text);
         }
         Ok(s)
     }
@@ -273,7 +273,7 @@ impl Parser {
             self.saw_sv = true;
             self.ts.next_tok();
         }
-        let name = self.ts.expect_ident()?.text;
+        let name = self.ts.expect_ident()?.text.to_string();
 
         let mut parameters: Vec<Parameter> = Vec::new();
         let mut ports: Vec<Port> = Vec::new();
@@ -362,11 +362,11 @@ impl Parser {
             if module_depth == 0
                 && stmt_start
                 && t.kind == TokenKind::Ident
-                && !TYPE_KEYWORDS.contains(&t.text.as_str())
-                && !STMT_KEYWORDS.contains(&t.text.as_str())
+                && !TYPE_KEYWORDS.contains(&t.text)
+                && !STMT_KEYWORDS.contains(&t.text)
                 && ((self.ts.peek_n(1).is_sym("#") && self.ts.peek_n(2).is_sym("("))
                     || (self.ts.peek_n(1).kind == TokenKind::Ident
-                        && !STMT_KEYWORDS.contains(&self.ts.peek_n(1).text.as_str())
+                        && !STMT_KEYWORDS.contains(&self.ts.peek_n(1).text)
                         && self.ts.peek_n(2).is_sym("(")))
             {
                 match self.parse_instantiation(name) {
@@ -452,7 +452,7 @@ impl Parser {
             if !self.ts.peek().is_sym(")") {
                 loop {
                     if self.ts.eat_sym(".") {
-                        let gname = self.ts.expect_ident()?.text;
+                        let gname = self.ts.expect_ident()?.text.to_string();
                         self.ts.expect_sym("(")?;
                         if self.ts.peek().is_sym(")") {
                             // `.P()` — explicitly unconnected; skip.
@@ -478,14 +478,21 @@ impl Parser {
             self.skip_unpacked_dims()?;
             self.ts.expect_sym("(")?;
             self.ts.skip_balanced_parens()?;
+            // Every instance of the statement shares the overrides; the
+            // last one takes them.
+            let more = self.ts.eat_sym(",");
             self.insts.push(Instantiation {
-                label: label.text,
-                target: target_tok.text.clone(),
-                generics: generics.clone(),
+                label: label.text.to_string(),
+                target: target_tok.text.to_string(),
+                generics: if more {
+                    generics.clone()
+                } else {
+                    std::mem::take(&mut generics)
+                },
                 parent: parent.to_string(),
                 span: label.span,
             });
-            if !self.ts.eat_sym(",") {
+            if !more {
                 break;
             }
         }
@@ -516,7 +523,7 @@ impl Parser {
                     id.span,
                 );
                 out.push(Parameter {
-                    name: id.text,
+                    name: id.text.to_string(),
                     ty: None,
                     default: None,
                     span: id.span,
@@ -540,7 +547,7 @@ impl Parser {
                 None
             };
             out.push(Parameter {
-                name: id.text,
+                name: id.text.to_string(),
                 ty,
                 default,
                 span: id.span,
@@ -564,7 +571,7 @@ impl Parser {
             self.ts.next_tok();
             let id = self.ts.expect_ident()?;
             out.push(Parameter {
-                name: id.text,
+                name: id.text.to_string(),
                 ty: None,
                 default: None,
                 span: id.span,
@@ -584,7 +591,7 @@ impl Parser {
                 None
             };
             out.push(Parameter {
-                name: id.text,
+                name: id.text.to_string(),
                 ty: ty.clone(),
                 default,
                 span: id.span,
@@ -657,7 +664,7 @@ impl Parser {
                     let _ = self.parse_expr()?;
                 }
                 ports.push(Port {
-                    name: id.text,
+                    name: id.text.to_string(),
                     direction: d,
                     ty: ty.clone(),
                     span: id.span,
@@ -674,12 +681,12 @@ impl Parser {
                     self.skip_unpacked_dims()?;
                     match dir {
                         Some(d) => ports.push(Port {
-                            name: id.text,
+                            name: id.text.to_string(),
                             direction: d,
                             ty: ty.clone(),
                             span: id.span,
                         }),
-                        None => header_names.push((id.text, id.span)),
+                        None => header_names.push((id.text.to_string(), id.span)),
                     }
                 } else {
                     let id = self.ts.expect_ident()?;
@@ -693,13 +700,13 @@ impl Parser {
                                 ty = nt;
                             }
                             ports.push(Port {
-                                name: id.text,
+                                name: id.text.to_string(),
                                 direction: d,
                                 ty: ty.clone(),
                                 span: id.span,
                             });
                         }
-                        None => header_names.push((id.text, id.span)),
+                        None => header_names.push((id.text.to_string(), id.span)),
                     }
                 }
             } else if t.is_sym(".") {
@@ -710,7 +717,7 @@ impl Parser {
                 if self.ts.eat_sym("(") {
                     self.ts.skip_balanced_parens()?;
                 }
-                header_names.push((id.text, id.span));
+                header_names.push((id.text.to_string(), id.span));
             } else {
                 return Err(ParseError::new(
                     format!("unexpected `{t}` in port list"),
@@ -751,7 +758,7 @@ impl Parser {
             }
             if let Some(p) = ports
                 .iter_mut()
-                .find(|p| p.name.eq_ignore_ascii_case(&id.text))
+                .find(|p| p.name.eq_ignore_ascii_case(id.text))
             {
                 p.direction = dir;
                 // Keep the more specific type (body decls carry the range).
@@ -759,9 +766,9 @@ impl Parser {
                     p.ty = ty.clone();
                 }
             } else {
-                header_names.retain(|(n, _)| !n.eq_ignore_ascii_case(&id.text));
+                header_names.retain(|(n, _)| !n.eq_ignore_ascii_case(id.text));
                 ports.push(Port {
-                    name: id.text,
+                    name: id.text.to_string(),
                     direction: dir,
                     ty: ty.clone(),
                     span: id.span,
@@ -784,9 +791,9 @@ impl Parser {
 
         let t = self.ts.peek().clone();
         if t.kind == TokenKind::Ident {
-            if TYPE_KEYWORDS.contains(&t.text.as_str()) {
+            if TYPE_KEYWORDS.contains(&t.text) {
                 self.ts.next_tok();
-                name = t.text.clone();
+                name = t.text.to_string();
                 if matches!(
                     name.as_str(),
                     "logic" | "bit" | "byte" | "int" | "longint" | "shortint"
@@ -795,10 +802,10 @@ impl Parser {
                 }
                 // `wire logic` style double keyword.
                 let t2 = self.ts.peek().clone();
-                if t2.kind == TokenKind::Ident && TYPE_KEYWORDS.contains(&t2.text.as_str()) {
+                if t2.kind == TokenKind::Ident && TYPE_KEYWORDS.contains(&t2.text) {
                     self.ts.next_tok();
                     name.push(' ');
-                    name.push_str(&t2.text);
+                    name.push_str(t2.text);
                 }
             } else if t.is_kw("signed") || t.is_kw("unsigned") {
                 // handled below
@@ -818,7 +825,7 @@ impl Parser {
                     }
                 } else if self.ts.peek_n(1).kind == TokenKind::Ident {
                     self.ts.next_tok();
-                    name = t.text.clone();
+                    name = t.text.to_string();
                 } else {
                     return Ok(None);
                 }
@@ -936,7 +943,7 @@ impl Parser {
         if t.kind != TokenKind::Sym {
             return None;
         }
-        Some(match t.text.as_str() {
+        Some(match t.text {
             "&&" => Infix::Logic("and"),
             "||" => Infix::Logic("or"),
             "<" => Infix::Cmp("cmp<"),
@@ -1059,11 +1066,11 @@ impl Parser {
 
     /// A (package-scoped) name, a call, or a name with selects skipped.
     fn parse_name(&mut self) -> ParseResult<Expr> {
-        let mut name = self.ts.next_tok().text;
+        let mut name = self.ts.next_tok().text.to_string();
         while self.ts.eat_sym("::") {
             let part = self.ts.expect_ident()?;
             name.push_str("::");
-            name.push_str(&part.text);
+            name.push_str(part.text);
         }
         if self.ts.eat_sym("(") {
             let mut args = Vec::new();

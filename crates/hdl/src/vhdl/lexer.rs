@@ -9,15 +9,17 @@
 //! exactly one character away.
 
 use crate::error::{ParseError, ParseResult};
-use crate::lexer::{parse_decimal, parse_radix, Cursor, Token, TokenKind, TokenStream};
+use crate::lexer::{
+    parse_decimal, parse_radix, parse_real, token_buffer, Cursor, Token, TokenKind, TokenStream,
+};
 
 /// Multi-character VHDL operators, longest first.
 const MULTI_SYMS: &[&str] = &["**", ":=", "=>", "<=", ">=", "/=", "<>", "<<", ">>", "??"];
 
-/// Lexes a VHDL buffer into a token stream.
-pub fn lex(source: &str) -> ParseResult<TokenStream> {
+/// Lexes a VHDL buffer into a token stream whose texts borrow `source`.
+pub fn lex(source: &str) -> ParseResult<TokenStream<'_>> {
     let mut cur = Cursor::new(source);
-    let mut out: Vec<Token> = Vec::new();
+    let mut out: Vec<Token> = token_buffer(source);
 
     loop {
         // Skip whitespace and comments.
@@ -60,15 +62,13 @@ pub fn lex(source: &str) -> ParseResult<TokenStream> {
 
         // Identifiers / keywords / bit-string prefixes.
         if c.is_ascii_alphabetic() {
-            let word = cur
-                .eat_while(|ch| ch.is_ascii_alphanumeric() || ch == '_')
-                .to_string();
+            let word = cur.eat_while(|ch| ch.is_ascii_alphanumeric() || ch == '_');
             // Bit-string literal such as x"FF" / b"1010" / o"77" (and 2008
             // signed/unsigned variants ux"", sb"", ...).
-            let is_bitstring_prefix = matches!(
-                word.to_ascii_lowercase().as_str(),
-                "x" | "b" | "o" | "d" | "ux" | "sx" | "ub" | "sb" | "uo" | "so"
-            );
+            let is_bitstring_prefix = word.len() <= 2
+                && ["x", "b", "o", "d", "ux", "sx", "ub", "sb", "uo", "so"]
+                    .iter()
+                    .any(|prefix| word.eq_ignore_ascii_case(prefix));
             if is_bitstring_prefix && cur.peek() == Some('"') {
                 cur.bump();
                 let mut text = String::new();
@@ -84,37 +84,30 @@ pub fn lex(source: &str) -> ParseResult<TokenStream> {
                         }
                     }
                 }
-                out.push(Token {
-                    kind: TokenKind::Str(text.clone()),
-                    text: format!("{word}\"{text}\""),
-                    span: cur.span_from(mark),
-                });
+                out.push(cur.token_from(mark, TokenKind::Str(text)));
                 continue;
             }
-            out.push(Token {
-                kind: TokenKind::Ident,
-                text: word,
-                span: cur.span_from(mark),
-            });
+            out.push(cur.token_from(mark, TokenKind::Ident));
             continue;
         }
 
-        // Extended identifier \...\ .
+        // Extended identifier \...\ . The text is what lies between the
+        // delimiters, a doubled backslash still doubled: the parser
+        // un-doubles it when it makes the name (see `parser::name`).
         if c == '\\' {
             cur.bump();
-            let mut name = String::new();
+            let start = cur.pos();
             loop {
                 match cur.bump() {
                     Some('\\') => {
                         if cur.peek() == Some('\\') {
                             // doubled backslash inside extended identifier
                             cur.bump();
-                            name.push('\\');
                         } else {
                             break;
                         }
                     }
-                    Some(ch) => name.push(ch),
+                    Some(_) => {}
                     None => {
                         return Err(ParseError::new(
                             "unterminated extended identifier",
@@ -125,7 +118,7 @@ pub fn lex(source: &str) -> ParseResult<TokenStream> {
             }
             out.push(Token {
                 kind: TokenKind::Ident,
-                text: name,
+                text: &source[start..cur.pos() - 1],
                 span: cur.span_from(mark),
             });
             continue;
@@ -133,21 +126,17 @@ pub fn lex(source: &str) -> ParseResult<TokenStream> {
 
         // Numeric literals: decimal, based, real.
         if c.is_ascii_digit() {
-            let digits = cur
-                .eat_while(|ch| ch.is_ascii_digit() || ch == '_')
-                .to_string();
+            let digits = cur.eat_while(|ch| ch.is_ascii_digit() || ch == '_');
             // Based literal: 16#FF# or 2#1010#
             if cur.peek() == Some('#') {
                 cur.bump();
-                let radix: u32 = parse_decimal(&digits)
+                let radix: u32 = parse_decimal(digits)
                     .and_then(|v| u32::try_from(v).ok())
                     .filter(|r| (2..=16).contains(r))
                     .ok_or_else(|| {
                         ParseError::new(format!("invalid base `{digits}`"), cur.span_from(mark))
                     })?;
-                let body = cur
-                    .eat_while(|ch| ch.is_ascii_alphanumeric() || ch == '_' || ch == '.')
-                    .to_string();
+                let body = cur.eat_while(|ch| ch.is_ascii_alphanumeric() || ch == '_' || ch == '.');
                 if !cur.eat('#') {
                     return Err(ParseError::new(
                         "unterminated based literal",
@@ -160,18 +149,13 @@ pub fn lex(source: &str) -> ParseResult<TokenStream> {
                     cur.eat('+');
                     cur.eat_while(|ch| ch.is_ascii_digit());
                 }
-                let value = parse_radix(&body, radix).ok_or_else(|| {
+                let value = parse_radix(body, radix).ok_or_else(|| {
                     ParseError::new(
                         format!("invalid digits `{body}` for base {radix}"),
                         cur.span_from(mark),
                     )
                 })?;
-                let span = cur.span_from(mark);
-                out.push(Token {
-                    kind: TokenKind::Int(value),
-                    text: span.slice(source).to_string(),
-                    span,
-                });
+                out.push(cur.token_from(mark, TokenKind::Int(value)));
                 continue;
             }
             // Real literal: 1.5, 1.5e3
@@ -185,21 +169,18 @@ pub fn lex(source: &str) -> ParseResult<TokenStream> {
                     }
                     cur.eat_while(|ch| ch.is_ascii_digit());
                 }
-                let span = cur.span_from(mark);
-                let text = span.slice(source).to_string();
-                let value: f64 = text
-                    .replace('_', "")
-                    .parse()
-                    .map_err(|_| ParseError::new(format!("invalid real literal `{text}`"), span))?;
-                out.push(Token {
-                    kind: TokenKind::Real(value),
-                    text,
-                    span,
-                });
+                let text = cur.text_from(mark);
+                let value = parse_real(text).ok_or_else(|| {
+                    ParseError::new(
+                        format!("invalid real literal `{text}`"),
+                        cur.span_from(mark),
+                    )
+                })?;
+                out.push(cur.token_from(mark, TokenKind::Real(value)));
                 continue;
             }
             // Integer with optional exponent (1e3 is an integer in VHDL).
-            let mut value = parse_decimal(&digits).ok_or_else(|| {
+            let mut value = parse_decimal(digits).ok_or_else(|| {
                 ParseError::new(format!("invalid integer `{digits}`"), cur.span_from(mark))
             })?;
             if matches!(cur.peek(), Some('e') | Some('E'))
@@ -207,20 +188,15 @@ pub fn lex(source: &str) -> ParseResult<TokenStream> {
             {
                 cur.bump();
                 cur.eat('+');
-                let exp_digits = cur.eat_while(|ch| ch.is_ascii_digit()).to_string();
-                let exp = parse_decimal(&exp_digits).unwrap_or(0);
+                let exp_digits = cur.eat_while(|ch| ch.is_ascii_digit());
+                let exp = parse_decimal(exp_digits).unwrap_or(0);
                 for _ in 0..exp {
                     value = value.checked_mul(10).ok_or_else(|| {
                         ParseError::new("integer literal overflow", cur.span_from(mark))
                     })?;
                 }
             }
-            let span = cur.span_from(mark);
-            out.push(Token {
-                kind: TokenKind::Int(value),
-                text: span.slice(source).to_string(),
-                span,
-            });
+            out.push(cur.token_from(mark, TokenKind::Int(value)));
             continue;
         }
 
@@ -247,35 +223,23 @@ pub fn lex(source: &str) -> ParseResult<TokenStream> {
                     }
                 }
             }
-            out.push(Token {
-                kind: TokenKind::Str(text.clone()),
-                text,
-                span: cur.span_from(mark),
-            });
+            out.push(cur.token_from(mark, TokenKind::Str(text)));
             continue;
         }
 
         // Character literal vs attribute tick.
         if c == '\'' {
             // 'x' is a char literal only if pattern is '<char>' exactly.
-            let rest: Vec<char> = cur.source()[cur.pos()..].chars().take(3).collect();
-            if rest.len() == 3 && rest[2] == '\'' {
+            let mut rest = cur.source()[cur.pos()..].chars().skip(1);
+            if let (Some(ch), Some('\'')) = (rest.next(), rest.next()) {
                 cur.bump(); // '
-                let ch = cur.bump().expect("char literal body");
+                cur.bump(); // the character
                 cur.bump(); // '
-                out.push(Token {
-                    kind: TokenKind::Char(ch),
-                    text: format!("'{ch}'"),
-                    span: cur.span_from(mark),
-                });
+                out.push(cur.token_from(mark, TokenKind::Char(ch)));
                 continue;
             }
             cur.bump();
-            out.push(Token {
-                kind: TokenKind::Sym,
-                text: "'".into(),
-                span: cur.span_from(mark),
-            });
+            out.push(cur.token_from(mark, TokenKind::Sym));
             continue;
         }
 
@@ -285,22 +249,14 @@ pub fn lex(source: &str) -> ParseResult<TokenStream> {
             for _ in 0..sym.len() {
                 cur.bump();
             }
-            out.push(Token {
-                kind: TokenKind::Sym,
-                text: (*sym).to_string(),
-                span: cur.span_from(mark),
-            });
+            out.push(cur.token_from(mark, TokenKind::Sym));
             continue;
         }
 
         // Single-char symbol.
         let ch = cur.bump().expect("not at EOF");
         if ch.is_ascii_graphic() {
-            out.push(Token {
-                kind: TokenKind::Sym,
-                text: ch.to_string(),
-                span: cur.span_from(mark),
-            });
+            out.push(cur.token_from(mark, TokenKind::Sym));
         } else {
             return Err(ParseError::new(
                 format!("unexpected character `{ch}` (U+{:04X})", ch as u32),
@@ -317,7 +273,7 @@ mod tests {
     use super::*;
     use crate::lexer::TokenKind;
 
-    fn kinds(src: &str) -> Vec<Token> {
+    fn kinds(src: &str) -> Vec<Token<'_>> {
         let mut ts = lex(src).unwrap();
         let mut out = Vec::new();
         loop {
@@ -428,7 +384,7 @@ mod tests {
     #[test]
     fn multi_char_operators() {
         let toks = kinds(":= => <= ** /= <>");
-        let texts: Vec<_> = toks.iter().take(6).map(|t| t.text.clone()).collect();
+        let texts: Vec<_> = toks.iter().take(6).map(|t| t.text).collect();
         assert_eq!(texts, vec![":=", "=>", "<=", "**", "/=", "<>"]);
     }
 
@@ -452,5 +408,33 @@ mod tests {
     #[test]
     fn unterminated_string_errors() {
         assert!(lex("\"abc").is_err());
+    }
+
+    #[test]
+    fn extended_identifier_keeps_a_doubled_backslash_as_written() {
+        // The text is the slice between the delimiters; the parser makes
+        // the name `a\b` (see `parser::name`).
+        let toks = kinds(r"\a\\b\ x");
+        assert_eq!(toks[0].kind, TokenKind::Ident);
+        assert_eq!(toks[0].text, r"a\\b");
+        assert_eq!(toks[0].span.slice(r"\a\\b\ x"), r"\a\\b\");
+        assert_eq!(toks[1].text, "x");
+    }
+
+    #[test]
+    fn literal_values_are_decoded_and_their_texts_are_the_lexemes() {
+        let src = r#"x"FF" "say ""hi""" 'x' 16#1F#"#;
+        let toks = kinds(src);
+        assert_eq!(toks[0].kind, TokenKind::Str("FF".into()));
+        assert_eq!(toks[0].text, r#"x"FF""#);
+        assert_eq!(toks[1].kind, TokenKind::Str(r#"say "hi""#.into()));
+        assert_eq!(toks[1].text, r#""say ""hi""""#);
+        assert_eq!(toks[2].kind, TokenKind::Char('x'));
+        assert_eq!(toks[2].text, "'x'");
+        assert_eq!(toks[3].kind, TokenKind::Int(31));
+        assert_eq!(toks[3].text, "16#1F#");
+        for t in &toks[..4] {
+            assert_eq!(t.span.slice(src), t.text);
+        }
     }
 }

@@ -14,6 +14,7 @@ use crate::ast::{
 use crate::error::{Diagnostics, ParseError, ParseResult};
 use crate::lexer::{expr_too_deep, TokenKind, TokenStream, MAX_EXPR_DEPTH};
 use crate::span::Span;
+use std::borrow::Cow;
 
 /// Keywords that may legitimately begin a new design unit; used by the body
 /// skipper to decide whether a bare `end;` closed the current unit.
@@ -27,9 +28,20 @@ const UNIT_STARTERS: &[&str] = &[
     "context",
 ];
 
+/// The name an identifier token's text spells: an extended identifier's
+/// doubled backslashes stand for one (`\a\\b\` names `a\b`). A basic
+/// identifier holds no backslash, so its name is its text.
+fn name(text: &str) -> Cow<'_, str> {
+    if text.contains('\\') {
+        Cow::Owned(text.replace("\\\\", "\\"))
+    } else {
+        Cow::Borrowed(text)
+    }
+}
+
 /// The VHDL declaration parser.
-pub struct Parser {
-    ts: TokenStream,
+pub struct Parser<'a> {
+    ts: TokenStream<'a>,
     diags: Diagnostics,
     /// Set by `bump_binop` when the consumed operator was `&`; `parse_bin`
     /// then rewrites the node into a `concat` call instead of an arithmetic
@@ -45,9 +57,9 @@ pub struct Parser {
     too_deep: bool,
 }
 
-impl Parser {
+impl<'a> Parser<'a> {
     /// Wraps a token stream produced by [`crate::vhdl::lexer::lex`].
-    pub fn new(ts: TokenStream) -> Self {
+    pub fn new(ts: TokenStream<'a>) -> Self {
         Parser {
             ts,
             diags: Diagnostics::new(),
@@ -66,8 +78,9 @@ impl Parser {
             if t.is_kw_ci("library") {
                 self.ts.next_tok();
                 loop {
-                    let name = self.ts.expect_ident()?;
-                    file.context.push(ContextClause::Library(name.text));
+                    let lib = self.ts.expect_ident()?;
+                    file.context
+                        .push(ContextClause::Library(name(lib.text).into_owned()));
                     if !self.ts.eat_sym(",") {
                         break;
                     }
@@ -83,7 +96,7 @@ impl Parser {
                 file.modules.push(m);
             } else if t.is_kw_ci("architecture") {
                 self.ts.next_tok();
-                let arch = self.ts.expect_ident()?.text;
+                let arch = self.ident_name()?;
                 self.ts.expect_kw_ci("of")?;
                 let ent = self.selected_name()?;
                 self.ts.expect_kw_ci("is")?;
@@ -94,7 +107,7 @@ impl Parser {
             } else if t.is_kw_ci("package") {
                 self.ts.next_tok();
                 let body = self.ts.eat_kw_ci("body");
-                let name = self.ts.expect_ident()?.text;
+                let name = self.ident_name()?;
                 self.ts.expect_kw_ci("is")?;
                 self.skip_body(&name, if body { "body" } else { "package" })?;
                 if body {
@@ -105,7 +118,7 @@ impl Parser {
             } else if t.is_kw_ci("context") {
                 // Context declarations/references: skip to `;` or end of body.
                 self.ts.next_tok();
-                let name = self.ts.expect_ident()?.text;
+                let name = self.ident_name()?;
                 if self.ts.eat_kw_ci("is") {
                     self.skip_body(&name, "context")?;
                 } else {
@@ -114,7 +127,7 @@ impl Parser {
                 }
             } else if t.is_kw_ci("configuration") {
                 self.ts.next_tok();
-                let name = self.ts.expect_ident()?.text;
+                let name = self.ident_name()?;
                 self.ts.expect_kw_ci("of")?;
                 let ent = self.selected_name()?;
                 self.ts.expect_kw_ci("is")?;
@@ -136,8 +149,8 @@ impl Parser {
 
     /// `entity NAME is [generic(...);] [port(...);] ... end [entity] [NAME];`
     fn parse_entity(&mut self) -> ParseResult<ModuleInterface> {
-        let start = self.ts.expect_kw_ci("entity")?.span;
-        let name = self.ts.expect_ident()?.text;
+        let start = self.ts.expect_kw_ci("entity")?;
+        let name = self.ident_name()?;
         self.ts.expect_kw_ci("is")?;
 
         let mut parameters = Vec::new();
@@ -184,22 +197,27 @@ impl Parser {
                 // Optional repetition of the entity name.
                 if self.ts.peek().kind == TokenKind::Ident && !self.ts.peek().is_sym(";") {
                     let rep = self.ts.next_tok();
-                    if !rep.text.eq_ignore_ascii_case(name) {
+                    let rep_name = self::name(rep.text);
+                    if !rep_name.eq_ignore_ascii_case(name) {
                         self.diags.warn(
-                            format!("`end {}` does not match entity `{name}`", rep.text),
+                            format!("`end {rep_name}` does not match entity `{name}`"),
                             rep.span,
                         );
                     }
                 }
-                let semi = self.ts.expect_sym(";")?;
-                return Ok(semi.span);
+                return self.ts.expect_sym(";");
             }
         }
     }
 
+    /// Requires an identifier next, consuming it; returns its name.
+    fn ident_name(&mut self) -> ParseResult<String> {
+        Ok(name(self.ts.expect_ident()?.text).into_owned())
+    }
+
     /// `name[.name]*[.all]` — returns the dotted path as a single string.
     fn selected_name(&mut self) -> ParseResult<String> {
-        let mut s = self.ts.expect_ident()?.text;
+        let mut s = self.ident_name()?;
         while self.ts.eat_sym(".") {
             let part = if self.ts.peek().is_kw_ci("all") {
                 self.ts.next_tok().text
@@ -207,7 +225,7 @@ impl Parser {
                 self.ts.expect_ident()?.text
             };
             s.push('.');
-            s.push_str(&part);
+            s.push_str(&name(part));
         }
         Ok(s)
     }
@@ -221,7 +239,7 @@ impl Parser {
             let mut names = Vec::new();
             loop {
                 let id = self.ts.expect_ident()?;
-                names.push((id.text, id.span));
+                names.push((name(id.text).into_owned(), id.span));
                 if !self.ts.eat_sym(",") {
                     break;
                 }
@@ -235,9 +253,9 @@ impl Parser {
             } else {
                 None
             };
-            for (name, span) in names {
+            for (param, span) in names {
                 out.push(Parameter {
-                    name,
+                    name: param,
                     ty: Some(ty.clone()),
                     default: default.clone(),
                     span,
@@ -265,7 +283,7 @@ impl Parser {
             let mut names = Vec::new();
             loop {
                 let id = self.ts.expect_ident()?;
-                names.push((id.text, id.span));
+                names.push((name(id.text).into_owned(), id.span));
                 if !self.ts.eat_sym(",") {
                     break;
                 }
@@ -294,9 +312,9 @@ impl Parser {
             } else {
                 None
             };
-            for (name, span) in names {
+            for (port, span) in names {
                 out.push(Port {
-                    name,
+                    name: port,
                     direction,
                     ty: ty.clone(),
                     span,
@@ -438,7 +456,7 @@ impl Parser {
     fn peek_binop(&mut self) -> Option<BinOp> {
         let t = self.ts.peek();
         let op = match &t.kind {
-            TokenKind::Sym => match t.text.as_str() {
+            TokenKind::Sym => match t.text {
                 "+" => BinOp::Add,
                 "-" => BinOp::Sub,
                 "*" => BinOp::Mul,
@@ -569,24 +587,25 @@ impl Parser {
 
     /// A boolean, a (selected) name, an attribute, or a call.
     fn parse_name(&mut self) -> ParseResult<Expr> {
-        let mut name = self.ts.next_tok().text;
+        let first = self.ts.next_tok().text;
         // Booleans read naturally as ints in the integer formulation
         // (paper §III-B1: booleans are 0/1 integers).
-        if name.eq_ignore_ascii_case("true") {
+        if first.eq_ignore_ascii_case("true") {
             return Ok(Expr::Int(1));
         }
-        if name.eq_ignore_ascii_case("false") {
+        if first.eq_ignore_ascii_case("false") {
             return Ok(Expr::Int(0));
         }
+        let mut name = self::name(first).into_owned();
         while self.ts.eat_sym(".") {
             let part = self.ts.expect_ident()?;
             name.push('.');
-            name.push_str(&part.text);
+            name.push_str(&self::name(part.text));
         }
         // Attribute: `name'length` → Call("length", [Ident name]).
         if self.ts.peek().is_sym("'") && self.ts.peek_n(1).kind == TokenKind::Ident {
             self.ts.next_tok();
-            let attr = self.ts.expect_ident()?.text;
+            let attr = self.ident_name()?;
             return Ok(Expr::Call(attr, vec![Expr::Ident(name)]));
         }
         if self.ts.eat_sym("(") {
@@ -656,7 +675,7 @@ impl Parser {
                 return Ok(());
             }
             // `end <name>;` where <name> matches this unit.
-            if next.kind == TokenKind::Ident && next.text.eq_ignore_ascii_case(name) {
+            if next.kind == TokenKind::Ident && self::name(next.text).eq_ignore_ascii_case(name) {
                 self.ts.next_tok();
                 self.ts.eat_sym(";");
                 return Ok(());
@@ -707,7 +726,7 @@ impl Parser {
                     break;
                 }
                 if self.ts.peek().kind == TokenKind::Ident && self.ts.peek_n(1).is_sym("=>") {
-                    let gname = self.ts.next_tok().text;
+                    let gname = self.ident_name()?;
                     self.ts.next_tok(); // =>
                     let value = self.parse_expr()?;
                     generics.push((gname, value));
@@ -734,7 +753,7 @@ impl Parser {
         }
         self.ts.expect_sym(";")?;
         self.insts.push(Instantiation {
-            label: label_tok.text,
+            label: name(label_tok.text).into_owned(),
             target,
             generics,
             parent: parent.to_string(),
@@ -1163,5 +1182,26 @@ end rtl;
             .context
             .iter()
             .any(|c| matches!(c, ContextClause::Use(u) if u == "ieee.std_logic_1164.all")));
+    }
+
+    #[test]
+    fn a_doubled_backslash_in_an_extended_identifier_names_one_backslash() {
+        let src = r"entity \a\\b\ is
+  generic (\w\\x\ : natural := 4);
+  port (clk : in std_logic; \d\\o\ : out std_logic_vector(\w\\x\ - 1 downto 0));
+end entity \a\\b\;";
+        let (f, d) = Parser::new(lex(src).unwrap()).parse_file().unwrap();
+        // The repeated name matches, so nothing is reported.
+        assert_eq!(d.len(), 0, "{:?}", d.iter().collect::<Vec<_>>());
+        let m = &f.modules[0];
+        assert_eq!(m.name, r"a\b");
+        assert_eq!(m.parameters[0].name, r"w\x");
+        assert_eq!(m.ports[1].name, r"d\o");
+        let env = BTreeMap::from([(r"w\x".to_string(), 4)]);
+        assert_eq!(m.ports[1].ty.bit_width(&env), Ok(4));
+        // Without a doubled backslash the name is the text between the
+        // delimiters, as before.
+        let f = parse_ok(r"entity \plain name\ is end;");
+        assert_eq!(f.modules[0].name, "plain name");
     }
 }

@@ -459,9 +459,16 @@ proptest! {
     }
 
     #[test]
-    fn lexers_never_panic(src in "[ -~\\n]{0,200}") {
-        let _ = dovado_hdl::vhdl::lexer::lex(&src);
-        let _ = dovado_hdl::verilog::lexer::lex(&src);
+    fn lexers_never_panic(
+        src in "[ -~\\n]{0,200}",
+        pieces in proptest::collection::vec(0..HDL_PIECES.len(), 0..40),
+    ) {
+        // ... and every token they make borrows its text from the source.
+        let text: String = pieces.into_iter().map(|i| HDL_PIECES[i]).collect();
+        for src in [src.as_str(), text.as_str()] {
+            texts_are_source_slices(src, true)?;
+            texts_are_source_slices(src, false)?;
+        }
     }
 
     #[test]
@@ -604,6 +611,96 @@ mod oracle {
         }
         None
     }
+}
+
+/// Pieces the arbitrary HDL texts are built from: identifiers, escaped
+/// and extended identifiers, numbers in both languages' literal formats,
+/// strings, character literals, operators, comments and whitespace.
+const HDL_PIECES: &[&str] = &[
+    " ",
+    "\n",
+    "\t",
+    "module",
+    "entity",
+    "Foo_1",
+    "a$b",
+    "$clog2",
+    "`WIDTH",
+    "`define X 1\n",
+    "\\esc+id ",
+    "\\a\\\\b\\",
+    "\\ext id\\",
+    "42",
+    "1_000",
+    "3.5",
+    "2.5e3",
+    "8'hFF",
+    "'d10",
+    "'1",
+    "4'b1x0z",
+    "16#FF#",
+    "2#1010#",
+    "1e3",
+    "\"str\"",
+    "\"a\\\"b\"",
+    "\"say \"\"hi\"\"\"",
+    "x\"FF\"",
+    "'0'",
+    "clk'event",
+    "'",
+    "(",
+    ")",
+    ";",
+    ",",
+    "::",
+    "<=",
+    "**",
+    "=>",
+    ":=",
+    "/=",
+    "<<<",
+    "'{",
+    "#",
+    "-- c\n",
+    "// c\n",
+    "/* c */",
+    "\"é\"",
+];
+
+/// Whether every token `src` lexes to, in VHDL or in Verilog, has the
+/// source slice under its span as its text, borrowed rather than copied.
+/// An escaped Verilog identifier's text leaves out its backslash and a
+/// VHDL extended identifier's its two delimiters. Input the lexer
+/// refuses passes.
+fn texts_are_source_slices(src: &str, vhdl: bool) -> Result<(), TestCaseError> {
+    let lexed = if vhdl {
+        dovado_hdl::vhdl::lexer::lex(src)
+    } else {
+        dovado_hdl::verilog::lexer::lex(src)
+    };
+    let Ok(mut tokens) = lexed else {
+        return Ok(());
+    };
+    while !tokens.at_eof() {
+        let t = tokens.next_tok();
+        let (start, end) = (t.span.start, t.span.end);
+        let escaped =
+            t.kind == dovado_hdl::lexer::TokenKind::Ident && src[start..].starts_with('\\');
+        let slice = match (escaped, vhdl) {
+            (false, _) => &src[start..end],
+            (true, false) => &src[start + 1..end],
+            (true, true) => &src[start + 1..end - 1],
+        };
+        prop_assert_eq!(
+            t.text,
+            slice,
+            "{} token in {:?}",
+            if vhdl { "VHDL" } else { "Verilog" },
+            src
+        );
+        prop_assert!(std::ptr::eq(t.text.as_ptr(), slice.as_ptr()));
+    }
+    Ok(())
 }
 
 /// Pieces the arbitrary report texts are built from: every marker the
