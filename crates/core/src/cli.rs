@@ -170,9 +170,10 @@ USAGE:
   any other. --jobs and --workers are mutually exclusive.
 
   --store persists every successful tool run into a content-addressed
-  on-disk store under <dir>; repeated evaluations of the same sources,
-  configuration, and design point are answered from disk. For explore,
-  --store also journals optimizer state each generation so an
+  store, one append-only log under <dir>/store/; repeated evaluations of
+  the same sources, configuration, and design point are answered from
+  it, and evaluate and explore given the same <dir> share it. For
+  explore, --store also journals optimizer state each generation so an
   interrupted run can be continued with --resume <dir>, which replays
   the journal and produces the same result as an uninterrupted run.
   --store-capacity bounds that store at <n> entries, evicting the least
@@ -197,7 +198,7 @@ USAGE:
 
   serve runs a multi-tenant exploration daemon on a TCP socket speaking
   line-delimited JSON: submit jobs with `dovado submit` (or any client),
-  watch their trace v2 event stream live, and share one sharded,
+  watch their trace v2 event stream live, and share one
   capacity-bounded evaluation store across tenants (--root; eviction
   under --store-capacity only ever causes re-computation, never wrong
   answers). Slots are granted tenant-fairly by stride scheduling
@@ -679,7 +680,9 @@ fn cmd_evaluate(argv: &[String], out: &mut String) -> Result<(), String> {
     run.attach(evaluator.spine());
     let store_dir = args.value("--store");
     if let Some(dir) = store_dir {
-        let store = EvalStore::open(Path::new(dir)).map_err(|e| format!("--store: {e}"))?;
+        // The same `<dir>/store/` an `explore --store <dir>` fills.
+        let store = EvalStore::open(&PersistConfig::new(dir).store_dir())
+            .map_err(|e| format!("--store: {e}"))?;
         evaluator.attach_store(store);
     }
     let eval = run

@@ -39,6 +39,7 @@ pub mod backend;
 pub mod checkpoint;
 pub mod error;
 pub mod fault;
+pub mod frame;
 pub mod hash;
 pub mod models;
 pub mod netlist;
@@ -61,9 +62,6 @@ pub use netlist::Netlist;
 pub use place_route::{ImplDirective, ImplResult};
 pub use project::{ClockConstraint, ParseCache, Project, SourceUnit};
 pub use remote::{RemoteBackend, WorkerLifecycle, PROTOCOL_VERSION};
-pub use store::{
-    CompactStats, EvalKey, EvalStore, EvictionHook, SHARD_COUNT, SHARD_PREFIX_LEN,
-    STORE_FORMAT_VERSION,
-};
+pub use store::{CompactStats, EvalKey, EvalStore, EvictionHook, LOG_FILE, STORE_FORMAT_VERSION};
 pub use synth::{SynthDirective, SynthResult};
 pub use vivado::{FlowState, VivadoSim};

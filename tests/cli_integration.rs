@@ -168,6 +168,66 @@ fn evaluate_reports_power() {
 }
 
 #[test]
+fn evaluate_answers_an_explored_front_point_from_the_explore_store() {
+    let src = temp_file("explored.sv", FIFO);
+    let dir = std::env::temp_dir().join(format!(
+        "dovado-cli-integration-shared-store-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let csv = temp_file("explored-front.csv", "");
+    let trace = temp_file("explored-point.jsonl", "");
+    let shared = [
+        "--source",
+        src.to_str().unwrap(),
+        "--top",
+        "fifo_v3",
+        "--store",
+        dir.to_str().unwrap(),
+    ];
+    let mut out = String::new();
+    let mut explore = vec!["explore"];
+    explore.extend(shared);
+    explore.extend(["--param", "DEPTH=2:64:2", "--metric", "lut,ff,fmax"]);
+    explore.extend([
+        "--generations",
+        "3",
+        "--pop",
+        "8",
+        "--csv",
+        csv.to_str().unwrap(),
+    ]);
+    let code = run(&args(&explore), &mut out);
+    assert_eq!(code, 0, "{out}");
+    let rows = dovado::csv::parse(&std::fs::read_to_string(&csv).unwrap());
+    let depth = rows[0].iter().position(|c| c == "DEPTH").unwrap();
+    let point = format!("DEPTH={}", rows[1][depth]);
+
+    out.clear();
+    let mut evaluate = vec!["evaluate"];
+    evaluate.extend(shared);
+    evaluate.extend(["--set", &point, "--trace-out", trace.to_str().unwrap()]);
+    let code = run(&args(&evaluate), &mut out);
+    assert_eq!(code, 0, "{out}");
+    assert!(out.contains("persistent store (no tool run)"), "{out}");
+    let summary = std::fs::read_to_string(&trace).unwrap();
+    let summary = summary.lines().last().unwrap();
+    assert!(
+        summary.contains("\"attempts\":0,") && summary.contains("\"store_hits\":1,"),
+        "{summary}"
+    );
+    // Both commands use `<dir>/store/`, which holds one log file.
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    assert_eq!(names, ["journal.dovado", "store"]);
+    assert_eq!(std::fs::read_dir(dir.join("store")).unwrap().count(), 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn evaluate_accepts_a_double_underscore_file_name() {
     // `__` before capitals in a path is not a script placeholder.
     let src = temp_file("fifo__Core.sv", FIFO);

@@ -2,9 +2,9 @@
 //! `tests/fixtures/` pin both directions of the report interface — the
 //! writers (utilization, timing at negative and positive WNS, power) must
 //! emit exactly these bytes, and the scrapers must recover exactly these
-//! numbers. A separate golden entry pins the on-disk
-//! format of the persistent evaluation store: any change to the entry
-//! envelope or payload encoding breaks these tests and forces a
+//! numbers. A separate golden log pins the on-disk
+//! format of the persistent evaluation store: any change to the record
+//! framing or payload encoding breaks these tests and forces a
 //! `STORE_FORMAT_VERSION` bump.
 
 use dovado::persist::{decode_evaluation, encode_evaluation};
@@ -16,7 +16,7 @@ use dovado_eda::report::{
     parse_period, parse_utilization_report, parse_wns, write_timing_report,
     write_utilization_report,
 };
-use dovado_eda::{EvalKey, EvalStore, STORE_FORMAT_VERSION};
+use dovado_eda::{EvalKey, EvalStore, LOG_FILE, STORE_FORMAT_VERSION};
 use dovado_fpga::{Catalog, ResourceKind, ResourceSet};
 use std::fs;
 use std::path::Path;
@@ -129,62 +129,96 @@ fn report_writers_match_golden_bytes() {
     );
 }
 
-/// The evaluation the store-entry fixture was written from.
-fn golden_evaluation() -> Evaluation {
+/// The evaluations the store-log fixture was written from: ordinary
+/// values, then a negative zero and a NaN, which must survive bitwise.
+fn golden_evaluations() -> [Evaluation; 2] {
     let mut utilization = ResourceSet::zero();
     utilization.set(ResourceKind::Lut, 3417);
     utilization.set(ResourceKind::Register, 5213);
     utilization.set(ResourceKind::Bram, 12);
-    Evaluation {
+    let first = Evaluation {
         utilization,
         wns_ns: -0.125,
         period_ns: 1.0,
         fmax_mhz: 888.888,
         power_mw: 120.5,
         tool_time_s: 654.25,
-    }
+    };
+    let mut utilization = ResourceSet::zero();
+    utilization.set(ResourceKind::Lut, 96);
+    utilization.set(ResourceKind::Register, 130);
+    utilization.set(ResourceKind::Dsp, 2);
+    utilization.set(ResourceKind::Io, 41);
+    let second = Evaluation {
+        utilization,
+        wns_ns: -0.0,
+        period_ns: 2.5,
+        fmax_mhz: 400.0,
+        power_mw: f64::NAN,
+        tool_time_s: 0.1,
+    };
+    [first, second]
+}
+
+fn golden_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("dovado-golden-{tag}-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    dir
 }
 
 #[test]
 fn store_entry_format_is_pinned_to_version() {
-    let text = fixture("store_entry_v1.entry");
-    // The envelope header carries the current format version; bump the
-    // constant and regenerate the fixture together.
+    let text = fixture("store_log_v2.log");
+    let keys = [
+        EvalKey::from_parts(&["golden", "entry"]),
+        EvalKey::from_parts(&["golden", "second"]),
+    ];
     assert_eq!(
-        text.lines().next().unwrap(),
-        format!("dovado-store {STORE_FORMAT_VERSION}")
-    );
-
-    // A store that receives the fixture bytes under the right key reads
-    // them back as a clean hit with the exact original values.
-    let dir = std::env::temp_dir().join(format!("dovado-golden-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    let store = EvalStore::open(&dir).unwrap();
-    let key = EvalKey::from_parts(&["golden", "entry"]);
-    assert_eq!(
-        key.hex(),
+        keys[0].hex(),
         "028c2189016c471072a9e3a36a448370",
         "key fn drifted"
     );
-    let entry = store.entry_path(&key);
-    fs::create_dir_all(entry.parent().unwrap()).unwrap();
-    fs::write(&entry, &text).unwrap();
-    let e = decode_evaluation(&store.get(&key).unwrap()).unwrap();
-    let g = golden_evaluation();
-    assert_eq!(e.utilization, g.utilization);
-    for (a, b) in [
-        (e.wns_ns, g.wns_ns),
-        (e.period_ns, g.period_ns),
-        (e.fmax_mhz, g.fmax_mhz),
-        (e.power_mw, g.power_mw),
-        (e.tool_time_s, g.tool_time_s),
-    ] {
-        assert_eq!(a.to_bits(), b.to_bits());
+    // Every record names the current format version and its key; bump
+    // the constant and regenerate the fixture together.
+    let heads: Vec<&str> = text
+        .lines()
+        .filter(|l| l.starts_with("dovado-store "))
+        .collect();
+    let want: Vec<String> = keys
+        .iter()
+        .map(|k| format!("dovado-store {STORE_FORMAT_VERSION} {}", k.hex()))
+        .collect();
+    assert_eq!(heads, want);
+
+    // A store whose log is the fixture reads both records back as clean
+    // hits with the exact original values.
+    let dir = golden_dir("read");
+    fs::create_dir_all(&dir).unwrap();
+    fs::write(dir.join(LOG_FILE), &text).unwrap();
+    let store = EvalStore::open(&dir).unwrap();
+    for (key, g) in keys.iter().zip(golden_evaluations()) {
+        let e = decode_evaluation(&store.get(key).unwrap()).unwrap();
+        assert_eq!(e.utilization, g.utilization);
+        for (a, b) in [
+            (e.wns_ns, g.wns_ns),
+            (e.period_ns, g.period_ns),
+            (e.fmax_mhz, g.fmax_mhz),
+            (e.power_mw, g.power_mw),
+            (e.tool_time_s, g.tool_time_s),
+        ] {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
     }
 
-    // And a fresh put of the same evaluation produces the fixture
-    // byte-for-byte — encoding changes must come with a version bump.
-    store.put(&key, &encode_evaluation(&g)).unwrap();
-    assert_eq!(fs::read_to_string(store.entry_path(&key)).unwrap(), text);
+    // And fresh puts of the same evaluations into an empty store produce
+    // the fixture byte for byte — encoding changes must come with a
+    // version bump.
+    let fresh_dir = golden_dir("write");
+    let fresh = EvalStore::open(&fresh_dir).unwrap();
+    for (key, g) in keys.iter().zip(golden_evaluations()) {
+        fresh.put(key, &encode_evaluation(&g)).unwrap();
+    }
+    assert_eq!(fs::read_to_string(fresh.log_path()).unwrap(), text);
     let _ = fs::remove_dir_all(&dir);
+    let _ = fs::remove_dir_all(&fresh_dir);
 }
