@@ -300,7 +300,7 @@ impl Dovado {
 
     /// Mutable access to the underlying evaluator — e.g. to attach a
     /// shared evaluation store before exploring (the serve scheduler
-    /// points every tenant's job at one sharded store this way). When a
+    /// points every tenant's job at one shared store this way). When a
     /// store is already attached, persistent exploration reuses it
     /// instead of opening a per-run store.
     pub fn evaluator_mut(&mut self) -> &mut Evaluator {
@@ -393,7 +393,7 @@ impl Dovado {
             })?;
             let capacity = crate::engine::validate_store_capacity(p.store_capacity)?;
             // A pre-attached store (e.g. the serve scheduler's shared
-            // sharded store) takes precedence over the per-run one.
+            // store) takes precedence over the per-run one.
             if evaluator.store().is_none() {
                 let store = EvalStore::open_bounded(&p.store_dir(), capacity).map_err(|e| {
                     DovadoError::Config(format!(

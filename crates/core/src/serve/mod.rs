@@ -8,7 +8,7 @@
 //! format** — the same lines `explore --trace-out` writes, so the same
 //! fold and the same `jq` recipes apply to a live stream and a file.
 //!
-//! Jobs that opt in (`store: true`) share one sharded, capacity-bounded
+//! Jobs that opt in (`store: true`) share one capacity-bounded
 //! [`dovado_eda::EvalStore`] under the daemon root: a result any tenant
 //! computed is a store hit for every other tenant, and eviction under
 //! the capacity bound can only ever turn a would-be hit into a miss,

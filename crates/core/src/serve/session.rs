@@ -8,7 +8,7 @@
 //! runner thread. The runner blocks in [`Scheduler::acquire`] until the
 //! fair-share order and a free slot admit it, builds the exploration
 //! with [`JobSpec::build`] (exactly as `dovado explore` does), optionally
-//! points its evaluator at the daemon's **shared** sharded [`EvalStore`],
+//! points its evaluator at the daemon's **shared** [`EvalStore`],
 //! publishes the run's [`EventBus`] on the handle (phase `running`), and
 //! drives [`Dovado::explore_monitored`](crate::Dovado::explore_monitored).
 //! The monitor observes every generation boundary: it wakes streaming
@@ -63,7 +63,7 @@ pub struct ServeConfig {
     /// parallelism exactly.
     pub slots: usize,
     /// Daemon root directory. When set, `root/store` holds the shared
-    /// sharded evaluation store every `store: true` job answers from
+    /// evaluation store every `store: true` job answers from
     /// and feeds. Without a root the daemon is stateless and jobs that
     /// request the store fail with a config error.
     pub root: Option<PathBuf>,
