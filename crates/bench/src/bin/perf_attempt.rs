@@ -7,28 +7,35 @@
 //! tool batch and parallel surrogate decide pays, as one `par_iter` of
 //! `FANOUT_ITEMS` trivial items under a `FANOUT_THREADS` cap; and the
 //! evaluation store an attempt consults first: a put into a fresh store,
-//! opening a store of [`STORE_ENTRIES`] entries, and a hit and a miss on
-//! it. The stores live under `target/perf_attempt/`, since what creating
-//! a file costs depends on the directory. Every repeat times every stage
-//! in turn, so the stages see the same machine state; the median of
-//! `REPEATS` repeats and its IQR/median spread land in
-//! `results/BENCH_attempt.json`. The stage numbers rank what an attempt
-//! spends its host time on; there is no timing gate.
+//! opening a store of [`STORE_ENTRIES`] entries, a hit and a miss on it,
+//! and decoding a hit's payload (`store_decode`). Two stages time the
+//! exploration journal of a Corundum-shaped NSGA-II run (population 32,
+//! four objectives): `journal_base`, a fresh writer's base record of a
+//! [`JOURNAL_BASE`]-entry archive, and `journal_append`, one appended
+//! boundary of [`JOURNAL_STEP`] new archive entries and one history
+//! entry. The stores and the journal live under `target/perf_attempt/`,
+//! since what creating a file costs depends on the directory. Every
+//! repeat times every stage in turn, so the stages see the same machine
+//! state; the median of `REPEATS` repeats and its IQR/median spread land
+//! in `results/BENCH_attempt.json`. The stage numbers rank what an
+//! attempt spends its host time on; there is no timing gate.
 //!
 //! The bin's global allocator counts heap allocations (and
 //! reallocations), and `stage_allocs` reports them per box parse and per
 //! serial attempt over [`POINTS`] fixed points, after one warm-up attempt
-//! on a fresh backend, and per store hit. The counts are deterministic and
-//! the same in `--smoke` and default mode, so CI gates them.
+//! on a fresh backend, per store hit and hit decode, and per journal base
+//! record and appended boundary. The counts are deterministic and the
+//! same in `--smoke` and default mode, so CI gates them.
 //!
 //! ```text
 //! cargo run --release -p dovado-bench --bin perf_attempt [-- --smoke]
 //! ```
 
 use dovado::casestudies::corundum;
-use dovado::persist::encode_evaluation;
+use dovado::persist::{decode_evaluation, encode_evaluation, JournalView, JournalWriter};
 use dovado::{
-    generate_box, DesignPoint, EvalConfig, Evaluation, Evaluator, ParameterSpace, BOX_TOP,
+    generate_box, DesignPoint, EvalConfig, Evaluation, Evaluator, FitnessStats, ParameterSpace,
+    TraceSummary, BOX_TOP,
 };
 use dovado_bench::{json_f, median_and_spread};
 use dovado_eda::netlist::Netlist;
@@ -39,13 +46,14 @@ use dovado_eda::report::{
     write_utilization_report,
 };
 use dovado_eda::{EvalKey, EvalStore};
-use dovado_fpga::{Catalog, ResourceSet};
+use dovado_fpga::{Catalog, ResourceKind, ResourceSet};
+use dovado_moo::{GenStats, Individual, SearchStateRef};
 use rayon::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// The system allocator, counting every allocation and reallocation.
 struct Counting;
@@ -97,8 +105,16 @@ const FANOUT_ITEMS: u64 = 32;
 const FANOUT_THREADS: usize = 2;
 /// Entries of the store the `store_*` stages fill, open and read.
 const STORE_ENTRIES: u64 = 2_048;
+/// Archive entries of the `journal_base` record: a Corundum exploration's
+/// 1,952 evaluations (population 32, 60 generations).
+const JOURNAL_BASE: usize = 1_952;
+/// Archive entries an appended boundary adds: one generation.
+const JOURNAL_STEP: usize = 32;
+/// Appended boundaries after each base record: few enough that none
+/// outgrows the base, so each is an append and none a full write.
+const JOURNAL_APPENDS: usize = 16;
 /// Stages in report order: the JSON keys.
-const STAGES: [&str; 13] = [
+const STAGES: [&str; 16] = [
     "write_utilization",
     "write_timing",
     "write_power",
@@ -112,6 +128,9 @@ const STAGES: [&str; 13] = [
     "store_open",
     "store_hit",
     "store_miss",
+    "store_decode",
+    "journal_base",
+    "journal_append",
 ];
 
 /// The `i`-th fixed point: every parameter steps through its domain at
@@ -175,6 +194,127 @@ fn store_us(dir: &Path, entries: &[(EvalKey, String)], rounds: usize) -> [f64; 4
         black_box(store.get(key));
     });
     [put, open, hit, miss]
+}
+
+/// A Corundum-shaped NSGA-II run at `1 + JOURNAL_APPENDS` boundaries:
+/// boundary 0 holds `JOURNAL_BASE` archive entries and one history entry,
+/// and each later one adds `JOURNAL_STEP` entries and a history entry.
+struct JournalRun {
+    archive: Vec<Individual>,
+    history: Vec<GenStats>,
+    population: Vec<Individual>,
+}
+
+impl JournalRun {
+    /// Individuals over the fixed points and their evaluations, with the
+    /// objectives of an area/frequency run: LUT, FF, BRAM and Fmax.
+    fn new(points: &[DesignPoint], evaluations: &[Evaluation]) -> JournalRun {
+        let individual = |i: usize| {
+            let e = &evaluations[i % evaluations.len()];
+            let used = |kind| e.utilization.get(kind) as f64;
+            let raw = vec![
+                used(ResourceKind::Lut),
+                used(ResourceKind::Register),
+                used(ResourceKind::Bram),
+                e.fmax_mhz,
+            ];
+            let min_objs = vec![raw[0], raw[1], raw[2], -raw[3]];
+            Individual {
+                genome: points[i % points.len()].values().to_vec(),
+                raw,
+                min_objs,
+                rank: if i.is_multiple_of(7) {
+                    usize::MAX
+                } else {
+                    i % 5
+                },
+                crowding: if i.is_multiple_of(11) {
+                    f64::INFINITY
+                } else {
+                    1.0 / (i + 1) as f64
+                },
+            }
+        };
+        let entries = JOURNAL_BASE + JOURNAL_APPENDS * JOURNAL_STEP;
+        JournalRun {
+            archive: (0..entries).map(individual).collect(),
+            history: (0..=JOURNAL_APPENDS)
+                .map(|b| GenStats {
+                    generation: b as u32,
+                    evaluations: (JOURNAL_BASE + b * JOURNAL_STEP) as u64,
+                    front_size: 12 + b,
+                    external_cost: 84.0 * b as f64,
+                })
+                .collect(),
+            population: (entries..entries + JOURNAL_STEP).map(individual).collect(),
+        }
+    }
+
+    /// The run's state at boundary `b`.
+    fn view(&self, b: usize) -> JournalView<'_> {
+        let evaluated = JOURNAL_BASE + b * JOURNAL_STEP;
+        JournalView {
+            fingerprint: "00112233445566778899aabbccddeeff",
+            complete: false,
+            tool_time_s: 84.0 * evaluated as f64,
+            stats: FitnessStats {
+                tool_runs: evaluated as u64,
+                ..FitnessStats::default()
+            },
+            trace: TraceSummary {
+                attempts: evaluated as u64,
+                ..TraceSummary::default()
+            },
+            runs: evaluated as u64,
+            generation: (evaluated / JOURNAL_STEP) as u32,
+            evaluations: evaluated as u64,
+            archive: &self.archive[..evaluated],
+            history: &self.history[..=b],
+            state: SearchStateRef::Nsga2 {
+                rng: [b as u64, u64::MAX, 0xdead_beef, 42],
+                population: &self.population,
+            },
+            selection: None,
+            surrogate: None,
+        }
+    }
+}
+
+/// Microseconds per base record and per appended boundary: `rounds`
+/// times, a fresh writer at `path` journals boundary 0, then appends the
+/// others.
+fn journal_us(path: &Path, run: &JournalRun, rounds: usize) -> [f64; 2] {
+    let (mut base, mut append) = (Duration::ZERO, Duration::ZERO);
+    for _ in 0..rounds {
+        let mut writer = JournalWriter::new(path);
+        let t0 = Instant::now();
+        writer.write(&run.view(0)).expect("the base record lands");
+        base += t0.elapsed();
+        let t0 = Instant::now();
+        for b in 1..=JOURNAL_APPENDS {
+            writer.write(&run.view(b)).expect("the append lands");
+        }
+        append += t0.elapsed();
+    }
+    [
+        base.as_secs_f64() * 1e6 / rounds as f64,
+        append.as_secs_f64() * 1e6 / (rounds * JOURNAL_APPENDS) as f64,
+    ]
+}
+
+/// Allocations of a fresh writer's base record and per appended
+/// boundary after it.
+fn journal_allocs(path: &Path, run: &JournalRun) -> [f64; 2] {
+    let mut writer = JournalWriter::new(path);
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    writer.write(&run.view(0)).expect("the base record lands");
+    let base = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for b in 1..=JOURNAL_APPENDS {
+        writer.write(&run.view(b)).expect("the append lands");
+    }
+    let appends = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    [base as f64, appends as f64 / JOURNAL_APPENDS as f64]
 }
 
 /// The inputs the report writers take, from one point's evaluation of
@@ -253,6 +393,10 @@ fn main() {
         })
         .collect();
     let store_dir = PathBuf::from("target").join("perf_attempt");
+    let payloads: Vec<String> = evaluations.iter().map(encode_evaluation).collect();
+    let journal_run = JournalRun::new(&points, &evaluations);
+    let journal_path = store_dir.join("journal.dovado");
+    std::fs::create_dir_all(&store_dir).expect("the bench directory exists");
     let inputs: Vec<ReportInputs> = evaluations.into_iter().map(ReportInputs::new).collect();
     let texts: Vec<(String, String, String)> = inputs
         .iter()
@@ -272,6 +416,7 @@ fn main() {
     // script caches, as the first attempt of any run does.
     let counted = evaluator();
     let _ = counted.evaluate(&points[0]);
+    let [journal_base_allocs, journal_append_allocs] = journal_allocs(&journal_path, &journal_run);
     let alloc_counts = [
         (
             "box_parse",
@@ -292,6 +437,14 @@ fn main() {
                 black_box(store.get(key));
             })
         }),
+        (
+            "store_decode",
+            allocs_per_op(&payloads, |p| {
+                black_box(decode_evaluation(p));
+            }),
+        ),
+        ("journal_base", journal_base_allocs),
+        ("journal_append", journal_append_allocs),
     ];
     let fanout_batch: Vec<u64> = (0..FANOUT_ITEMS).collect();
     let fanout_pool = rayon::ThreadPoolBuilder::new()
@@ -304,6 +457,7 @@ fn main() {
     for _ in 0..REPEATS {
         let [store_put, store_open, store_hit, store_miss] =
             store_us(&store_dir.join("timed"), &entries, store_rounds);
+        let [journal_base, journal_append] = journal_us(&journal_path, &journal_run, store_rounds);
         let per_stage = [
             time_us(&inputs, iterations, |r| {
                 black_box(write_utilization_report(BOX_TOP, &r.used, &part));
@@ -344,6 +498,11 @@ fn main() {
             store_open,
             store_hit,
             store_miss,
+            time_us(&payloads, iterations, |p| {
+                black_box(decode_evaluation(p));
+            }),
+            journal_base,
+            journal_append,
         ];
         for (series, us) in samples.iter_mut().zip(per_stage) {
             series.push(us);
@@ -369,7 +528,7 @@ fn main() {
     }
     let mode = if smoke { "smoke" } else { "default" };
     let json = format!(
-        "{{\n  \"benchmark\": \"attempt_stages\",\n  \"mode\": \"{mode}\",\n  \"config\": {{\"case_study\": \"{}\", \"part\": \"{}\", \"points\": {POINTS}, \"iterations\": {iterations}, \"attempt_points\": {attempts}, \"fanout_items\": {FANOUT_ITEMS}, \"fanout_threads\": {FANOUT_THREADS}, \"store_entries\": {STORE_ENTRIES}, \"repeats\": {REPEATS}}},\n  \"stage_us\": {{{medians}}},\n  \"stage_spread\": {{{spreads}}},\n  \"stage_allocs\": {{{allocs}}}\n}}\n",
+        "{{\n  \"benchmark\": \"attempt_stages\",\n  \"mode\": \"{mode}\",\n  \"config\": {{\"case_study\": \"{}\", \"part\": \"{}\", \"points\": {POINTS}, \"iterations\": {iterations}, \"attempt_points\": {attempts}, \"fanout_items\": {FANOUT_ITEMS}, \"fanout_threads\": {FANOUT_THREADS}, \"store_entries\": {STORE_ENTRIES}, \"journal_base\": {JOURNAL_BASE}, \"journal_step\": {JOURNAL_STEP}, \"repeats\": {REPEATS}}},\n  \"stage_us\": {{{medians}}},\n  \"stage_spread\": {{{spreads}}},\n  \"stage_allocs\": {{{allocs}}}\n}}\n",
         study.name, study.part,
     );
     let path = dovado_bench::results_dir().join("BENCH_attempt.json");

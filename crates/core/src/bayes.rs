@@ -13,14 +13,14 @@
 //!
 //! The engine implements [`dovado_moo::Explorer`], so journaling, tracing,
 //! cancellation and parallel schedules all apply. Beyond its ledger it
-//! journals only its RNG ([`SearchState::Bayes`]): the dataset is
+//! journals only its RNG ([`dovado_moo::SearchState::Bayes`]): the dataset is
 //! *derived* state, rebuilt from the archive in insertion order on
 //! resume, which keeps the journal format free of surrogate internals
 //! while still resuming bitwise.
 
 use dovado_moo::explorer::evaluate_genomes;
 use dovado_moo::ops::sampling::random_population;
-use dovado_moo::{IntVar, Ledger, Objective, OptResult, Problem, SearchState};
+use dovado_moo::{IntVar, Ledger, Objective, OptResult, Problem, SearchStateRef};
 use dovado_surrogate::{Bounds, Dataset, Kernel, NadarayaWatson};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -116,8 +116,8 @@ impl dovado_moo::Explorer for BayesExplorer {
     fn ledger(&self) -> &Ledger {
         &self.ledger
     }
-    fn state(&self) -> SearchState {
-        SearchState::Bayes {
+    fn state(&self) -> SearchStateRef<'_> {
+        SearchStateRef::Bayes {
             rng: self.rng.state(),
         }
     }
@@ -164,7 +164,7 @@ impl dovado_moo::Explorer for BayesExplorer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dovado_moo::{Explorer, Schaffer, Termination};
+    use dovado_moo::{Explorer, Schaffer, SearchState, Termination};
 
     #[test]
     fn bayes_converges_near_the_front() {

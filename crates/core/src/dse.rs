@@ -19,7 +19,7 @@ use crate::fitness::{DseProblem, FitnessStats};
 use crate::flow::{EvalConfig, FlowStep, HdlSource};
 use crate::metrics::{Evaluation, MetricSet};
 use crate::obs::CandidateScore;
-use crate::persist::{self, Journal, JournalWriter, PersistConfig, SurrogateJournal};
+use crate::persist::{self, DatasetRows, JournalView, JournalWriter, PersistConfig, SurrogateView};
 use crate::point::DesignPoint;
 use crate::results::{DseReport, ParetoEntry, PointResult};
 use crate::space::ParameterSpace;
@@ -746,9 +746,13 @@ impl Dovado {
         loop {
             if engine.should_stop(&*problem, termination) {
                 if let Some((writer, f)) = &mut journal {
-                    writer.write(|tail| {
-                        Self::journal_of(problem, engine.as_ref(), selection, f, true, tail)
-                    })?;
+                    writer.write(&Self::journal_of(
+                        problem,
+                        engine.as_ref(),
+                        selection,
+                        f,
+                        true,
+                    ))?;
                 }
                 break;
             }
@@ -761,9 +765,13 @@ impl Dovado {
                     evaluations: engine.evaluations(),
                 });
             if let Some((writer, f)) = &mut journal {
-                writer.write(|tail| {
-                    Self::journal_of(problem, engine.as_ref(), selection, f, false, tail)
-                })?;
+                writer.write(&Self::journal_of(
+                    problem,
+                    engine.as_ref(),
+                    selection,
+                    f,
+                    false,
+                ))?;
                 if let Some(injector) = problem.evaluator().injector() {
                     if injector.fires(FaultKind::HostCrash) {
                         problem
@@ -943,35 +951,38 @@ impl Dovado {
             .hex()
     }
 
-    /// Captures the exploration state at a generation boundary, with the
-    /// engine's archive and history cut to their entries past `tail`
-    /// (archive and history lengths the journal already holds).
-    fn journal_of(
-        problem: &DseProblem,
-        engine: &dyn EngineExplorer,
-        selection: Option<&SelectionRecord>,
-        fingerprint: &str,
+    /// The exploration state at a generation boundary, borrowed in place
+    /// from the problem, its evaluator and surrogate, and the engine.
+    fn journal_of<'a>(
+        problem: &'a DseProblem,
+        engine: &'a dyn EngineExplorer,
+        selection: Option<&'a SelectionRecord>,
+        fingerprint: &'a str,
         complete: bool,
-        tail: (usize, usize),
-    ) -> Journal {
-        let surrogate = problem.surrogate().map(|c| SurrogateJournal {
-            bandwidth: c.model().bandwidth,
-            gamma: c.gamma(),
-            inserts_since_retrain: c.inserts_since_retrain(),
-            retrain_every: c.retrain_every,
-            stats: c.stats,
-            dataset_csv: c.dataset().to_csv(),
-        });
-        Journal {
-            fingerprint: fingerprint.to_string(),
+    ) -> JournalView<'a> {
+        let evaluator = problem.evaluator();
+        let ledger = engine.ledger();
+        JournalView {
+            fingerprint,
             complete,
-            tool_time_s: problem.evaluator().total_tool_time(),
-            trace: problem.evaluator().trace_summary(),
-            runs: problem.evaluator().total_runs(),
+            tool_time_s: evaluator.total_tool_time(),
             stats: problem.stats,
-            snapshot: engine.snapshot_tail(tail.0, tail.1),
-            selection: selection.cloned(),
-            surrogate,
+            trace: evaluator.trace_summary(),
+            runs: evaluator.total_runs(),
+            generation: ledger.generation,
+            evaluations: ledger.evaluations,
+            archive: &ledger.archive,
+            history: &ledger.history,
+            state: engine.state(),
+            selection,
+            surrogate: problem.surrogate().map(|c| SurrogateView {
+                bandwidth: c.model().bandwidth,
+                gamma: c.gamma(),
+                inserts_since_retrain: c.inserts_since_retrain(),
+                retrain_every: c.retrain_every,
+                stats: c.stats,
+                dataset: DatasetRows::Live(c.dataset()),
+            }),
         }
     }
 
@@ -1022,6 +1033,7 @@ impl Dovado {
 mod tests {
     use super::*;
     use crate::metrics::Metric;
+    use crate::persist::Journal;
     use crate::space::Domain;
     use dovado_fpga::ResourceKind;
     use dovado_hdl::Language;
@@ -1345,13 +1357,11 @@ endmodule"#;
                     if !complete {
                         engine.step(&mut problem);
                     }
-                    let capture = |tail| {
-                        let sel = selection.as_ref();
-                        Dovado::journal_of(&problem, engine.as_ref(), sel, "fp", complete, tail)
-                    };
-                    writer.write(capture).unwrap();
+                    let sel = selection.as_ref();
+                    let run = Dovado::journal_of(&problem, engine.as_ref(), sel, "fp", complete);
+                    writer.write(&run).unwrap();
                     let read = persist::read_journal(&path).unwrap();
-                    let whole = capture((0, 0));
+                    let whole = run.to_journal();
                     assert_eq!(read, whole, "{cfg:?} at boundary {boundaries}");
                     assert_eq!(compact("read", &read), compact("whole", &whole));
                     boundaries += 1;

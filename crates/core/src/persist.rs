@@ -59,6 +59,17 @@
 //! rewrite per boundary. A process never appends to a file it did not
 //! start itself: a resumed run's first boundary is a full write.
 //!
+//! A boundary is encoded in place. The writer reads a [`JournalView`]
+//! that borrows the running engine's archive, history and population and
+//! the surrogate's dataset, takes the archive and history entries past
+//! the lengths its file already holds, and writes every field's digits
+//! straight into one buffer it keeps from boundary to boundary;
+//! [`frame_in_place`] puts the record header in front, and the record
+//! goes out in one `write_all`. Nothing is copied into an owned
+//! [`Journal`] first, so an appended boundary allocates nothing once the
+//! buffer has grown to a record's size. [`write_journal`] is a fresh
+//! writer's first boundary, through the same encoder.
+//!
 //! **Torn tail.** A crash during an append can leave the last record cut
 //! short by the end of the file. Reading drops it: the records before it
 //! are the previous boundary's complete state, exactly what a crash
@@ -78,12 +89,12 @@ use crate::error::{DovadoError, DovadoResult};
 use crate::fitness::FitnessStats;
 use crate::flow::{EvalConfig, HdlSource};
 use crate::metrics::Evaluation;
-use dovado_eda::frame::{frame_record, next_frame, Frame};
+use dovado_eda::frame::{frame_in_place, next_frame, Frame};
 use dovado_eda::store::atomic_write;
 use dovado_eda::EvalKey;
 use dovado_fpga::{ResourceKind, ResourceSet};
-use dovado_moo::{ExplorerSnapshot, GenStats, Individual, Ledger, SearchState};
-use dovado_surrogate::ControlStats;
+use dovado_moo::{ExplorerSnapshot, GenStats, Individual, Ledger, SearchState, SearchStateRef};
+use dovado_surrogate::{ControlStats, Dataset};
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -140,67 +151,140 @@ impl PersistConfig {
 
 // ---- bitwise float / integer helpers -----------------------------------
 
-fn f64_hex(x: f64) -> String {
-    format!("{:016x}", x.to_bits())
-}
-
 fn f64_from_hex(s: &str) -> Option<f64> {
     u64::from_str_radix(s, 16).ok().map(f64::from_bits)
 }
 
+/// Text being encoded: each field is written straight into the buffer —
+/// 16 lowercase hex digits for a float's bit pattern or an RNG word,
+/// decimal digits for a count or a gene — with no intermediate string.
+struct Enc<'a>(&'a mut Vec<u8>);
+
+impl Enc<'_> {
+    fn text(&mut self, s: &str) -> &mut Self {
+        self.0.extend_from_slice(s.as_bytes());
+        self
+    }
+
+    /// `x` in decimal, as `Display` writes it.
+    fn dec(&mut self, mut x: u64) -> &mut Self {
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (x % 10) as u8;
+            x /= 10;
+            if x == 0 {
+                break;
+            }
+        }
+        self.0.extend_from_slice(&digits[at..]);
+        self
+    }
+
+    /// `x` as 16 lowercase hex digits, as `{:016x}` writes it.
+    fn hex(&mut self, x: u64) -> &mut Self {
+        const DIGITS: &[u8; 16] = b"0123456789abcdef";
+        let mut digits = [0u8; 16];
+        for (i, d) in digits.iter_mut().enumerate() {
+            *d = DIGITS[(x >> (60 - 4 * i)) as usize & 0xf];
+        }
+        self.0.extend_from_slice(&digits);
+        self
+    }
+
+    /// A space, then `x` in decimal.
+    fn num(&mut self, x: u64) -> &mut Self {
+        self.0.push(b' ');
+        self.dec(x)
+    }
+
+    /// A space, then `x` as 16 hex digits.
+    fn word(&mut self, x: u64) -> &mut Self {
+        self.0.push(b' ');
+        self.hex(x)
+    }
+
+    /// A space, then `x`'s bit pattern as 16 hex digits.
+    fn bits(&mut self, x: f64) -> &mut Self {
+        self.word(x.to_bits())
+    }
+
+    /// Genes in decimal, separated by spaces.
+    fn genes(&mut self, genes: &[i64]) -> &mut Self {
+        for (i, &g) in genes.iter().enumerate() {
+            self.text(match (i, g < 0) {
+                (0, false) => "",
+                (0, true) => "-",
+                (_, false) => " ",
+                (_, true) => " -",
+            })
+            .dec(g.unsigned_abs());
+        }
+        self
+    }
+
+    /// Float bit patterns, separated by spaces.
+    fn floats(&mut self, xs: &[f64]) -> &mut Self {
+        for (i, x) in xs.iter().enumerate() {
+            self.text(if i == 0 { "" } else { " " }).hex(x.to_bits());
+        }
+        self
+    }
+
+    fn end(&mut self) {
+        self.0.push(b'\n');
+    }
+}
+
 // ---- evaluation serialization (store entries) --------------------------
+
+/// Bytes of an encoded [`Evaluation`] at most: `util` and one count of up
+/// to 20 digits per resource kind, `timing` and five bit patterns, each
+/// field after a space, two newlines.
+const EVALUATION_MAX_LEN: usize = 4 + 21 * ResourceKind::ALL.len() + 6 + 5 * 17 + 2;
 
 /// Serializes an [`Evaluation`] for the store. Utilization counts are
 /// decimal (they are exact integers); every float is its bit pattern.
 pub fn encode_evaluation(e: &Evaluation) -> String {
-    let util: Vec<String> = ResourceKind::ALL
-        .iter()
-        .map(|&k| e.utilization.get(k).to_string())
-        .collect();
-    format!(
-        "util {}\ntiming {} {} {} {} {}\n",
-        util.join(" "),
-        f64_hex(e.wns_ns),
-        f64_hex(e.period_ns),
-        f64_hex(e.fmax_mhz),
-        f64_hex(e.power_mw),
-        f64_hex(e.tool_time_s),
-    )
+    let mut out = Vec::with_capacity(EVALUATION_MAX_LEN);
+    let mut enc = Enc(&mut out);
+    enc.text("util");
+    for &kind in &ResourceKind::ALL {
+        enc.num(e.utilization.get(kind));
+    }
+    enc.end();
+    enc.text("timing")
+        .bits(e.wns_ns)
+        .bits(e.period_ns)
+        .bits(e.fmax_mhz)
+        .bits(e.power_mw)
+        .bits(e.tool_time_s)
+        .end();
+    String::from_utf8(out).expect("tags and digits are ASCII")
 }
 
-/// Parses a store entry back into an [`Evaluation`]. `None` on any
-/// structural problem — the store treats that as a miss.
+/// Parses a store entry back into an [`Evaluation`], straight into its
+/// fields. `None` on any structural problem — the store treats that as
+/// a miss.
 pub fn decode_evaluation(text: &str) -> Option<Evaluation> {
     let mut lines = text.lines();
-    let util_line = lines.next()?.strip_prefix("util ")?;
-    let counts: Vec<u64> = util_line
-        .split_whitespace()
-        .map(|t| t.parse().ok())
-        .collect::<Option<Vec<u64>>>()?;
-    if counts.len() != ResourceKind::ALL.len() {
-        return None;
-    }
+    let mut counts = lines.next()?.strip_prefix("util ")?.split_whitespace();
     let mut utilization = ResourceSet::zero();
-    for (&kind, &n) in ResourceKind::ALL.iter().zip(&counts) {
-        utilization.set(kind, n);
+    for &kind in &ResourceKind::ALL {
+        utilization.set(kind, counts.next()?.parse().ok()?);
     }
-    let timing: Vec<f64> = lines
-        .next()?
-        .strip_prefix("timing ")?
-        .split_whitespace()
-        .map(f64_from_hex)
-        .collect::<Option<Vec<f64>>>()?;
-    if timing.len() != 5 {
-        return None;
-    }
-    Some(Evaluation {
+    let mut timing = lines.next()?.strip_prefix("timing ")?.split_whitespace();
+    let mut float = || timing.next().and_then(f64_from_hex);
+    let evaluation = Evaluation {
         utilization,
-        wns_ns: timing[0],
-        period_ns: timing[1],
-        fmax_mhz: timing[2],
-        power_mw: timing[3],
-        tool_time_s: timing[4],
-    })
+        wns_ns: float()?,
+        period_ns: float()?,
+        fmax_mhz: float()?,
+        power_mw: float()?,
+        tool_time_s: float()?,
+    };
+    (counts.next().is_none() && timing.next().is_none()).then_some(evaluation)
 }
 
 /// The 128-bit identity of an evaluator: everything that determines an
@@ -302,195 +386,298 @@ pub struct Journal {
     pub surrogate: Option<SurrogateJournal>,
 }
 
-fn individual_line(ind: &Individual) -> String {
-    let bits = |v: &[f64]| v.iter().map(|x| f64_hex(*x)).collect::<Vec<_>>().join(" ");
-    format!(
-        "{}|{}|{}|{}|{}",
-        genome_tokens(&ind.genome),
-        bits(&ind.raw),
-        bits(&ind.min_objs),
-        ind.rank,
-        f64_hex(ind.crowding)
-    )
+/// The exploration state at one generation boundary, borrowed from
+/// wherever it lives — the running engine, problem and evaluator
+/// ([`crate::Dovado`]'s boundary) or a whole [`Journal`]
+/// ([`Journal::view`]) — for [`JournalWriter::write`] to encode in
+/// place. Its fields are [`Journal`]'s.
+#[derive(Debug, Clone, Copy)]
+pub struct JournalView<'a> {
+    /// See [`Journal::fingerprint`].
+    pub fingerprint: &'a str,
+    /// See [`Journal::complete`].
+    pub complete: bool,
+    /// See [`Journal::tool_time_s`].
+    pub tool_time_s: f64,
+    /// See [`Journal::stats`].
+    pub stats: FitnessStats,
+    /// See [`Journal::trace`].
+    pub trace: crate::trace::TraceSummary,
+    /// See [`Journal::runs`].
+    pub runs: u64,
+    /// See [`Ledger::generation`].
+    pub generation: u32,
+    /// See [`Ledger::evaluations`].
+    pub evaluations: u64,
+    /// The whole archive so far; a record holds the entries past those
+    /// its file already holds.
+    pub archive: &'a [Individual],
+    /// The whole history so far, recorded like the archive.
+    pub history: &'a [GenStats],
+    /// The engine's own state.
+    pub state: SearchStateRef<'a>,
+    /// See [`Journal::selection`].
+    pub selection: Option<&'a crate::dse::SelectionRecord>,
+    /// See [`Journal::surrogate`].
+    pub surrogate: Option<SurrogateView<'a>>,
 }
 
-fn parse_individual(line: &str) -> Option<Individual> {
-    let fields: Vec<&str> = line.split('|').collect();
-    if fields.len() != 5 {
-        return None;
+/// The surrogate section of a [`JournalView`]: [`SurrogateJournal`]'s
+/// fields, with the dataset borrowed.
+#[derive(Debug, Clone, Copy)]
+pub struct SurrogateView<'a> {
+    /// See [`SurrogateJournal::bandwidth`].
+    pub bandwidth: f64,
+    /// See [`SurrogateJournal::gamma`].
+    pub gamma: f64,
+    /// See [`SurrogateJournal::inserts_since_retrain`].
+    pub inserts_since_retrain: usize,
+    /// See [`SurrogateJournal::retrain_every`].
+    pub retrain_every: usize,
+    /// See [`SurrogateJournal::stats`].
+    pub stats: ControlStats,
+    /// The dataset's rows.
+    pub dataset: DatasetRows<'a>,
+}
+
+/// Where a [`SurrogateView`]'s dataset rows come from.
+#[derive(Debug, Clone, Copy)]
+pub enum DatasetRows<'a> {
+    /// The controller's dataset, written through [`Dataset::write_csv`].
+    Live(&'a Dataset),
+    /// Its CSV text, as [`SurrogateJournal::dataset_csv`] holds it.
+    Csv(&'a str),
+}
+
+impl Journal {
+    /// This journal as the view [`JournalWriter::write`] encodes.
+    pub fn view(&self) -> JournalView<'_> {
+        let ledger = &self.snapshot.ledger;
+        JournalView {
+            fingerprint: &self.fingerprint,
+            complete: self.complete,
+            tool_time_s: self.tool_time_s,
+            stats: self.stats,
+            trace: self.trace,
+            runs: self.runs,
+            generation: ledger.generation,
+            evaluations: ledger.evaluations,
+            archive: &ledger.archive,
+            history: &ledger.history,
+            state: self.snapshot.state.as_ref(),
+            selection: self.selection.as_ref(),
+            surrogate: self.surrogate.as_ref().map(|s| SurrogateView {
+                bandwidth: s.bandwidth,
+                gamma: s.gamma,
+                inserts_since_retrain: s.inserts_since_retrain,
+                retrain_every: s.retrain_every,
+                stats: s.stats,
+                dataset: DatasetRows::Csv(&s.dataset_csv),
+            }),
+        }
     }
-    let genome = parse_genome(fields[0])?;
-    let raw: Vec<f64> = fields[1]
-        .split_whitespace()
-        .map(f64_from_hex)
-        .collect::<Option<_>>()?;
-    let min_objs: Vec<f64> = fields[2]
-        .split_whitespace()
-        .map(f64_from_hex)
-        .collect::<Option<_>>()?;
-    Some(Individual {
-        genome,
-        raw,
-        min_objs,
-        rank: fields[3].parse().ok()?,
-        crowding: f64_from_hex(fields[4])?,
-    })
 }
 
-fn push_rng(out: &mut String, state: &[u64; 4]) {
-    out.push_str(&format!(
-        "rng {:016x} {:016x} {:016x} {:016x}\n",
-        state[0], state[1], state[2], state[3]
-    ));
-}
-
-/// A `<header> <n>` line followed by one line per individual.
-fn push_individuals(out: &mut String, header: &str, inds: &[Individual]) {
-    out.push_str(&format!("{header} {}\n", inds.len()));
-    for ind in inds {
-        out.push_str(&individual_line(ind));
-        out.push('\n');
+impl JournalView<'_> {
+    /// The journal this view reads, owned.
+    #[cfg(test)]
+    pub(crate) fn to_journal(self) -> Journal {
+        Journal {
+            fingerprint: self.fingerprint.to_string(),
+            complete: self.complete,
+            tool_time_s: self.tool_time_s,
+            stats: self.stats,
+            trace: self.trace,
+            runs: self.runs,
+            snapshot: ExplorerSnapshot {
+                ledger: Ledger {
+                    generation: self.generation,
+                    evaluations: self.evaluations,
+                    archive: self.archive.to_vec(),
+                    history: self.history.to_vec(),
+                },
+                state: self.state.into(),
+            },
+            selection: self.selection.cloned(),
+            surrogate: self.surrogate.map(|s| SurrogateJournal {
+                bandwidth: s.bandwidth,
+                gamma: s.gamma,
+                inserts_since_retrain: s.inserts_since_retrain,
+                retrain_every: s.retrain_every,
+                stats: s.stats,
+                dataset_csv: match s.dataset {
+                    DatasetRows::Live(dataset) => dataset.to_csv(),
+                    DatasetRows::Csv(csv) => csv.to_string(),
+                },
+            }),
+        }
     }
 }
 
-fn genome_tokens(genome: &[i64]) -> String {
-    let toks: Vec<String> = genome.iter().map(|x| x.to_string()).collect();
-    toks.join(" ")
+/// `genome|raw|min_objs|rank|crowding`: genes in decimal, floats as bit
+/// patterns.
+fn encode_individual(e: &mut Enc, ind: &Individual) {
+    e.genes(&ind.genome).text("|");
+    e.floats(&ind.raw).text("|");
+    e.floats(&ind.min_objs).text("|");
+    e.dec(ind.rank as u64)
+        .text("|")
+        .hex(ind.crowding.to_bits())
+        .end();
+}
+
+fn encode_rng(e: &mut Enc, rng: [u64; 4]) {
+    e.text("rng");
+    for w in rng {
+        e.word(w);
+    }
+    e.end();
 }
 
 /// The explorer section: the kind, the ledger's counters, the kind's own
-/// fields, then the ledger's history and archive, labelled with the index
-/// their first entry has in the whole run (`history_from`,
-/// `archive_from`), since a record may carry only their tails.
-fn serialize_snapshot(
-    out: &mut String,
-    snap: &ExplorerSnapshot,
-    archive_from: usize,
-    history_from: usize,
-) {
-    let ExplorerSnapshot { ledger, state } = snap;
-    out.push_str(&format!("explorer {}\n", state.kind()));
-    out.push_str(&format!("generation {}\n", ledger.generation));
-    out.push_str(&format!("evaluations {}\n", ledger.evaluations));
-    match state {
-        SearchState::Nsga2 { rng, population } | SearchState::WeightedSum { rng, population } => {
-            push_rng(out, rng);
-            push_individuals(out, "population", population);
+/// fields, then the ledger's history and archive past `history_from` and
+/// `archive_from`, labelled with the index their first entry has in the
+/// whole run.
+fn encode_explorer(e: &mut Enc, run: &JournalView, archive_from: usize, history_from: usize) {
+    e.text("explorer ").text(run.state.kind()).end();
+    e.text("generation").num(run.generation.into()).end();
+    e.text("evaluations").num(run.evaluations).end();
+    match run.state {
+        SearchStateRef::Nsga2 { rng, population }
+        | SearchStateRef::WeightedSum { rng, population } => {
+            encode_rng(e, rng);
+            e.text("population").num(population.len() as u64).end();
+            for ind in population {
+                encode_individual(e, ind);
+            }
         }
-        SearchState::Random { rng } | SearchState::Bayes { rng } => push_rng(out, rng),
-        SearchState::Exhaustive { cursor: None } => out.push_str("cursor 0\n"),
-        SearchState::Exhaustive { cursor: Some(c) } => {
-            out.push_str(&format!("cursor 1 {}\n", genome_tokens(c)));
-        }
-        SearchState::Annealing {
+        SearchStateRef::Random { rng } | SearchStateRef::Bayes { rng } => encode_rng(e, rng),
+        SearchStateRef::Exhaustive { cursor: None } => e.text("cursor 0").end(),
+        SearchStateRef::Exhaustive { cursor: Some(c) } => e.text("cursor 1 ").genes(c).end(),
+        SearchStateRef::Annealing {
             rng,
             current,
             energy,
             temperature,
         } => {
-            push_rng(out, rng);
-            out.push_str(&format!("current {}\n", genome_tokens(current)));
-            out.push_str(&format!("energy {}\n", f64_hex(*energy)));
-            out.push_str(&format!("temperature {}\n", f64_hex(*temperature)));
+            encode_rng(e, rng);
+            e.text("current ").genes(current).end();
+            e.text("energy").bits(energy).end();
+            e.text("temperature").bits(temperature).end();
         }
     }
-    out.push_str(&format!(
-        "history {history_from} {}\n",
-        ledger.history.len()
-    ));
-    for g in &ledger.history {
-        out.push_str(&format!(
-            "{} {} {} {}\n",
-            g.generation,
-            g.evaluations,
-            g.front_size,
-            f64_hex(g.external_cost)
-        ));
+    let history = &run.history[history_from..];
+    e.text("history")
+        .num(history_from as u64)
+        .num(history.len() as u64)
+        .end();
+    for g in history {
+        e.dec(g.generation.into())
+            .num(g.evaluations)
+            .num(g.front_size as u64)
+            .bits(g.external_cost)
+            .end();
     }
-    push_individuals(out, &format!("archive {archive_from}"), &ledger.archive);
+    let archive = &run.archive[archive_from..];
+    e.text("archive")
+        .num(archive_from as u64)
+        .num(archive.len() as u64)
+        .end();
+    for ind in archive {
+        encode_individual(e, ind);
+    }
 }
 
-/// One record's payload: `j` whole, except that its snapshot's archive
-/// and history hold only the entries past `archive_from` and
+/// Appends one record's payload to `out`: `run` whole, except that its
+/// archive and history hold only the entries past `archive_from` and
 /// `history_from` (both 0 for a base record).
-fn serialize_record(j: &Journal, archive_from: usize, history_from: usize) -> String {
-    let s = &j.stats;
-    let mut out = String::new();
-    out.push_str(&format!("fingerprint {}\n", j.fingerprint));
-    out.push_str(&format!("complete {}\n", u8::from(j.complete)));
-    out.push_str(&format!("tool_time {}\n", f64_hex(j.tool_time_s)));
-    out.push_str(&format!(
-        "fitness {} {} {} {} {} {} {}\n",
+fn encode_record(out: &mut Vec<u8>, run: &JournalView, archive_from: usize, history_from: usize) {
+    let e = &mut Enc(out);
+    e.text("fingerprint ").text(run.fingerprint).end();
+    e.text("complete").num(run.complete.into()).end();
+    e.text("tool_time").bits(run.tool_time_s).end();
+    let s = &run.stats;
+    e.text("fitness");
+    for n in [
         s.tool_runs,
         s.cached_runs,
         s.estimates,
         s.failures,
         s.transient_failures,
         s.permanent_failures,
-        s.retries
-    ));
-    let t = &j.trace;
-    out.push_str(&format!(
-        "trace {} {} {} {} {} {} {} {}\n",
+        s.retries,
+    ] {
+        e.num(n);
+    }
+    e.end();
+    let t = &run.trace;
+    e.text("trace");
+    for n in [
         t.attempts,
         t.retries,
         t.transient_failures,
         t.permanent_failures,
         t.cache_hits,
         t.store_hits,
-        f64_hex(t.backoff_s),
-        j.runs
-    ));
-    serialize_snapshot(&mut out, &j.snapshot, archive_from, history_from);
-    match &j.selection {
-        None => out.push_str("selection 0\n"),
+    ] {
+        e.num(n);
+    }
+    e.bits(t.backoff_s).num(run.runs).end();
+    encode_explorer(e, run, archive_from, history_from);
+    match run.selection {
+        None => e.text("selection 0").end(),
         Some(rec) => {
-            out.push_str("selection 1\n");
-            out.push_str(&format!("chosen {}\n", rec.explorer));
-            out.push_str(&format!(
-                "context {} {}\n",
-                rec.space_volume, rec.objectives
-            ));
-            out.push_str(&format!(
-                "lowfi {} {}\n",
-                rec.lowfi_runs,
-                f64_hex(rec.lowfi_time_s)
-            ));
-            out.push_str(&format!("candidates {}\n", rec.candidates.len()));
+            e.text("selection 1").end();
+            e.text("chosen ").text(&rec.explorer).end();
+            e.text("context")
+                .num(rec.space_volume)
+                .num(rec.objectives.into())
+                .end();
+            e.text("lowfi")
+                .num(rec.lowfi_runs)
+                .bits(rec.lowfi_time_s)
+                .end();
+            e.text("candidates").num(rec.candidates.len() as u64).end();
             for c in &rec.candidates {
-                out.push_str(&format!(
-                    "{} {} {} {}\n",
-                    c.name,
-                    c.evaluations,
-                    f64_hex(c.hypervolume),
-                    f64_hex(c.slope)
-                ));
+                e.text(&c.name)
+                    .num(c.evaluations)
+                    .bits(c.hypervolume)
+                    .bits(c.slope)
+                    .end();
             }
         }
     }
-    match &j.surrogate {
-        None => out.push_str("surrogate 0\n"),
-        Some(sj) => {
-            out.push_str("surrogate 1\n");
-            out.push_str(&format!("bandwidth {}\n", f64_hex(sj.bandwidth)));
-            out.push_str(&format!("gamma {}\n", f64_hex(sj.gamma)));
-            out.push_str(&format!(
-                "phase {} {}\n",
-                sj.inserts_since_retrain, sj.retrain_every
-            ));
-            out.push_str(&format!(
-                "control {} {} {}\n",
-                sj.stats.cached, sj.stats.estimated, sj.stats.evaluated
-            ));
-            let csv_lines = sj.dataset_csv.lines().count();
-            out.push_str(&format!("dataset {csv_lines}\n"));
-            for line in sj.dataset_csv.lines() {
-                out.push_str(line);
-                out.push('\n');
+    match run.surrogate {
+        None => e.text("surrogate 0").end(),
+        Some(s) => {
+            e.text("surrogate 1").end();
+            e.text("bandwidth").bits(s.bandwidth).end();
+            e.text("gamma").bits(s.gamma).end();
+            e.text("phase")
+                .num(s.inserts_since_retrain as u64)
+                .num(s.retrain_every as u64)
+                .end();
+            e.text("control")
+                .num(s.stats.cached)
+                .num(s.stats.estimated)
+                .num(s.stats.evaluated)
+                .end();
+            match s.dataset {
+                DatasetRows::Live(dataset) => {
+                    e.text("dataset").num(dataset.len() as u64 + 1).end();
+                    dataset
+                        .write_csv(e.0)
+                        .expect("writing to a Vec cannot fail");
+                }
+                DatasetRows::Csv(csv) => {
+                    e.text("dataset").num(csv.lines().count() as u64).end();
+                    for line in csv.lines() {
+                        e.text(line).end();
+                    }
+                }
             }
         }
     }
-    out
 }
 
 /// Line cursor over one record's payload. Parsing the explorer section
@@ -666,6 +853,29 @@ fn parse_genome(tokens: &str) -> Option<Vec<i64>> {
         .collect::<Option<_>>()
 }
 
+fn parse_individual(line: &str) -> Option<Individual> {
+    let fields: Vec<&str> = line.split('|').collect();
+    if fields.len() != 5 {
+        return None;
+    }
+    let genome = parse_genome(fields[0])?;
+    let raw: Vec<f64> = fields[1]
+        .split_whitespace()
+        .map(f64_from_hex)
+        .collect::<Option<_>>()?;
+    let min_objs: Vec<f64> = fields[2]
+        .split_whitespace()
+        .map(f64_from_hex)
+        .collect::<Option<_>>()?;
+    Some(Individual {
+        genome,
+        raw,
+        min_objs,
+        rank: fields[3].parse().ok()?,
+        crowding: f64_from_hex(fields[4])?,
+    })
+}
+
 /// The `n` lines of `n` individuals.
 fn parse_individual_lines(c: &mut Cursor, n: usize) -> Option<Vec<Individual>> {
     let mut inds = Vec::with_capacity(n.min(1 << 16));
@@ -778,10 +988,9 @@ fn journal_io_error(path: &Path, e: std::io::Error) -> DovadoError {
 
 /// Atomically writes `journal` as a compact journal of one base record
 /// (tmp file + rename): a crash mid-write leaves the previous journal
-/// intact.
+/// intact. This is a fresh [`JournalWriter`]'s first boundary.
 pub fn write_journal(path: &Path, journal: &Journal) -> DovadoResult<()> {
-    let text = journal_header() + &frame_record(&serialize_record(journal, 0, 0));
-    atomic_write(path, text.as_bytes()).map_err(|e| journal_io_error(path, e))
+    JournalWriter::new(path).write(&journal.view())
 }
 
 /// Writes one run's journal, one [`JournalWriter::write`] per generation
@@ -796,6 +1005,9 @@ pub struct JournalWriter {
     base_bytes: usize,
     /// Bytes appended since the last full write.
     appended_bytes: usize,
+    /// The bytes of the latest boundary's write, kept for the next one:
+    /// once it has grown to a record's size, encoding allocates nothing.
+    buf: Vec<u8>,
 }
 
 impl JournalWriter {
@@ -807,39 +1019,37 @@ impl JournalWriter {
             held: None,
             base_bytes: 0,
             appended_bytes: 0,
+            buf: Vec::new(),
         }
     }
 
-    /// Journals one boundary. `capture((archive_from, history_from))`
-    /// returns the exploration state with the snapshot's archive and
-    /// history cut to their entries past those lengths — `(0, 0)` when
-    /// this boundary is a full write — so a boundary copies only what
-    /// the generations since the previous one added.
-    pub fn write(&mut self, capture: impl FnOnce((usize, usize)) -> Journal) -> DovadoResult<()> {
+    /// Journals one boundary: encodes `run` in place — its whole ledger
+    /// on a full write, else only the archive and history entries past
+    /// those the file already holds — and writes the record with one
+    /// `write_all` (or one atomic replace).
+    pub fn write(&mut self, run: &JournalView<'_>) -> DovadoResult<()> {
         let append_from = self.held.filter(|_| self.appended_bytes <= self.base_bytes);
         let (archive_from, history_from) = append_from.unwrap_or((0, 0));
-        let journal = capture((archive_from, history_from));
-        let ledger = &journal.snapshot.ledger;
-        let held = (
-            archive_from + ledger.archive.len(),
-            history_from + ledger.history.len(),
-        );
-        let record = frame_record(&serialize_record(&journal, archive_from, history_from));
+        self.buf.clear();
+        if append_from.is_none() {
+            self.buf.extend_from_slice(journal_header().as_bytes());
+        }
+        let payload_at = self.buf.len();
+        encode_record(&mut self.buf, run, archive_from, history_from);
+        frame_in_place(&mut self.buf, payload_at);
         if append_from.is_some() {
             fs::OpenOptions::new()
                 .append(true)
                 .open(&self.path)
-                .and_then(|mut f| f.write_all(record.as_bytes()))
+                .and_then(|mut f| f.write_all(&self.buf))
                 .map_err(|e| journal_io_error(&self.path, e))?;
-            self.appended_bytes += record.len();
+            self.appended_bytes += self.buf.len();
         } else {
-            let text = journal_header() + &record;
-            atomic_write(&self.path, text.as_bytes())
-                .map_err(|e| journal_io_error(&self.path, e))?;
-            self.base_bytes = text.len();
+            atomic_write(&self.path, &self.buf).map_err(|e| journal_io_error(&self.path, e))?;
+            self.base_bytes = self.buf.len();
             self.appended_bytes = 0;
         }
-        self.held = Some(held);
+        self.held = Some((run.archive.len(), run.history.len()));
         Ok(())
     }
 }
@@ -897,6 +1107,9 @@ pub fn read_journal(path: &Path) -> DovadoResult<Journal> {
     }
     folded.ok_or_else(|| refuse("holds no record".into()))
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
@@ -1172,13 +1385,13 @@ mod tests {
 
     // ---- appended journal ---------------------------------------------
 
-    /// `j` with its snapshot's archive and history cut to the entries
-    /// past `archive_from` and `history_from`: what an engine's
-    /// `snapshot_tail` hands the writer.
-    fn tail_of(j: &Journal, archive_from: usize, history_from: usize) -> Journal {
-        let mut tail = j.clone();
-        tail.snapshot.ledger = j.snapshot.ledger.tail(archive_from, history_from);
-        tail
+    /// `j`'s record framed, its archive and history cut past
+    /// `archive_from` and `history_from`.
+    fn framed_record(j: &Journal, archive_from: usize, history_from: usize) -> Vec<u8> {
+        let mut record = Vec::new();
+        encode_record(&mut record, &j.view(), archive_from, history_from);
+        frame_in_place(&mut record, 0);
+        record
     }
 
     /// Equality down to the float bits: the compact encoding spells every
@@ -1186,7 +1399,7 @@ mod tests {
     /// included, where `PartialEq` alone would take `0.0` for it.
     fn assert_bitwise(got: &Journal, want: &Journal) {
         assert_eq!(got, want);
-        assert_eq!(serialize_record(got, 0, 0), serialize_record(want, 0, 0));
+        assert_eq!(framed_record(got, 0, 0), framed_record(want, 0, 0));
     }
 
     fn boundary_individual(g: usize, i: usize) -> Individual {
@@ -1297,7 +1510,7 @@ mod tests {
                         complete: g == 23,
                         ..boundary_journal(kind, g, selection, surrogate)
                     };
-                    writer.write(|(a, h)| tail_of(&journal, a, h)).unwrap();
+                    writer.write(&journal.view()).unwrap();
                     assert_bitwise(&read_journal(&path).unwrap(), &journal);
                     match record_starts(&fs::read(&path).unwrap()).len() {
                         1 => full_writes += 1,
@@ -1322,7 +1535,7 @@ mod tests {
             .map(|g| boundary_journal(0, g, true, true))
             .collect();
         for state in &states {
-            writer.write(|(a, h)| tail_of(state, a, h)).unwrap();
+            writer.write(&state.view()).unwrap();
         }
         assert_eq!(record_starts(&fs::read(&path).unwrap()).len(), states.len());
         (path, states)
@@ -1387,13 +1600,8 @@ mod tests {
         let bad_path = dir.join("bad.dovado");
         // Well-framed records, checksums intact, offsets off by one.
         for (archive_from, history_from) in [(a + 1, h), (a - 1, h), (a, h + 1), (a, h - 1)] {
-            let record = frame_record(&serialize_record(
-                &tail_of(cur, archive_from, history_from),
-                archive_from,
-                history_from,
-            ));
             let mut damaged = bytes[..last].to_vec();
-            damaged.extend_from_slice(record.as_bytes());
+            damaged.extend(framed_record(cur, archive_from, history_from));
             fs::write(&bad_path, &damaged).unwrap();
             let err = read_journal(&bad_path).unwrap_err().to_string();
             assert!(err.contains("offsets"), "{err}");
@@ -1405,8 +1613,8 @@ mod tests {
         let err = read_journal(&bad_path).unwrap_err().to_string();
         assert!(err.contains("offsets"), "{err}");
         // A base record must start at 0.
-        let tail_base =
-            journal_header() + &frame_record(&serialize_record(&tail_of(cur, a, h), a, h));
+        let mut tail_base = journal_header().into_bytes();
+        tail_base.extend(framed_record(cur, a, h));
         fs::write(&bad_path, tail_base).unwrap();
         assert!(read_journal(&bad_path).is_err());
         fs::remove_dir_all(&dir).unwrap();

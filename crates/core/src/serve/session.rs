@@ -44,7 +44,7 @@ use crate::results::DseReport;
 use crate::worker::backend_from_spec;
 use dovado_eda::EvalStore;
 use std::collections::{BTreeSet, HashMap};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -303,11 +303,62 @@ fn accept_loop(inner: Arc<ServerInner>, listener: TcpListener) {
     }
 }
 
+/// Longest request line the daemon reads, without its newline: 64 MiB,
+/// the worker protocol's frame cap, since a submit carries its HDL
+/// sources inline. A longer line gets an error reply and the connection
+/// closes; other connections and jobs go on.
+const MAX_REQUEST_LINE: usize = 64 << 20;
+
+/// One request line read by [`read_request_line`].
+#[derive(Debug, PartialEq)]
+enum RequestLine {
+    /// The line, without its `\n` or `\r\n`.
+    Text(String),
+    /// More than the cap's bytes arrived without a newline.
+    TooLong,
+    /// The client closed its end.
+    Closed,
+}
+
+/// Reads one line as `BufRead::lines` does — stripping `\n` or `\r\n`,
+/// keeping a last line without a newline, refusing invalid UTF-8 — but
+/// buffers at most `cap + 1` bytes of it.
+fn read_request_line(reader: &mut impl BufRead, cap: usize) -> std::io::Result<RequestLine> {
+    let mut line = Vec::new();
+    reader
+        .by_ref()
+        .take(cap as u64 + 1)
+        .read_until(b'\n', &mut line)?;
+    if line.last() == Some(&b'\n') {
+        line.pop();
+        if line.last() == Some(&b'\r') {
+            line.pop();
+        }
+    } else if line.len() > cap {
+        return Ok(RequestLine::TooLong);
+    } else if line.is_empty() {
+        return Ok(RequestLine::Closed);
+    }
+    String::from_utf8(line)
+        .map(RequestLine::Text)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+}
+
 fn handle_connection(inner: Arc<ServerInner>, stream: TcpStream) -> std::io::Result<()> {
-    let reader = BufReader::new(stream.try_clone()?);
+    let mut reader = BufReader::new(stream.try_clone()?);
     let mut out = stream;
-    for line in reader.lines() {
-        let line = line?;
+    loop {
+        let line = match read_request_line(&mut reader, MAX_REQUEST_LINE)? {
+            RequestLine::Text(line) => line,
+            RequestLine::TooLong => {
+                writeln!(
+                    out,
+                    "{{\"ok\":false,\"error\":\"request line exceeds 64 MiB\"}}"
+                )?;
+                break;
+            }
+            RequestLine::Closed => break,
+        };
         if line.trim().is_empty() {
             continue;
         }
@@ -667,5 +718,61 @@ impl ExploreMonitor for JobMonitor {
         state.generations = generation;
         self.job.cv.notify_all();
         !self.job.cancel.is_cancelled()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn read_all(input: &[u8], cap: usize) -> Vec<RequestLine> {
+        // A tiny buffer, so lines span many refills.
+        let mut reader = BufReader::with_capacity(3, input);
+        let mut lines = Vec::new();
+        loop {
+            let line = read_request_line(&mut reader, cap).unwrap();
+            let done = !matches!(line, RequestLine::Text(_));
+            lines.push(line);
+            if done {
+                return lines;
+            }
+        }
+    }
+
+    fn text(s: &str) -> RequestLine {
+        RequestLine::Text(s.to_string())
+    }
+
+    #[test]
+    fn request_lines_read_as_buf_read_lines_does_up_to_the_cap() {
+        // Exactly the cap is a line; one byte more is refused.
+        assert_eq!(
+            read_all(b"12345\n", 5),
+            [text("12345"), RequestLine::Closed]
+        );
+        assert_eq!(read_all(b"123456\n", 5), [RequestLine::TooLong]);
+        assert_eq!(read_all(b"123456", 5), [RequestLine::TooLong]);
+        // CRLF and LF both end a line; a bare CR is kept.
+        assert_eq!(
+            read_all(b"ab\r\ncd\n\r\nx\ry\n", 5),
+            [
+                text("ab"),
+                text("cd"),
+                text(""),
+                text("x\ry"),
+                RequestLine::Closed
+            ]
+        );
+        // A last line without a newline still counts, up to the cap.
+        assert_eq!(
+            read_all(b"a\nbcdef", 5),
+            [text("a"), text("bcdef"), RequestLine::Closed]
+        );
+        assert_eq!(read_all(b"", 5), [RequestLine::Closed]);
+        // The CR of a CRLF counts toward the cap, as the bytes before the
+        // newline do.
+        assert_eq!(read_all(b"12345\r\n", 5), [RequestLine::TooLong]);
+        let bad = read_request_line(&mut BufReader::new(&b"\xff\n"[..]), 5).unwrap_err();
+        assert_eq!(bad.kind(), std::io::ErrorKind::InvalidData);
     }
 }

@@ -15,18 +15,48 @@
 //! [`resync`].
 
 use crate::hash::fnv1a;
+use std::io::Write;
 
 /// Tag opening every record header line.
 pub const RECORD_TAG: &str = "record";
 
+/// Longest header line: the tag, a `usize` length of up to 20 digits and
+/// two 16-digit checksums, three spaces and the newline.
+const MAX_HEADER_LEN: usize = RECORD_TAG.len() + 20 + 2 * 16 + 4;
+
 /// Frames one record payload: header line, then the payload bytes.
 pub fn frame_record(payload: &str) -> String {
-    let fields = format!(
+    let mut record = Vec::with_capacity(MAX_HEADER_LEN + payload.len());
+    record.extend_from_slice(payload.as_bytes());
+    frame_in_place(&mut record, 0);
+    String::from_utf8(record).expect("an ASCII header before a UTF-8 payload")
+}
+
+/// Frames the payload `buf[at..]` where it lies: its header line moves
+/// in before it, so `buf[at..]` becomes the record [`frame_record`]
+/// returns. A buffer reused from record to record frames without
+/// allocating once it has grown to size.
+pub fn frame_in_place(buf: &mut Vec<u8>, at: usize) {
+    let mut header = [0u8; MAX_HEADER_LEN];
+    let mut rest = &mut header[..];
+    let payload = &buf[at..];
+    write!(
+        rest,
         "{RECORD_TAG} {} {:016x}",
         payload.len(),
-        fnv1a(payload.as_bytes())
-    );
-    format!("{fields} {:016x}\n{payload}", fnv1a(fields.as_bytes()))
+        fnv1a(payload)
+    )
+    .expect("the header fits");
+    let fields = MAX_HEADER_LEN - rest.len();
+    let sum = fnv1a(&header[..fields]);
+    let mut rest = &mut header[fields..];
+    writeln!(rest, " {sum:016x}").expect("the header fits");
+    let len = MAX_HEADER_LEN - rest.len();
+    let header = &header[..len];
+    let end = buf.len();
+    buf.extend_from_slice(header);
+    buf.copy_within(at..end, at + header.len());
+    buf[at..at + header.len()].copy_from_slice(header);
 }
 
 /// What the bytes at a record boundary hold.
@@ -112,6 +142,19 @@ mod tests {
         };
         assert_eq!(first, "first\n");
         assert_eq!(next_frame(rest), Frame::Whole("second", b""));
+    }
+
+    #[test]
+    fn framing_in_place_matches_a_fresh_record() {
+        let mut buf = b"kept".to_vec();
+        for payload in ["", "x", "two\nlines\n", &"y".repeat(100_000)] {
+            buf.truncate(4);
+            buf.extend_from_slice(payload.as_bytes());
+            frame_in_place(&mut buf, 4);
+            assert_eq!(&buf[..4], b"kept");
+            assert_eq!(&buf[4..], frame_record(payload).as_bytes());
+            assert_eq!(next_frame(&buf[4..]), Frame::Whole(payload, b""));
+        }
     }
 
     #[test]

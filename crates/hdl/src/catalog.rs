@@ -30,9 +30,9 @@
 
 use crate::ast::{Language, SourceFile};
 use crate::error::Diagnostics;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 use std::fmt;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// One design unit identified in a cataloged file, orbit-style.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -279,7 +279,7 @@ impl SourceCatalog {
     /// read order never matters because the catalog sorts by path.
     pub fn walk(root: &Path) -> Result<SourceCatalog, CatalogError> {
         let mut sources = Vec::new();
-        collect_tree(root, root, &mut sources)?;
+        collect_tree(root, root, &mut HashSet::new(), &mut sources)?;
         SourceCatalog::from_sources(sources)
     }
 
@@ -564,12 +564,24 @@ fn fingerprint(files: &[CatalogedFile], deps: &[BTreeSet<usize>]) -> String {
 /// `root`. Entries are sorted per directory for a deterministic walk (the
 /// catalog re-sorts globally anyway). Files with unknown extensions are
 /// skipped — a source tree may hold READMEs, scripts, constraint files.
-fn collect_tree(root: &Path, dir: &Path, out: &mut Vec<CatalogSource>) -> Result<(), CatalogError> {
+/// Directory symlinks are followed, but each directory is walked once,
+/// by its canonical path (`visited`): the first path the sorted walk
+/// reaches it by names its files, and a symlink back up the tree (`loop
+/// -> .`) adds nothing.
+fn collect_tree(
+    root: &Path,
+    dir: &Path,
+    visited: &mut HashSet<PathBuf>,
+    out: &mut Vec<CatalogSource>,
+) -> Result<(), CatalogError> {
     let io_err = |p: &Path, e: std::io::Error| CatalogError::Io {
         path: p.display().to_string(),
         message: e.to_string(),
     };
-    let mut entries: Vec<std::path::PathBuf> = std::fs::read_dir(dir)
+    if !visited.insert(std::fs::canonicalize(dir).map_err(|e| io_err(dir, e))?) {
+        return Ok(());
+    }
+    let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)
         .map_err(|e| io_err(dir, e))?
         .map(|r| r.map(|e| e.path()))
         .collect::<Result<_, _>>()
@@ -577,7 +589,7 @@ fn collect_tree(root: &Path, dir: &Path, out: &mut Vec<CatalogSource>) -> Result
     entries.sort();
     for path in entries {
         if path.is_dir() {
-            collect_tree(root, &path, out)?;
+            collect_tree(root, &path, visited, out)?;
             continue;
         }
         let Some(lang) = path
@@ -871,6 +883,33 @@ mod tests {
         // Identical to the in-memory catalog of the same tree.
         let mem = SourceCatalog::from_sources(tree()).unwrap();
         assert_eq!(paths(&cat), paths(&mem));
+        assert_eq!(cat.fingerprint(), mem.fingerprint());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn walk_visits_each_directory_once_through_symlink_cycles() {
+        let dir = std::env::temp_dir().join(format!("dovado-catalog-loop-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(dir.join("rtl")).unwrap();
+        std::fs::create_dir_all(dir.join("pkg")).unwrap();
+        for src in tree() {
+            std::fs::write(dir.join(&src.path), &src.text).unwrap();
+        }
+        // Two links back to the root: unchecked, the walk would descend
+        // `loop/again/loop/…` until the kernel's link limit, 2^40 paths.
+        std::os::unix::fs::symlink(".", dir.join("loop")).unwrap();
+        std::os::unix::fs::symlink(".", dir.join("again")).unwrap();
+        let (done, walked) = std::sync::mpsc::channel();
+        let root = dir.clone();
+        std::thread::spawn(move || done.send(SourceCatalog::walk(&root)));
+        let cat = walked
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the walk ends")
+            .unwrap();
+        let mem = SourceCatalog::from_sources(tree()).unwrap();
+        assert_eq!(paths(&cat), paths(&mem), "exactly the real files");
         assert_eq!(cat.fingerprint(), mem.fingerprint());
         std::fs::remove_dir_all(&dir).unwrap();
     }

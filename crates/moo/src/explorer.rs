@@ -46,8 +46,10 @@ pub trait Explorer {
     /// The bookkeeping every engine keeps: counters, archive, history.
     fn ledger(&self) -> &Ledger;
 
-    /// What only this kind of engine carries beyond its ledger.
-    fn state(&self) -> SearchState;
+    /// What only this kind of engine carries beyond its ledger, borrowed
+    /// from the engine (the journal encodes it in place at every
+    /// boundary).
+    fn state(&self) -> SearchStateRef<'_>;
 
     /// Runs one full generation against the problem.
     fn step(&mut self, problem: &mut dyn Problem);
@@ -86,22 +88,13 @@ pub trait Explorer {
         front_of(&self.ledger().archive)
     }
 
-    /// Captures the engine's mid-run state with the archive and history
-    /// cut to their entries past the first `archive_from` and
-    /// `history_from`. Both only ever grow, so a caller that already
-    /// holds the earlier entries (the journal writer) copies only what
-    /// the latest generations added.
-    fn snapshot_tail(&self, archive_from: usize, history_from: usize) -> ExplorerSnapshot {
-        ExplorerSnapshot {
-            ledger: self.ledger().tail(archive_from, history_from),
-            state: self.state(),
-        }
-    }
-
     /// Captures the engine's complete mid-run state. Feeding the snapshot
     /// back through the engine's `resume` constructor continues bitwise.
     fn snapshot(&self) -> ExplorerSnapshot {
-        self.snapshot_tail(0, 0)
+        ExplorerSnapshot {
+            ledger: self.ledger().clone(),
+            state: self.state().into(),
+        }
     }
 }
 
@@ -140,16 +133,6 @@ impl Ledger {
     /// front size.
     pub fn close_on_archive(&mut self, external_cost: f64) {
         self.close(non_dominated_indices(&self.archive).len(), external_cost);
-    }
-
-    /// A copy with the archive and history cut to their entries past the
-    /// first `archive_from` and `history_from`.
-    pub fn tail(&self, archive_from: usize, history_from: usize) -> Ledger {
-        Ledger {
-            archive: self.archive[archive_from..].to_vec(),
-            history: self.history[history_from..].to_vec(),
-            ..*self
-        }
     }
 
     /// Finalizes a run. The deduplicated non-dominated set of the archive
@@ -230,13 +213,127 @@ pub enum SearchState {
 impl SearchState {
     /// The journal tag of this kind: its `--explorer` token.
     pub fn kind(&self) -> &'static str {
+        self.as_ref().kind()
+    }
+
+    /// A view borrowing the population, cursor or current solution.
+    pub fn as_ref(&self) -> SearchStateRef<'_> {
         match self {
-            SearchState::Nsga2 { .. } => "nsga2",
-            SearchState::Random { .. } => "random",
-            SearchState::Exhaustive { .. } => "exhaustive",
-            SearchState::WeightedSum { .. } => "wsga",
-            SearchState::Annealing { .. } => "sa",
-            SearchState::Bayes { .. } => "bayes",
+            SearchState::Nsga2 { rng, population } => SearchStateRef::Nsga2 {
+                rng: *rng,
+                population,
+            },
+            SearchState::Random { rng } => SearchStateRef::Random { rng: *rng },
+            SearchState::Exhaustive { cursor } => SearchStateRef::Exhaustive {
+                cursor: cursor.as_deref(),
+            },
+            SearchState::WeightedSum { rng, population } => SearchStateRef::WeightedSum {
+                rng: *rng,
+                population,
+            },
+            SearchState::Annealing {
+                rng,
+                current,
+                energy,
+                temperature,
+            } => SearchStateRef::Annealing {
+                rng: *rng,
+                current,
+                energy: *energy,
+                temperature: *temperature,
+            },
+            SearchState::Bayes { rng } => SearchStateRef::Bayes { rng: *rng },
+        }
+    }
+}
+
+/// A [`SearchState`] that borrows what it holds from its engine, variant
+/// for variant: what [`Explorer::state`] returns.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum SearchStateRef<'a> {
+    /// See [`SearchState::Nsga2`].
+    Nsga2 {
+        /// Raw RNG state.
+        rng: [u64; 4],
+        /// Current population.
+        population: &'a [Individual],
+    },
+    /// See [`SearchState::Random`].
+    Random {
+        /// Raw RNG state.
+        rng: [u64; 4],
+    },
+    /// See [`SearchState::Exhaustive`].
+    Exhaustive {
+        /// Enumeration cursor.
+        cursor: Option<&'a [i64]>,
+    },
+    /// See [`SearchState::WeightedSum`].
+    WeightedSum {
+        /// Raw RNG state.
+        rng: [u64; 4],
+        /// Current population.
+        population: &'a [Individual],
+    },
+    /// See [`SearchState::Annealing`].
+    Annealing {
+        /// Raw RNG state.
+        rng: [u64; 4],
+        /// Current solution genome.
+        current: &'a [i64],
+        /// Scalar energy of the current solution.
+        energy: f64,
+        /// Current temperature.
+        temperature: f64,
+    },
+    /// See [`SearchState::Bayes`].
+    Bayes {
+        /// Raw RNG state.
+        rng: [u64; 4],
+    },
+}
+
+impl SearchStateRef<'_> {
+    /// The journal tag of this kind: its `--explorer` token.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            SearchStateRef::Nsga2 { .. } => "nsga2",
+            SearchStateRef::Random { .. } => "random",
+            SearchStateRef::Exhaustive { .. } => "exhaustive",
+            SearchStateRef::WeightedSum { .. } => "wsga",
+            SearchStateRef::Annealing { .. } => "sa",
+            SearchStateRef::Bayes { .. } => "bayes",
+        }
+    }
+}
+
+impl From<SearchStateRef<'_>> for SearchState {
+    fn from(state: SearchStateRef<'_>) -> SearchState {
+        match state {
+            SearchStateRef::Nsga2 { rng, population } => SearchState::Nsga2 {
+                rng,
+                population: population.to_vec(),
+            },
+            SearchStateRef::Random { rng } => SearchState::Random { rng },
+            SearchStateRef::Exhaustive { cursor } => SearchState::Exhaustive {
+                cursor: cursor.map(<[i64]>::to_vec),
+            },
+            SearchStateRef::WeightedSum { rng, population } => SearchState::WeightedSum {
+                rng,
+                population: population.to_vec(),
+            },
+            SearchStateRef::Annealing {
+                rng,
+                current,
+                energy,
+                temperature,
+            } => SearchState::Annealing {
+                rng,
+                current: current.to_vec(),
+                energy,
+                temperature,
+            },
+            SearchStateRef::Bayes { rng } => SearchState::Bayes { rng },
         }
     }
 }
@@ -350,8 +447,8 @@ impl Explorer for RandomExplorer {
     fn ledger(&self) -> &Ledger {
         &self.ledger
     }
-    fn state(&self) -> SearchState {
-        SearchState::Random {
+    fn state(&self) -> SearchStateRef<'_> {
+        SearchStateRef::Random {
             rng: self.rng.state(),
         }
     }
@@ -412,9 +509,9 @@ impl Explorer for ExhaustiveExplorer {
     fn ledger(&self) -> &Ledger {
         &self.ledger
     }
-    fn state(&self) -> SearchState {
-        SearchState::Exhaustive {
-            cursor: self.cursor.clone(),
+    fn state(&self) -> SearchStateRef<'_> {
+        SearchStateRef::Exhaustive {
+            cursor: self.cursor.as_deref(),
         }
     }
     fn exhausted(&self) -> bool {
@@ -525,10 +622,10 @@ impl Explorer for WsgaExplorer {
     fn ledger(&self) -> &Ledger {
         &self.ledger
     }
-    fn state(&self) -> SearchState {
-        SearchState::WeightedSum {
+    fn state(&self) -> SearchStateRef<'_> {
+        SearchStateRef::WeightedSum {
             rng: self.rng.state(),
-            population: self.pop.clone(),
+            population: &self.pop,
         }
     }
     fn step(&mut self, problem: &mut dyn Problem) {
@@ -666,10 +763,10 @@ impl Explorer for AnnealingExplorer {
     fn ledger(&self) -> &Ledger {
         &self.ledger
     }
-    fn state(&self) -> SearchState {
-        SearchState::Annealing {
+    fn state(&self) -> SearchStateRef<'_> {
+        SearchStateRef::Annealing {
             rng: self.rng.state(),
-            current: self.current.clone(),
+            current: &self.current,
             energy: self.energy,
             temperature: self.temperature,
         }
@@ -856,7 +953,7 @@ mod tests {
         );
         let mut e = WsgaExplorer::start(&mut p, vec![1.0], 8, 11);
         e.step(&mut p);
-        let SearchState::WeightedSum { population, .. } = e.state() else {
+        let SearchStateRef::WeightedSum { population, .. } = e.state() else {
             unreachable!()
         };
         let genomes: Vec<Vec<i64>> = population.iter().map(|i| i.genome.clone()).collect();

@@ -36,7 +36,7 @@ pub use benchmarks::{Zdt1, Zdt2, Zdt3};
 pub use crowding::assign_crowding;
 pub use explorer::{
     run, AnnealingExplorer, ExhaustiveExplorer, Explorer, ExplorerSnapshot, Ledger, RandomExplorer,
-    SearchState, WsgaExplorer,
+    SearchState, SearchStateRef, WsgaExplorer,
 };
 pub use individual::{non_dominated_indices, Individual};
 pub use metrics::{hypervolume, hypervolume_of, igd, spread};

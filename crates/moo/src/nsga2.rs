@@ -9,7 +9,7 @@
 //! crowding-distance truncation.
 
 use crate::crowding::assign_crowding;
-use crate::explorer::{evaluate_genomes, Explorer, Ledger, SearchState};
+use crate::explorer::{evaluate_genomes, Explorer, Ledger, SearchStateRef};
 use crate::individual::Individual;
 use crate::ops::sampling::random_population;
 use crate::ops::{binary_tournament, dedup_against, GaussianIntegerMutation, IntegerSbx};
@@ -195,10 +195,10 @@ impl Explorer for Nsga2Explorer {
         &self.ledger
     }
 
-    fn state(&self) -> SearchState {
-        SearchState::Nsga2 {
+    fn state(&self) -> SearchStateRef<'_> {
+        SearchStateRef::Nsga2 {
             rng: self.rng.state(),
-            population: self.pop.clone(),
+            population: &self.pop,
         }
     }
 
@@ -306,7 +306,7 @@ impl Explorer for Nsga2Explorer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explorer::{run, ExplorerSnapshot};
+    use crate::explorer::{run, ExplorerSnapshot, SearchState};
     use crate::problem::{IntVar, Objective, Schaffer};
     use crate::termination::Termination;
 

@@ -301,22 +301,35 @@ impl Dataset {
     /// between runs "amortizes the expensive synthetic dataset generation"
     /// (paper §V).
     pub fn to_csv(&self) -> String {
-        let mut out = String::new();
+        let mut out = Vec::new();
+        self.write_csv(&mut out)
+            .expect("writing to a Vec cannot fail");
+        String::from_utf8(out).expect("the CSV is ASCII")
+    }
+
+    /// Writes [`Dataset::to_csv`]'s text to `out`: the header line, then
+    /// one line per row, each ending in `\n` — `1 + len()` lines in all.
+    /// The journal encodes a live dataset through this, in place.
+    pub fn write_csv(&self, out: &mut impl std::io::Write) -> std::io::Result<()> {
         // Header: #bounds lo..hi per dim, then arity.
-        out.push_str("#bounds");
+        out.write_all(b"#bounds")?;
         for (lo, hi) in &self.bounds.dims {
-            out.push_str(&format!(",{lo}:{hi}"));
+            write!(out, ",{lo}:{hi}")?;
         }
-        out.push_str(&format!(";outputs={}\n", self.n_outputs));
+        writeln!(out, ";outputs={}", self.n_outputs)?;
         for (p, y) in self.raw_points.iter().zip(&self.outputs) {
-            let px: Vec<String> = p.iter().map(i64::to_string).collect();
-            let yx: Vec<String> = y.iter().map(|v| format!("{v}")).collect();
-            out.push_str(&px.join(","));
-            out.push('|');
-            out.push_str(&yx.join(","));
-            out.push('\n');
+            for (i, v) in p.iter().enumerate() {
+                out.write_all(if i == 0 { b"" } else { b"," })?;
+                write!(out, "{v}")?;
+            }
+            out.write_all(b"|")?;
+            for (i, v) in y.iter().enumerate() {
+                out.write_all(if i == 0 { b"" } else { b"," })?;
+                write!(out, "{v}")?;
+            }
+            out.write_all(b"\n")?;
         }
-        out
+        Ok(())
     }
 
     /// Deserializes a dataset written by [`Dataset::to_csv`]. Rows load

@@ -296,6 +296,44 @@ fn evaluate_accepts_a_file_name_with_spaces() {
     }
 }
 
+#[cfg(unix)]
+#[test]
+fn evaluate_walks_a_project_with_symlink_cycles_once() {
+    let tree = |name: &str| {
+        let dir = std::env::temp_dir()
+            .join("dovado-cli-integration")
+            .join(name);
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(dir.join("rtl")).unwrap();
+        std::fs::write(dir.join("rtl/fifo.sv"), FIFO).unwrap();
+        dir
+    };
+    let plain = tree("symlink-free");
+    let looped = tree("symlink-cycles");
+    // Two links back to the root: unchecked, the walk would descend
+    // 2^40 directories before the kernel's link limit stops it.
+    std::os::unix::fs::symlink(".", looped.join("loop")).unwrap();
+    std::os::unix::fs::symlink(".", looped.join("again")).unwrap();
+    let evaluate = |dir: PathBuf| {
+        let (done, answer) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut out = String::new();
+            let project = dir.to_str().unwrap();
+            let code = run(
+                &args(&["evaluate", "--project", project, "--set", "DEPTH=8"]),
+                &mut out,
+            );
+            done.send((code, out.replace(project, "<dir>")))
+        });
+        answer
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("evaluate ends")
+    };
+    let (code, out) = evaluate(looped);
+    assert_eq!(code, 0, "{out}");
+    assert_eq!((code, out), evaluate(plain));
+}
+
 #[test]
 fn explore_survives_tcl_nested_in_the_part() {
     // As TCL code, either part would nest thousands of levels deep and

@@ -157,13 +157,7 @@ fn boundaries(kind: &str) -> Vec<Journal> {
 fn write_boundaries(path: &Path, states: &[Journal]) {
     let mut writer = JournalWriter::new(path);
     for state in states {
-        writer
-            .write(|(archive_from, history_from)| {
-                let mut tail = state.clone();
-                tail.snapshot.ledger = state.snapshot.ledger.tail(archive_from, history_from);
-                tail
-            })
-            .unwrap();
+        writer.write(&state.view()).unwrap();
     }
 }
 

@@ -435,6 +435,43 @@ fn deeply_nested_request_is_refused_and_the_connection_keeps_serving() {
 }
 
 #[test]
+fn an_overlong_request_line_is_refused_and_the_daemon_keeps_serving() {
+    use std::io::{BufRead, BufReader, Write};
+    let mut server = Server::start(ServeConfig::default()).unwrap();
+    let mut bystander = connect(&server, "alice");
+    // 64 MiB and one byte with no newline: the daemon must stop reading
+    // there instead of buffering whatever a client sends.
+    let mut flood = std::net::TcpStream::connect(server.addr()).unwrap();
+    flood
+        .set_read_timeout(Some(std::time::Duration::from_secs(60)))
+        .unwrap();
+    let chunk = vec![b'x'; 1 << 20];
+    for _ in 0..64 {
+        flood.write_all(&chunk).unwrap();
+    }
+    flood.write_all(b"x").unwrap();
+    let mut reply = String::new();
+    BufReader::new(&flood).read_line(&mut reply).unwrap();
+    assert_eq!(
+        reply.trim_end(),
+        r#"{"ok":false,"error":"request line exceeds 64 MiB"}"#
+    );
+    let mut rest = String::new();
+    assert_eq!(
+        BufReader::new(&flood).read_line(&mut rest).unwrap(),
+        0,
+        "the refused connection closes"
+    );
+    // Other connections, open or new, keep being served.
+    let status = bystander
+        .status()
+        .expect("an open connection keeps serving");
+    assert_eq!(status.get("ok").and_then(Json::as_bool), Some(true));
+    connect(&server, "bob");
+    server.shutdown();
+}
+
+#[test]
 fn deeply_nested_source_fails_its_job_and_the_daemon_keeps_serving() {
     let mut server = Server::start(ServeConfig::default()).unwrap();
     // A 4 KB source nested 2,000 deep would overflow the job thread's
