@@ -13,8 +13,16 @@
 //! four objectives): `journal_base`, a fresh writer's base record of a
 //! [`JOURNAL_BASE`]-entry archive, and `journal_append`, one appended
 //! boundary of [`JOURNAL_STEP`] new archive entries and one history
-//! entry. The stores and the journal live under `target/perf_attempt/`,
-//! since what creating a file costs depends on the directory. Every
+//! entry. Three stages time the surrogate-guided run's model and
+//! explorer on real Corundum evaluations: `knn`, one truncated
+//! Nadaraya-Watson prediction at k = [`KNN_K`] on a [`KNN_ROWS`]-row
+//! dataset (the surrogate-guided benchmark run's final dataset size);
+//! `loo_fresh`, a fresh LOO-CV selection over the default 11-bandwidth
+//! grid on [`LOO_ROWS`] rows (the pretrain dataset); and `nds`, one
+//! non-dominated sort of [`NDS_POP`] individuals with four objectives
+//! (NSGA-II's parents plus offspring). The stores and the journal live
+//! under `target/perf_attempt/`, since what creating a file costs
+//! depends on the directory. Every
 //! repeat times every stage in turn, so the stages see the same machine
 //! state; the median of `REPEATS` repeats and its IQR/median spread land
 //! in `results/BENCH_attempt.json`. The stage numbers rank what an
@@ -23,9 +31,10 @@
 //! The bin's global allocator counts heap allocations (and
 //! reallocations), and `stage_allocs` reports them per box parse and per
 //! serial attempt over [`POINTS`] fixed points, after one warm-up attempt
-//! on a fresh backend, per store hit and hit decode, and per journal base
-//! record and appended boundary. The counts are deterministic and the
-//! same in `--smoke` and default mode, so CI gates them.
+//! on a fresh backend, per store hit and hit decode, per journal base
+//! record and appended boundary, and per prediction, LOO-CV selection and
+//! sort. The counts are deterministic and the same in `--smoke` and
+//! default mode, so CI gates them.
 //!
 //! ```text
 //! cargo run --release -p dovado-bench --bin perf_attempt [-- --smoke]
@@ -47,7 +56,9 @@ use dovado_eda::report::{
 };
 use dovado_eda::{EvalKey, EvalStore};
 use dovado_fpga::{Catalog, ResourceKind, ResourceSet};
-use dovado_moo::{GenStats, Individual, SearchStateRef};
+use dovado_moo::{fast_non_dominated_sort, GenStats, Individual, SearchStateRef};
+use dovado_surrogate::loocv::select_bandwidth;
+use dovado_surrogate::{Dataset, Kernel, NadarayaWatson};
 use rayon::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
@@ -113,8 +124,19 @@ const JOURNAL_STEP: usize = 32;
 /// Appended boundaries after each base record: few enough that none
 /// outgrows the base, so each is an append and none a full write.
 const JOURNAL_APPENDS: usize = 16;
+/// Rows of the `knn` stage's dataset: the final dataset of the
+/// surrogate-guided benchmark run (`--surrogate 200`, population 32 ×
+/// 60 generations).
+const KNN_ROWS: usize = 346;
+/// Neighbours of a truncated prediction (the default `neighbor_k`).
+const KNN_K: usize = 64;
+/// Rows of the `loo_fresh` stage's dataset: a 200-sample pretrain.
+const LOO_ROWS: usize = 200;
+/// Individuals of the `nds` stage: a population of 32 plus its
+/// offspring.
+const NDS_POP: usize = 64;
 /// Stages in report order: the JSON keys.
-const STAGES: [&str; 16] = [
+const STAGES: [&str; 19] = [
     "write_utilization",
     "write_timing",
     "write_power",
@@ -131,19 +153,33 @@ const STAGES: [&str; 16] = [
     "store_decode",
     "journal_base",
     "journal_append",
+    "knn",
+    "loo_fresh",
+    "nds",
 ];
 
-/// The `i`-th fixed point: every parameter steps through its domain at
-/// its own stride, so the points spread over the space.
-fn point(space: &ParameterSpace, i: u64) -> DesignPoint {
-    let pairs: Vec<(&str, i64)> = space
+/// The domain indices of the `i`-th fixed point: every parameter steps
+/// through its domain at its own stride, so the points spread over the
+/// space (the first 798 Corundum points are distinct).
+fn indices(space: &ParameterSpace, i: u64) -> Vec<u64> {
+    space
         .params()
         .iter()
         .enumerate()
         .map(|(j, p)| {
-            let n = p.domain.cardinality();
             let j = j as u64;
-            let idx = (i * (2 * j + 3) + j) % n;
+            (i * (2 * j + 3) + j) % p.domain.cardinality()
+        })
+        .collect()
+}
+
+/// The `i`-th fixed point (see [`indices`]).
+fn point(space: &ParameterSpace, i: u64) -> DesignPoint {
+    let pairs: Vec<(&str, i64)> = space
+        .params()
+        .iter()
+        .zip(indices(space, i))
+        .map(|(p, idx)| {
             (
                 p.name.as_str(),
                 p.domain.value(idx).expect("index in range"),
@@ -151,6 +187,83 @@ fn point(space: &ParameterSpace, i: u64) -> DesignPoint {
         })
         .collect();
     DesignPoint::from_pairs(&pairs)
+}
+
+/// An area/frequency run's raw objectives of one evaluation: LUT, FF,
+/// BRAM and Fmax.
+fn objectives(e: &Evaluation) -> Vec<f64> {
+    let used = |kind| e.utilization.get(kind) as f64;
+    vec![
+        used(ResourceKind::Lut),
+        used(ResourceKind::Register),
+        used(ResourceKind::Bram),
+        e.fmax_mhz,
+    ]
+}
+
+/// The surrogate stages' inputs: the first [`KNN_ROWS`] fixed points,
+/// evaluated, as a dataset over the space's index genomes, its first
+/// [`LOO_ROWS`] rows as the pretrain dataset, the model LOO-CV selects
+/// on the full one, queries at the next [`POINTS`] points, and the
+/// first [`NDS_POP`] evaluations as individuals in minimization space.
+struct SurrogateInputs {
+    dataset: Dataset,
+    pretrain: Dataset,
+    model: NadarayaWatson,
+    queries: Vec<Vec<i64>>,
+    population: Vec<Individual>,
+}
+
+impl SurrogateInputs {
+    fn new(space: &ParameterSpace, probe: &Evaluator) -> SurrogateInputs {
+        let genome = |i: usize| -> Vec<i64> {
+            indices(space, i as u64)
+                .into_iter()
+                .map(|v| v as i64)
+                .collect()
+        };
+        let rows: Vec<(Vec<i64>, Vec<f64>)> = (0..KNN_ROWS)
+            .map(|i| {
+                let e = probe
+                    .evaluate(&point(space, i as u64))
+                    .expect("point evaluates");
+                (genome(i), objectives(&e))
+            })
+            .collect();
+        let mut dataset = Dataset::new(space.index_bounds(), 4);
+        dataset.insert_bulk(rows.iter().cloned());
+        let mut pretrain = Dataset::new(space.index_bounds(), 4);
+        pretrain.insert_bulk(rows[..LOO_ROWS].iter().cloned());
+        let kernel = Kernel::Gaussian;
+        let model = NadarayaWatson {
+            kernel,
+            bandwidth: select_bandwidth(&dataset, kernel, &[]),
+        };
+        let population = rows[..NDS_POP]
+            .iter()
+            .map(|(g, raw)| {
+                let min_objs = vec![raw[0], raw[1], raw[2], -raw[3]];
+                Individual::new(g.clone(), raw.clone(), min_objs)
+            })
+            .collect();
+        SurrogateInputs {
+            dataset,
+            pretrain,
+            model,
+            queries: (KNN_ROWS..KNN_ROWS + POINTS).map(genome).collect(),
+            population,
+        }
+    }
+
+    /// One truncated prediction at `query`.
+    fn knn(&self, query: &[i64]) {
+        black_box(self.model.predict_topk(&self.dataset, query, KNN_K));
+    }
+
+    /// One fresh LOO-CV selection over the pretrain dataset.
+    fn loo_fresh(&self) {
+        black_box(select_bandwidth(&self.pretrain, self.model.kernel, &[]));
+    }
 }
 
 /// Microseconds per call of `op` over `iterations` rounds of `inputs`.
@@ -210,14 +323,7 @@ impl JournalRun {
     /// objectives of an area/frequency run: LUT, FF, BRAM and Fmax.
     fn new(points: &[DesignPoint], evaluations: &[Evaluation]) -> JournalRun {
         let individual = |i: usize| {
-            let e = &evaluations[i % evaluations.len()];
-            let used = |kind| e.utilization.get(kind) as f64;
-            let raw = vec![
-                used(ResourceKind::Lut),
-                used(ResourceKind::Register),
-                used(ResourceKind::Bram),
-                e.fmax_mhz,
-            ];
+            let raw = objectives(&evaluations[i % evaluations.len()]);
             let min_objs = vec![raw[0], raw[1], raw[2], -raw[3]];
             Individual {
                 genome: points[i % points.len()].values().to_vec(),
@@ -417,6 +523,8 @@ fn main() {
     let counted = evaluator();
     let _ = counted.evaluate(&points[0]);
     let [journal_base_allocs, journal_append_allocs] = journal_allocs(&journal_path, &journal_run);
+    let surrogate = SurrogateInputs::new(&study.space, &probe);
+    let mut population = surrogate.population.clone();
     let alloc_counts = [
         (
             "box_parse",
@@ -445,6 +553,17 @@ fn main() {
         ),
         ("journal_base", journal_base_allocs),
         ("journal_append", journal_append_allocs),
+        (
+            "knn",
+            allocs_per_op(&surrogate.queries, |q| surrogate.knn(q)),
+        ),
+        ("loo_fresh", allocs_per_op(&[()], |_| surrogate.loo_fresh())),
+        (
+            "nds",
+            allocs_per_op(&[()], |_| {
+                black_box(fast_non_dominated_sort(&mut population));
+            }),
+        ),
     ];
     let fanout_batch: Vec<u64> = (0..FANOUT_ITEMS).collect();
     let fanout_pool = rayon::ThreadPoolBuilder::new()
@@ -503,6 +622,11 @@ fn main() {
             }),
             journal_base,
             journal_append,
+            time_us(&surrogate.queries, iterations, |q| surrogate.knn(q)),
+            time_us(&[()], store_rounds, |_| surrogate.loo_fresh()),
+            time_us(&[()], iterations, |_| {
+                black_box(fast_non_dominated_sort(&mut population));
+            }),
         ];
         for (series, us) in samples.iter_mut().zip(per_stage) {
             series.push(us);
@@ -528,7 +652,7 @@ fn main() {
     }
     let mode = if smoke { "smoke" } else { "default" };
     let json = format!(
-        "{{\n  \"benchmark\": \"attempt_stages\",\n  \"mode\": \"{mode}\",\n  \"config\": {{\"case_study\": \"{}\", \"part\": \"{}\", \"points\": {POINTS}, \"iterations\": {iterations}, \"attempt_points\": {attempts}, \"fanout_items\": {FANOUT_ITEMS}, \"fanout_threads\": {FANOUT_THREADS}, \"store_entries\": {STORE_ENTRIES}, \"journal_base\": {JOURNAL_BASE}, \"journal_step\": {JOURNAL_STEP}, \"repeats\": {REPEATS}}},\n  \"stage_us\": {{{medians}}},\n  \"stage_spread\": {{{spreads}}},\n  \"stage_allocs\": {{{allocs}}}\n}}\n",
+        "{{\n  \"benchmark\": \"attempt_stages\",\n  \"mode\": \"{mode}\",\n  \"config\": {{\"case_study\": \"{}\", \"part\": \"{}\", \"points\": {POINTS}, \"iterations\": {iterations}, \"attempt_points\": {attempts}, \"fanout_items\": {FANOUT_ITEMS}, \"fanout_threads\": {FANOUT_THREADS}, \"store_entries\": {STORE_ENTRIES}, \"journal_base\": {JOURNAL_BASE}, \"journal_step\": {JOURNAL_STEP}, \"knn_rows\": {KNN_ROWS}, \"knn_k\": {KNN_K}, \"loo_rows\": {LOO_ROWS}, \"nds_pop\": {NDS_POP}, \"repeats\": {REPEATS}}},\n  \"stage_us\": {{{medians}}},\n  \"stage_spread\": {{{spreads}}},\n  \"stage_allocs\": {{{allocs}}}\n}}\n",
         study.name, study.part,
     );
     let path = dovado_bench::results_dir().join("BENCH_attempt.json");

@@ -20,7 +20,7 @@
 
 use dovado_moo::explorer::evaluate_genomes;
 use dovado_moo::ops::sampling::random_population;
-use dovado_moo::{IntVar, Ledger, Objective, OptResult, Problem, SearchStateRef};
+use dovado_moo::{cmp_nan_last, IntVar, Ledger, Objective, OptResult, Problem, SearchStateRef};
 use dovado_surrogate::{Bounds, Dataset, Kernel, NadarayaWatson};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -137,11 +137,7 @@ impl dovado_moo::Explorer for BayesExplorer {
             .collect();
         // ...and pay for the most promising `batch`. Ties break on the
         // genome so selection is a pure function of the candidate set.
-        scored.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.1.cmp(&b.1))
-        });
+        scored.sort_by(|a, b| cmp_nan_last(a.0, b.0).then_with(|| a.1.cmp(&b.1)));
         let chosen: Vec<Vec<i64>> = scored
             .into_iter()
             .take(self.batch)
@@ -184,6 +180,45 @@ mod tests {
             .map(|i| scalar_objective(&i.min_objs))
             .fold(f64::INFINITY, f64::min);
         assert!(best < 400.0, "best scalar {best}");
+    }
+
+    #[test]
+    fn nan_and_infinite_objectives_never_panic_the_acquisition_sort() {
+        // A NaN or infinite objective poisons the scalar model, so whole
+        // pools of acquisition scores go NaN; ranking them must not panic
+        // and must stay a pure function of the seed.
+        struct Poisoned(Schaffer, Vec<IntVar>);
+        impl Problem for Poisoned {
+            fn variables(&self) -> &[IntVar] {
+                &self.1
+            }
+            fn objectives(&self) -> &[Objective] {
+                self.0.objectives()
+            }
+            fn evaluate(&mut self, g: &[i64]) -> Vec<f64> {
+                let mut objs = self.0.evaluate(g);
+                if g[0] % 3 == 0 {
+                    objs[0] = f64::NAN;
+                } else if g[0] % 7 == 0 {
+                    objs = vec![f64::INFINITY, f64::NEG_INFINITY];
+                }
+                objs
+            }
+        }
+        let genomes = || {
+            let mut p = Poisoned(Schaffer::new(), vec![IntVar::new("x", -60, 60)]);
+            let mut e = BayesExplorer::start(&mut p, 8, 3);
+            let term = Termination::Generations(10);
+            while !e.should_stop(&p, &term) {
+                e.step(&mut p);
+            }
+            let r = Box::new(e).into_result();
+            r.population
+                .iter()
+                .map(|i| i.genome.clone())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(genomes(), genomes());
     }
 
     #[test]

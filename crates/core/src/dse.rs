@@ -546,6 +546,52 @@ impl Dovado {
         })
     }
 
+    /// Refuses a journaled surrogate dataset that does not fit this run:
+    /// other bounds than the space's index bounds, another output count
+    /// than the metric count, or a row outside its own bounds. The
+    /// journal is a trust boundary, and such a dataset would otherwise
+    /// abort the run at its first recorded point.
+    fn check_journaled_dataset(
+        &self,
+        dataset: &Dataset,
+        cfg: &DseConfig,
+        journal: &std::path::Path,
+    ) -> DovadoResult<()> {
+        let refuse = |what: String| {
+            Err(DovadoError::Config(format!(
+                "{}: journaled surrogate dataset {what}; refusing to resume",
+                journal.display()
+            )))
+        };
+        let bounds = self.space.index_bounds();
+        if dataset.bounds() != &bounds {
+            return refuse(format!(
+                "has bounds {:?} but the space's are {:?}",
+                dataset.bounds().dims,
+                bounds.dims
+            ));
+        }
+        if dataset.n_outputs() != cfg.metrics.len() {
+            return refuse(format!(
+                "has {} output(s) but the run has {} metric(s)",
+                dataset.n_outputs(),
+                cfg.metrics.len()
+            ));
+        }
+        let outside = dataset.raw_points().iter().position(|p| {
+            p.iter()
+                .zip(&bounds.dims)
+                .any(|(v, (lo, hi))| v < lo || v > hi)
+        });
+        if let Some(row) = outside {
+            return refuse(format!(
+                "row {row} {:?} lies outside its bounds",
+                dataset.raw_points()[row]
+            ));
+        }
+        Ok(())
+    }
+
     /// Weighted-sum weights with arity validation (`None` = equal).
     fn resolve_weights(weights: Option<&[f64]>, n: usize) -> DovadoResult<Vec<f64>> {
         match weights {
@@ -826,6 +872,7 @@ impl Dovado {
                 let dataset = Dataset::from_csv(&sj.dataset_csv).map_err(|e| {
                     DovadoError::Config(format!("journaled surrogate dataset unreadable: {e}"))
                 })?;
+                self.check_journaled_dataset(&dataset, cfg, &persist_cfg.journal_path())?;
                 let mut restored = SurrogateController::restore(
                     dataset,
                     scfg.kernel,

@@ -4,7 +4,7 @@
 //! distance, interior solutions the sum of normalized neighbour gaps per
 //! objective.
 
-use crate::individual::Individual;
+use crate::individual::{cmp_nan_last, Individual};
 
 /// Computes crowding distances for the individuals at `front` indices and
 /// writes them into `pop[i].crowding`.
@@ -25,11 +25,7 @@ pub fn assign_crowding(pop: &mut [Individual], front: &[usize]) {
     let n_obj = pop[front[0]].min_objs.len();
     let mut order: Vec<usize> = front.to_vec();
     for m in 0..n_obj {
-        order.sort_by(|&a, &b| {
-            pop[a].min_objs[m]
-                .partial_cmp(&pop[b].min_objs[m])
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
+        order.sort_by(|&a, &b| cmp_nan_last(pop[a].min_objs[m], pop[b].min_objs[m]));
         let lo = pop[order[0]].min_objs[m];
         let hi = pop[order[n - 1]].min_objs[m];
         pop[order[0]].crowding = f64::INFINITY;
@@ -55,6 +51,31 @@ mod tests {
 
     fn ind(objs: &[f64]) -> Individual {
         Individual::new(vec![], objs.to_vec(), objs.to_vec())
+    }
+
+    #[test]
+    fn nan_and_infinite_objectives_never_panic() {
+        // A comparator that calls NaN "equal" to everything is not an
+        // order, and the standard sorts may panic on one; fronts of
+        // every size between 3 and 80 make that near certain.
+        let special = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 0.0];
+        for n in 3..80usize {
+            let mut pop: Vec<Individual> = (0..n)
+                .map(|i| {
+                    let a = if i % 3 == 0 {
+                        special[i % special.len()]
+                    } else {
+                        ((i * 37) % 11) as f64
+                    };
+                    ind(&[a, ((i * 13) % 7) as f64])
+                })
+                .collect();
+            let front: Vec<usize> = (0..n).collect();
+            assign_crowding(&mut pop, &front);
+            // The second objective holds no NaN: its extremes stay
+            // boundary solutions.
+            assert!(pop.iter().filter(|i| i.crowding == f64::INFINITY).count() >= 2);
+        }
     }
 
     #[test]

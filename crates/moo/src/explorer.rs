@@ -29,7 +29,7 @@
 //! crate) but its state is the [`SearchState::Bayes`] variant defined
 //! here, so the journal format stays in one place.
 
-use crate::individual::{non_dominated_indices, Individual};
+use crate::individual::{cmp_nan_last, non_dominated_indices, Individual};
 use crate::nsga2::{GenStats, OptResult};
 use crate::ops::sampling::{random_genome, random_population};
 use crate::ops::{GaussianIntegerMutation, IntegerSbx};
@@ -663,10 +663,11 @@ impl Explorer for WsgaExplorer {
         self.pop.extend(kids);
         let weights = &self.weights;
         self.pop.sort_by(|a, b| {
-            scalarize(weights, &a.min_objs)
-                .partial_cmp(&scalarize(weights, &b.min_objs))
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.genome.cmp(&b.genome))
+            cmp_nan_last(
+                scalarize(weights, &a.min_objs),
+                scalarize(weights, &b.min_objs),
+            )
+            .then_with(|| a.genome.cmp(&b.genome))
         });
         self.pop.truncate(self.pop_size);
         self.ledger.generation += 1;
@@ -1011,6 +1012,23 @@ mod tests {
         let mut xs: Vec<i64> = r.pareto.iter().map(|i| i.genome[0]).collect();
         xs.sort();
         assert_eq!(xs, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn weighted_sum_truncation_survives_nan_and_infinite_fitness() {
+        use crate::problem::Poisoned;
+        let genomes = || {
+            let mut p = Poisoned::new();
+            let e = WsgaExplorer::start(&mut p, vec![1.0, 1.0], 30, 3);
+            let r = run(Box::new(e), &mut p, &Termination::Generations(10));
+            r.population
+                .iter()
+                .map(|i| i.genome.clone())
+                .collect::<Vec<_>>()
+        };
+        let first = genomes();
+        assert_eq!(first.len(), 30 * 11, "the whole archive");
+        assert_eq!(first, genomes(), "truncation stays a pure function");
     }
 
     #[test]

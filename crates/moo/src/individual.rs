@@ -1,6 +1,21 @@
 //! Individuals: genome + objective values + NSGA-II bookkeeping.
 
+use std::cmp::Ordering;
 use std::fmt;
+
+/// The one float order every sort of objectives, fitness values and
+/// crowding distances uses: `partial_cmp` wherever that is defined, and
+/// NaN after every number (NaNs equal among themselves). Unlike
+/// `partial_cmp(..).unwrap_or(Equal)` it is a total order, which Rust's
+/// sorts require (they may panic otherwise), so a NaN read from a journal
+/// or a store cannot abort a run. `-0.0` and `0.0` stay equal, so on
+/// NaN-free input every sort keeps the order it had under `partial_cmp`.
+pub fn cmp_nan_last(a: f64, b: f64) -> Ordering {
+    match a.partial_cmp(&b) {
+        Some(order) => order,
+        None => a.is_nan().cmp(&b.is_nan()),
+    }
+}
 
 /// One evaluated solution.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,6 +91,54 @@ pub fn non_dominated_indices(pop: &[Individual]) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Both zeros, both infinities, NaNs of both signs and ordinary
+    /// numbers with ties.
+    const VALUES: [f64; 10] = [
+        0.0,
+        -0.0,
+        1.0,
+        -1.5,
+        1.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        -f64::NAN,
+        f64::MIN_POSITIVE,
+    ];
+
+    #[test]
+    fn cmp_nan_last_is_a_total_order_that_extends_partial_cmp() {
+        for a in VALUES {
+            for b in VALUES {
+                let ab = cmp_nan_last(a, b);
+                assert_eq!(ab, cmp_nan_last(b, a).reverse(), "{a} vs {b}");
+                match a.partial_cmp(&b) {
+                    Some(order) => assert_eq!(ab, order, "{a} vs {b}"),
+                    None if a.is_nan() && b.is_nan() => assert_eq!(ab, Ordering::Equal),
+                    None if a.is_nan() => assert_eq!(ab, Ordering::Greater, "{a} vs {b}"),
+                    None => assert_eq!(ab, Ordering::Less, "{a} vs {b}"),
+                }
+                for c in VALUES {
+                    if ab.is_le() && cmp_nan_last(b, c).is_le() {
+                        assert!(cmp_nan_last(a, c).is_le(), "{a} <= {b} <= {c}");
+                    }
+                }
+            }
+        }
+        assert_eq!(cmp_nan_last(-0.0, 0.0), Ordering::Equal);
+    }
+
+    #[test]
+    fn sorting_with_nan_puts_every_nan_last() {
+        let mut v: Vec<f64> = (0..200)
+            .map(|i| VALUES[(i * 7 + i / 10) % VALUES.len()] + (i % 3) as f64)
+            .collect();
+        v.sort_by(|a, b| cmp_nan_last(*a, *b));
+        let first_nan = v.iter().position(|x| x.is_nan()).expect("NaNs present");
+        assert!(v[first_nan..].iter().all(|x| x.is_nan()));
+        assert!(v[..first_nan].windows(2).all(|w| w[0] <= w[1]));
+    }
 
     fn ind(objs: &[f64]) -> Individual {
         Individual::new(vec![0], objs.to_vec(), objs.to_vec())

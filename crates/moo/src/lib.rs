@@ -38,7 +38,7 @@ pub use explorer::{
     run, AnnealingExplorer, ExhaustiveExplorer, Explorer, ExplorerSnapshot, Ledger, RandomExplorer,
     SearchState, SearchStateRef, WsgaExplorer,
 };
-pub use individual::{non_dominated_indices, Individual};
+pub use individual::{cmp_nan_last, non_dominated_indices, Individual};
 pub use metrics::{hypervolume, hypervolume_of, igd, spread};
 pub use nsga2::{GenStats, Nsga2Config, Nsga2Explorer, OptResult};
 pub use ops::{GaussianIntegerMutation, IntegerSbx};

@@ -1,7 +1,7 @@
 //! Front-quality metrics: hypervolume, inverted generational distance, and
 //! Deb's spread Δ. Used by the ablation benches to compare explorers.
 
-use crate::individual::Individual;
+use crate::individual::{cmp_nan_last, Individual};
 
 /// Keeps only points strictly better than `reference` in every coordinate
 /// and mutually non-dominated (minimization space). Points of the wrong
@@ -62,11 +62,7 @@ fn hv_recurse(points: &[Vec<f64>], reference: &[f64]) -> f64 {
     // Sweep the last dimension ascending; each slab's cross-section is the
     // (d-1)-dimensional hypervolume of the points at or below the slab.
     let mut pts = points.to_vec();
-    pts.sort_by(|a, b| {
-        a[d - 1]
-            .partial_cmp(&b[d - 1])
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
+    pts.sort_by(|a, b| cmp_nan_last(a[d - 1], b[d - 1]));
     let mut total = 0.0;
     for i in 0..pts.len() {
         let z_lo = pts[i][d - 1];
@@ -127,7 +123,7 @@ pub fn spread(front: &[Vec<f64>]) -> Option<f64> {
         return None;
     }
     let mut pts = front.to_vec();
-    pts.sort_by(|a, b| a[0].partial_cmp(&b[0]).unwrap_or(std::cmp::Ordering::Equal));
+    pts.sort_by(|a, b| cmp_nan_last(a[0], b[0]));
     let dist = |a: &[f64], b: &[f64]| -> f64 {
         a.iter()
             .zip(b)
@@ -147,6 +143,37 @@ pub fn spread(front: &[Vec<f64>]) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn nan_and_infinite_points_never_panic() {
+        let mut pts: Vec<Vec<f64>> = (0..60)
+            .map(|i| {
+                let x = f64::from(i % 9);
+                vec![x, 9.0 - x, f64::from(i % 4)]
+            })
+            .collect();
+        for (i, p) in pts.iter_mut().enumerate() {
+            match i % 5 {
+                0 => p[2] = f64::NAN,
+                1 => p[0] = f64::NAN,
+                2 => p[1] = f64::INFINITY,
+                _ => {}
+            }
+        }
+        let clean: Vec<Vec<f64>> = pts
+            .iter()
+            .filter(|p| p.iter().all(|v| v.is_finite()))
+            .cloned()
+            .collect();
+        let reference = [10.0, 10.0, 10.0];
+        // Non-finite points contribute nothing.
+        assert_eq!(
+            hypervolume(&pts, &reference).to_bits(),
+            hypervolume(&clean, &reference).to_bits()
+        );
+        // `spread` sorts NaN first objectives last; the gap to them is NaN.
+        assert!(spread(&pts).is_some());
+    }
 
     #[test]
     fn hv_single_point_2d() {

@@ -10,7 +10,7 @@
 
 use crate::crowding::assign_crowding;
 use crate::explorer::{evaluate_genomes, Explorer, Ledger, SearchStateRef};
-use crate::individual::Individual;
+use crate::individual::{cmp_nan_last, Individual};
 use crate::ops::sampling::random_population;
 use crate::ops::{binary_tournament, dedup_against, GaussianIntegerMutation, IntegerSbx};
 use crate::problem::Problem;
@@ -120,11 +120,9 @@ impl OptResult {
     /// reports).
     pub fn sorted_pareto(&self) -> Vec<Individual> {
         let mut front = self.pareto.clone();
-        front.sort_by(|a, b| {
-            a.raw
-                .first()
-                .partial_cmp(&b.raw.first())
-                .unwrap_or(std::cmp::Ordering::Equal)
+        front.sort_by(|a, b| match (a.raw.first(), b.raw.first()) {
+            (Some(&x), Some(&y)) => cmp_nan_last(x, y),
+            (x, y) => x.is_some().cmp(&y.is_some()),
         });
         front
     }
@@ -247,12 +245,8 @@ impl Explorer for Nsga2Explorer {
                 for (fi, front) in fronts.iter().enumerate() {
                     assign_crowding(&mut combined, front);
                     let mut sorted: Vec<usize> = front.clone();
-                    sorted.sort_by(|&a, &b| {
-                        combined[b]
-                            .crowding
-                            .partial_cmp(&combined[a].crowding)
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                    });
+                    sorted
+                        .sort_by(|&a, &b| cmp_nan_last(combined[b].crowding, combined[a].crowding));
                     let room = cfg.pop_size - next.len();
                     let take = quotas[fi].min(sorted.len()).min(room);
                     next.extend(sorted[..take].iter().map(|&i| combined[i].clone()));
@@ -273,10 +267,7 @@ impl Explorer for Nsga2Explorer {
                     } else {
                         let mut rest: Vec<usize> = front.clone();
                         rest.sort_by(|&a, &b| {
-                            combined[b]
-                                .crowding
-                                .partial_cmp(&combined[a].crowding)
-                                .unwrap_or(std::cmp::Ordering::Equal)
+                            cmp_nan_last(combined[b].crowding, combined[a].crowding)
                         });
                         for &i in rest.iter().take(cfg.pop_size - next.len()) {
                             next.push(combined[i].clone());
@@ -508,6 +499,73 @@ mod tests {
         let q = elitism_quotas(4, 20, 0.5);
         assert_eq!(q.iter().sum::<usize>(), 4);
         assert!(q[0] >= 1);
+    }
+
+    #[test]
+    fn nan_and_infinite_objectives_survive_selection() {
+        // NaN and ±∞ objectives flow through the non-dominated sort, the
+        // crowding sorts, both survival rules and the reported front
+        // without a panic, and the run stays seeded.
+        use crate::problem::Poisoned;
+        for elitism in [None, Some(0.5)] {
+            let cfg = Nsga2Config {
+                pop_size: 40,
+                seed: 5,
+                controlled_elitism: elitism,
+                ..Default::default()
+            };
+            let runs: Vec<OptResult> = (0..2)
+                .map(|_| {
+                    let mut p = Poisoned::new();
+                    let e = Nsga2Explorer::start(&mut p, &cfg);
+                    run(Box::new(e), &mut p, &Termination::Generations(12))
+                })
+                .collect();
+            let genomes = |r: &OptResult| {
+                r.sorted_pareto()
+                    .iter()
+                    .map(|i| i.genome.clone())
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(runs[0].population.len(), 40);
+            assert_eq!(genomes(&runs[0]), genomes(&runs[1]));
+        }
+    }
+
+    #[test]
+    fn sorted_pareto_orders_nan_and_missing_objectives() {
+        let ind = |raw: Vec<f64>| Individual::new(vec![0], raw.clone(), raw);
+        let pareto = vec![
+            ind(vec![f64::NAN]),
+            ind(vec![2.0]),
+            ind(vec![]),
+            ind(vec![f64::INFINITY]),
+            ind(vec![f64::NEG_INFINITY]),
+            ind(vec![-0.0]),
+        ];
+        let result = OptResult {
+            population: Vec::new(),
+            pareto,
+            generations: 0,
+            evaluations: 0,
+            history: Vec::new(),
+        };
+        let firsts: Vec<Option<f64>> = result
+            .sorted_pareto()
+            .iter()
+            .map(|i| i.raw.first().copied())
+            .collect();
+        assert_eq!(firsts[0], None, "a missing objective sorts first");
+        assert_eq!(
+            &firsts[1..5],
+            &[
+                Some(f64::NEG_INFINITY),
+                Some(-0.0),
+                Some(2.0),
+                Some(f64::INFINITY)
+            ]
+        );
+        assert!(firsts[5].unwrap().is_nan(), "NaN sorts last");
     }
 
     #[test]

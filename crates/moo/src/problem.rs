@@ -196,6 +196,44 @@ impl Problem for Schaffer {
     }
 }
 
+/// Schaffer over x ∈ [-60, 60] with poisoned objectives: a NaN first
+/// objective at every multiple of 3, and (+∞, −∞) at the other multiples
+/// of 7. What a hostile journal or store can hand an explorer.
+#[cfg(test)]
+pub(crate) struct Poisoned {
+    inner: Schaffer,
+    vars: Vec<IntVar>,
+}
+
+#[cfg(test)]
+impl Poisoned {
+    pub(crate) fn new() -> Poisoned {
+        Poisoned {
+            inner: Schaffer::new(),
+            vars: vec![IntVar::new("x", -60, 60)],
+        }
+    }
+}
+
+#[cfg(test)]
+impl Problem for Poisoned {
+    fn variables(&self) -> &[IntVar] {
+        &self.vars
+    }
+    fn objectives(&self) -> &[Objective] {
+        self.inner.objectives()
+    }
+    fn evaluate(&mut self, genome: &[i64]) -> Vec<f64> {
+        let mut objs = self.inner.evaluate(genome);
+        if genome[0] % 3 == 0 {
+            objs[0] = f64::NAN;
+        } else if genome[0] % 7 == 0 {
+            objs = vec![f64::INFINITY, f64::NEG_INFINITY];
+        }
+        objs
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -265,8 +265,9 @@ impl Dataset {
             .nearest(&self.coords, self.dim(), self.len(), x_norm, None)
     }
 
-    /// The `k` nearest rows to a normalized query (excluding `exclude`),
-    /// written into `out` as `(d², row)` sorted ascending by `(d², row)`.
+    /// The `k` nearest rows to a normalized query (excluding `exclude`)
+    /// by `(d², row)`, written into `out` as `(d², row)` pairs in no
+    /// particular order (see [`NeighborIndex::k_nearest`]).
     pub fn k_nearest(
         &self,
         x_norm: &[f64],
@@ -578,6 +579,8 @@ mod tests {
         let q = d.normalize(&[33, 4]);
         let mut got = Vec::new();
         d.k_nearest(&q, 5, None, &mut got);
+        got.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        assert_eq!(got.len(), 5);
         let want = d.sorted_dist2(&q, None);
         for (a, b) in got.iter().zip(&want) {
             assert_eq!(a.0.to_bits(), b.1.to_bits());

@@ -13,11 +13,14 @@
 //!   with `neighbor_k == 0`) scores every row against every other row,
 //!   incrementally. For each `(kernel, bandwidth)` it has scored, the
 //!   selector keeps every row's running LOO denominator and per-output
-//!   numerators, accumulated in ascending column order. A reselection
-//!   after ΔM new rows extends the old rows' sums over the new columns
-//!   only, computes full sums for the new rows, and refolds the per-row
-//!   normalized errors in O(M·m): O(ΔM·M·|grid|) kernel weights instead of
-//!   O(M²·|grid|). A float sum continued from its stored partial performs
+//!   numerators, accumulated in ascending column order. Each pair of
+//!   rows is weighted once: a row's pass pairs it with the rows before
+//!   it, starting its own sums over those columns and continuing theirs
+//!   with its column. A reselection after ΔM new rows therefore runs
+//!   only the new rows' passes and refolds the per-row normalized errors
+//!   in O(M·m): O(ΔM·M·|grid|) kernel weights instead of O(M²·|grid|),
+//!   and a fresh selection over M rows computes M(M−1)/2 weights per
+//!   bandwidth. A float sum continued from its stored partial performs
 //!   the same additions in the same order, so every score is bitwise the
 //!   from-scratch one. No pairwise matrix is kept: a new pair's distance
 //!   comes from [`dist2`] when its weight is needed, and each row keeps
@@ -259,13 +262,17 @@ impl Dense {
     /// Folds the dataset's new rows into the nearest-neighbour cache and
     /// brings the sums for `(kernel, bandwidths)` up to every row.
     ///
-    /// Each row `i` past a set's coverage (ascending) takes its distance
-    /// to every row once through [`dist2`]. Each pair's weight then adds
-    /// to the new row's full sum and, for an old row `j`, continues that
-    /// row's partial sum by column `i`. Old rows thus receive the new
-    /// columns in ascending order right after the columns they hold, and
-    /// `(a−b)² = (b−a)²` in IEEE arithmetic, so every sum — and every
-    /// nearest entry — is bitwise the from-scratch one.
+    /// Each row `i` past a set's coverage (ascending) is paired once with
+    /// every earlier row `j < i`: the pair's distance comes from [`dist2`]
+    /// and its weight starts row `i`'s sum over the columns before `i`
+    /// and continues row `j`'s sum with column `i`. A row's sum thus
+    /// receives its columns in ascending order — those below it in its
+    /// own pass, those above it in the later rows' passes — exactly as
+    /// a from-scratch sum over ascending `j` would, and `(a−b)² = (b−a)²`
+    /// in IEEE arithmetic, so every sum and every nearest entry is
+    /// bitwise the from-scratch one. Each pair's weight is computed once,
+    /// so a fresh selection over M rows costs M(M−1)/2 weights per
+    /// bandwidth.
     fn extend(&mut self, dataset: &Dataset, kernel: Kernel, bandwidths: &[f64]) {
         let n = dataset.len();
         let m = dataset.n_outputs();
@@ -307,25 +314,24 @@ impl Dense {
         self.nearest.resize(n, u32::MAX);
         self.nearest_d2.resize(n, f64::INFINITY);
         let outputs = dataset.outputs();
-        let mut d2 = vec![0.0f64; n];
+        let mut d2_buf = vec![0.0f64; n];
         let mut acc = vec![0.0f64; m];
         for i in from..n {
             let xi = dataset.point(i);
+            let d2 = &mut d2_buf[..i];
             for (j, v) in d2.iter_mut().enumerate() {
                 *v = dist2(xi, dataset.point(j));
             }
             if i >= covered {
-                // Strict `<` over ascending j keeps the lowest index on
-                // ties, for the new row and the old rows alike.
+                // Strict `<` over ascending columns keeps the lowest
+                // index on ties: row `i` sees the columns below it here
+                // and each later column in that row's pass.
                 for (j, &v) in d2.iter().enumerate() {
-                    if j == i {
-                        continue;
-                    }
                     if v < self.nearest_d2[i] {
                         self.nearest_d2[i] = v;
                         self.nearest[i] = j as u32;
                     }
-                    if j < covered && v < self.nearest_d2[j] {
+                    if v < self.nearest_d2[j] {
                         self.nearest_d2[j] = v;
                         self.nearest[j] = i as u32;
                     }
@@ -333,10 +339,9 @@ impl Dense {
             }
             let yi = &outputs[i];
             for s in sums.iter_mut().filter(|s| i >= s.rows) {
-                let (old, new) = d2.split_at(s.rows);
                 let mut den = 0.0f64;
                 acc.fill(0.0);
-                for (j, (&v, yj)) in old.iter().zip(outputs).enumerate() {
+                for (j, (&v, yj)) in d2.iter().zip(outputs).enumerate() {
                     let w = kernel.weight(v, s.bandwidth);
                     den += w;
                     for (a, y) in acc.iter_mut().zip(yj) {
@@ -344,16 +349,6 @@ impl Dense {
                     }
                     s.den[j] += w;
                     for (a, y) in s.num[j * m..j * m + m].iter_mut().zip(yi) {
-                        *a += w * y;
-                    }
-                }
-                for (j, (&v, yj)) in new.iter().zip(&outputs[s.rows..]).enumerate() {
-                    if s.rows + j == i {
-                        continue;
-                    }
-                    let w = kernel.weight(v, s.bandwidth);
-                    den += w;
-                    for (a, y) in acc.iter_mut().zip(yj) {
                         *a += w * y;
                     }
                 }
@@ -471,8 +466,10 @@ fn output_sd(dataset: &Dataset) -> Vec<f64> {
 
 /// Builds the truncated geometry: a deterministic evenly spaced sample
 /// of LOO rows (`0, step, 2·step, …` — a pure function of M and the
-/// cap), each with its `k` nearest neighbours from the KD-tree. Nothing here depends
-/// on tree structure: the k-NN sets are exact and `(d², row)`-ordered.
+/// cap), each with its `k` nearest neighbours from the KD-tree. Nothing
+/// here depends on tree structure: the k-NN sets are exact. Each set is
+/// taken unsorted and sorted once, by row; its nearest is the minimum
+/// `(d², row)`, found by one scan of the sorted set.
 fn build_truncated(dataset: &Dataset, k: usize, sample_cap: usize) -> Geometry {
     let n = dataset.len();
     let step = n.div_ceil(sample_cap.max(1)).max(1);
@@ -481,9 +478,13 @@ fn build_truncated(dataset: &Dataset, k: usize, sample_cap: usize) -> Geometry {
         .step_by(step)
         .map(|i| {
             dataset.k_nearest(dataset.point(i), k, Some(i), &mut buf);
-            let nearest = buf.first().map_or(0, |&(_, j)| j) as u32;
             let mut pairs: Vec<(u32, f64)> = buf.iter().map(|&(d2v, j)| (j as u32, d2v)).collect();
             pairs.sort_unstable_by_key(|&(j, _)| j);
+            // `min_by` keeps the first of equal minima: the lowest row.
+            let nearest = pairs
+                .iter()
+                .min_by(|a, b| a.1.total_cmp(&b.1))
+                .map_or(0, |&(j, _)| j);
             RowList {
                 row: i as u32,
                 nearest,
@@ -623,6 +624,58 @@ mod tests {
                 persistent.select(&d, Kernel::Gaussian, &[], 64),
                 select_bandwidth(&d, Kernel::Gaussian, &[])
             );
+        }
+    }
+
+    /// LOO-CV error straight from the definition: each row predicted
+    /// from all the others by [`NadarayaWatson::predict_norm_into`].
+    fn oracle_loo(d: &Dataset, kernel: Kernel, bandwidth: f64) -> f64 {
+        let sd = output_sd(d);
+        let nw = NadarayaWatson { kernel, bandwidth };
+        let mut pred = vec![0.0f64; d.n_outputs()];
+        let mut total = 0.0f64;
+        for i in 0..d.len() {
+            assert!(nw.predict_norm_into(d, d.point(i), Some(i), &mut pred));
+            for ((p, t), s) in pred.iter().zip(&d.outputs()[i]).zip(&sd) {
+                let e = (p - t) / s;
+                total += e * e;
+            }
+        }
+        total / (d.len() * d.n_outputs()) as f64
+    }
+
+    #[test]
+    fn row_at_a_time_growth_matches_a_fresh_build_bitwise() {
+        // The 49 points of a 7×7 grid, one row per scoring, in a
+        // scrambled order so nearest-neighbour ties fall on every side of
+        // each new row. One bandwidth is first scored mid-growth, and
+        // h = 0.001 underflows every weight of the compact kernels, so
+        // those scores read each row's nearest entry.
+        for kernel in Kernel::ALL {
+            let mut d = Dataset::new(Bounds::new(vec![(0, 6), (0, 6)]), 2);
+            let mut grown = BandwidthSelector::new();
+            for i in 0..49i64 {
+                let j = (i * 10) % 49;
+                let p = vec![j % 7, j / 7];
+                d.insert(p, vec![(j % 7) as f64 * 0.5, ((j * j) % 13) as f64]);
+                for (h, from) in [(0.001, 0), (0.2, 0), (0.05, 20)] {
+                    if i < from {
+                        continue;
+                    }
+                    let inc = grown.loo_mse(&d, kernel, h, 64).map(f64::to_bits);
+                    let fresh = loo_mse(&d, kernel, h);
+                    assert_eq!(
+                        inc,
+                        fresh.map(f64::to_bits),
+                        "{kernel} h={h} rows={}",
+                        d.len()
+                    );
+                    if let Some(fresh) = fresh {
+                        let oracle = oracle_loo(&d, kernel, h);
+                        assert_eq!(fresh.to_bits(), oracle.to_bits(), "{kernel} h={h}");
+                    }
+                }
+            }
         }
     }
 

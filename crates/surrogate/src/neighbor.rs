@@ -6,6 +6,19 @@
 //! built prefix, at which point the whole tree is rebuilt. This keeps
 //! insertion O(1) amortized-O(log²M) while queries stay O(log M + tail).
 //!
+//! **Buffered top-k.** A query collects candidates unsorted in the
+//! caller's buffer. When the buffer reaches 2k entries,
+//! `select_nth_unstable_by` on `(d², row)` keeps the k best, and the kept
+//! k-th becomes the *bound*: a later candidate ranked after it is
+//! rejected at once, and a far subtree is skipped when its split plane
+//! lies farther than the bound's d² (before the first compaction
+//! nothing is rejected or pruned). The bound is the k-th best of a subset
+//! of the candidates seen so far, so it is never tighter than the true
+//! k-th: nothing that belongs to the answer is rejected or pruned, and a
+//! final selection leaves exactly the k best. An accepted candidate
+//! costs one push, and each compaction a linear-time selection over 2k
+//! entries.
+//!
 //! **Determinism contract.** Queries are *exact*, not approximate: every
 //! candidate distance is computed by [`crate::kernel::dist2`] and
 //! candidates are ranked by the lexicographic `(d², row index)` order, so
@@ -116,14 +129,17 @@ impl NeighborIndex {
         x: &[f64],
         exclude: Option<usize>,
     ) -> Option<(usize, f64)> {
-        let mut best = Vec::with_capacity(1);
+        let mut best = Vec::with_capacity(2);
         self.k_nearest(coords, dim, n, x, 1, exclude, &mut best);
         best.first().map(|&(d2, i)| (i, d2))
     }
 
-    /// The `k` nearest rows to `x` (excluding `exclude`), written into
-    /// `out` as `(d², row)` sorted ascending by `(d², row)`. Fewer than
-    /// `k` entries when the dataset is smaller.
+    /// The `k` nearest rows to `x` (excluding `exclude`) by `(d², row)`,
+    /// written into `out` as `(d², row)` pairs in no particular order
+    /// (every caller re-sorts them by row). Fewer than `k` entries when
+    /// the dataset is smaller. `out` is the candidate buffer and holds up
+    /// to `2k` entries during the query, so reusing it across queries
+    /// allocates nothing.
     #[allow(clippy::too_many_arguments)]
     pub fn k_nearest(
         &self,
@@ -140,32 +156,36 @@ impl NeighborIndex {
             return;
         }
         debug_assert!(self.built <= n);
+        out.reserve(k.saturating_mul(2).min(n));
+        let mut top = TopK {
+            buf: out,
+            k,
+            bound: (f64::INFINITY, usize::MAX),
+        };
         if self.built > 0 {
-            self.visit(self.root, coords, dim, x, k, exclude, out);
+            self.visit(self.root, coords, dim, x, exclude, &mut top);
         }
         // Linear tail: rows appended since the last rebuild.
         for i in self.built..n {
             if Some(i) == exclude {
                 continue;
             }
-            let d2 = dist2(&coords[i * dim..i * dim + dim], x);
-            consider(out, k, (d2, i));
+            top.consider((dist2(&coords[i * dim..i * dim + dim], x), i));
         }
+        top.finish();
     }
 
     /// Recursive traversal: near child first, far child only when the
-    /// split plane is not farther than the current k-th best (`<=`, so an
-    /// equidistant candidate with a smaller row index is still reached).
-    #[allow(clippy::too_many_arguments)]
+    /// split plane is not farther than the bound (`<=`, so an equidistant
+    /// candidate with a smaller row index is still reached).
     fn visit(
         &self,
         node: u32,
         coords: &[f64],
         dim: usize,
         x: &[f64],
-        k: usize,
         exclude: Option<usize>,
-        out: &mut Vec<(f64, usize)>,
+        top: &mut TopK<'_>,
     ) {
         match self.nodes[node as usize] {
             Node::Leaf { start, len } => {
@@ -174,8 +194,7 @@ impl NeighborIndex {
                     if Some(i) == exclude {
                         continue;
                     }
-                    let d2 = dist2(&coords[i * dim..i * dim + dim], x);
-                    consider(out, k, (d2, i));
+                    top.consider((dist2(&coords[i * dim..i * dim + dim], x), i));
                 }
             }
             Node::Split {
@@ -190,28 +209,62 @@ impl NeighborIndex {
                 } else {
                     (right, left)
                 };
-                self.visit(near, coords, dim, x, k, exclude, out);
-                let bound = diff * diff;
-                if out.len() < k || bound <= out[out.len() - 1].0 {
-                    self.visit(far, coords, dim, x, k, exclude, out);
+                self.visit(near, coords, dim, x, exclude, top);
+                if diff * diff <= top.bound.0 {
+                    self.visit(far, coords, dim, x, exclude, top);
                 }
             }
         }
     }
 }
 
-/// Inserts a candidate into the sorted top-k buffer (ascending by
-/// `(d², row)`), dropping the current worst when full. `k` is small (≤ a
-/// few hundred), so ordered insertion beats a heap.
-fn consider(out: &mut Vec<(f64, usize)>, k: usize, cand: (f64, usize)) {
-    let pos = out.partition_point(|&c| c < cand);
-    if out.len() == k {
-        if pos == k {
+/// The `(d², row)` order every query ranks candidates by: total, with
+/// the lower row first on equal distances.
+fn by_dist_row(a: &(f64, usize), b: &(f64, usize)) -> std::cmp::Ordering {
+    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
+}
+
+/// The candidate buffer of one top-k query (see the module docs).
+struct TopK<'a> {
+    /// Unsorted candidates: a superset of the k best seen so far.
+    buf: &'a mut Vec<(f64, usize)>,
+    k: usize,
+    /// The k-th best `(d², row)` of the candidates at the last
+    /// compaction; `(∞, usize::MAX)` before the first.
+    bound: (f64, usize),
+}
+
+impl TopK<'_> {
+    /// Appends a candidate ranked before the bound, compacting the
+    /// buffer to the k best once it holds 2k. A squared distance is
+    /// never NaN or −0.0, so plain float comparison is the `(d², row)`
+    /// order here.
+    #[inline]
+    fn consider(&mut self, cand: (f64, usize)) {
+        let (d2, row) = self.bound;
+        if cand.0 > d2 || (cand.0 == d2 && cand.1 > row) {
             return;
         }
-        out.pop();
+        self.buf.push(cand);
+        if self.buf.len() == self.k.saturating_mul(2) {
+            self.keep_best();
+            self.bound = self.buf[self.k - 1];
+        }
     }
-    out.insert(pos, cand);
+
+    /// Leaves the k best candidates in the buffer, the k-th last.
+    fn keep_best(&mut self) {
+        self.buf.select_nth_unstable_by(self.k - 1, by_dist_row);
+        self.buf.truncate(self.k);
+    }
+
+    /// Cuts the buffer to exactly the k best (or every candidate, when
+    /// fewer than k exist).
+    fn finish(mut self) {
+        if self.buf.len() > self.k {
+            self.keep_best();
+        }
+    }
 }
 
 /// Builds the subtree over `order[start..end]`, returning its node index.
@@ -301,30 +354,77 @@ mod tests {
             .collect()
     }
 
+    /// Checks `k_nearest` over all rows of `coords` against the
+    /// brute-force scan, bit for bit.
+    fn assert_matches_brute(
+        idx: &NeighborIndex,
+        coords: &[f64],
+        dim: usize,
+        x: &[f64],
+        k: usize,
+        exclude: Option<usize>,
+    ) {
+        let n = coords.len() / dim;
+        let bits =
+            |v: &[(f64, usize)]| v.iter().map(|&(d, i)| (d.to_bits(), i)).collect::<Vec<_>>();
+        let mut out = Vec::new();
+        idx.k_nearest(coords, dim, n, x, k, exclude, &mut out);
+        out.sort_unstable_by(by_dist_row);
+        let want = brute_k(coords, dim, n, x, k, exclude);
+        assert_eq!(bits(&out), bits(&want), "n={n} k={k} exclude={exclude:?}");
+    }
+
     #[test]
     fn k_nearest_matches_brute_force_bitwise() {
+        // Coarse grids, so distance ties (the `(d², row)` tie-break) are
+        // everywhere, and k = 64 over hundreds of rows, so a query
+        // compacts its buffer several times.
         for (n, dim, seed) in [
             (1usize, 1usize, 1u64),
             (17, 2, 2),
             (300, 3, 3),
             (1000, 2, 4),
+            (626, 3, 5),
         ] {
             let coords = random_coords(n, dim, seed);
-            let mut idx = NeighborIndex::new();
-            idx.rebuild(&coords, dim, n);
+            // Tree-only, tail-only and a tree over a prefix plus a tail.
+            let mut tree = NeighborIndex::new();
+            tree.rebuild(&coords, dim, n);
+            let tail = NeighborIndex::new();
+            let mut mixed = NeighborIndex::new();
+            mixed.rebuild(&coords, dim, n - n / 3);
             let mut rng = StdRng::seed_from_u64(seed ^ 0xFF);
-            let mut out = Vec::new();
-            for _ in 0..50 {
+            for _ in 0..30 {
                 let x: Vec<f64> = (0..dim).map(|_| rng.gen_range(0..8) as f64 / 7.0).collect();
-                for k in [1usize, 3, 8, n + 5] {
-                    idx.k_nearest(&coords, dim, n, &x, k, None, &mut out);
-                    let want = brute_k(&coords, dim, n, &x, k, None);
-                    assert_eq!(out.len(), want.len());
-                    for (a, b) in out.iter().zip(&want) {
-                        assert_eq!(a.0.to_bits(), b.0.to_bits(), "n={n} k={k}");
-                        assert_eq!(a.1, b.1, "n={n} k={k}");
+                let row = rng.gen_range(0..n);
+                for k in [1usize, 3, 8, 64, n.saturating_sub(1), n, n + 5] {
+                    for idx in [&tree, &tail, &mixed] {
+                        for exclude in [None, Some(row)] {
+                            assert_matches_brute(idx, &coords, dim, &x, k, exclude);
+                        }
+                        // A query at a stored row, the LOO shape.
+                        let at = coords[row * dim..row * dim + dim].to_vec();
+                        assert_matches_brute(idx, &coords, dim, &at, k, Some(row));
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn one_query_compacts_its_buffer_repeatedly() {
+        // 2,000 rows on a 4×4 grid: every distance is one of a handful
+        // of values, so a k = 64 query meets thousands of ties and its
+        // buffer reaches 2k many times over. Rows far down the tail must
+        // still lose to equidistant earlier rows.
+        let dim = 2;
+        let n = 2_000;
+        let coords: Vec<f64> = (0..n * dim).map(|i| ((i * 7) % 4) as f64 / 3.0).collect();
+        let mut idx = NeighborIndex::new();
+        idx.rebuild(&coords, dim, 1_200);
+        for x in [[0.0, 0.0], [1.0 / 3.0, 2.0 / 3.0], [0.5, 0.5]] {
+            for k in [1usize, 64, 500] {
+                assert_matches_brute(&idx, &coords, dim, &x, k, Some(5));
             }
         }
     }
@@ -342,6 +442,7 @@ mod tests {
         // ...and queries must still see them, identically to brute force.
         let mut out = Vec::new();
         idx.k_nearest(&coords, dim, 130, &[0.5, 0.5], 7, None, &mut out);
+        out.sort_unstable_by(by_dist_row);
         assert_eq!(out, brute_k(&coords, dim, 130, &[0.5, 0.5], 7, None));
     }
 

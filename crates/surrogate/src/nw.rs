@@ -68,7 +68,8 @@ impl NadarayaWatson {
     /// all-weights-underflow fallback below picks the same nearest row —
     /// lowest row index on distance ties — as the exact path, because the
     /// KD-tree ranks candidates by `(d², row)` and the globally nearest
-    /// row is always among the k kept.
+    /// row is always among the k kept. The k rows arrive unsorted and
+    /// are sorted once, by row.
     pub fn predict_norm_topk_into(
         &self,
         dataset: &Dataset,
@@ -84,9 +85,6 @@ impl NadarayaWatson {
             return false;
         }
         debug_assert_eq!(out.len(), dataset.n_outputs());
-        // The fallback row: minimum (d², row) — identical to the exact
-        // path's first-wins linear scan.
-        let fallback = nbuf[0].1;
         // Accumulate in ascending row order so a full candidate set
         // (k ≥ M) reproduces the exact path's sums bitwise.
         nbuf.sort_unstable_by_key(|&(_, i)| i);
@@ -100,7 +98,15 @@ impl NadarayaWatson {
             }
         }
         if den <= f64::MIN_POSITIVE * 1e3 {
-            // All weights vanished: nearest-neighbour fallback.
+            // All weights vanished: nearest-neighbour fallback to the
+            // minimum (d², row). The rows ascend and `min_by` keeps the
+            // first of equal minima, so the lowest row among the nearest
+            // wins, as in the exact path's first-wins linear scan.
+            let fallback = nbuf
+                .iter()
+                .min_by(|a, b| a.0.total_cmp(&b.0))
+                .map(|&(_, i)| i)
+                .expect("a non-empty neighbour set");
             out.copy_from_slice(&dataset.outputs()[fallback]);
             return true;
         }
@@ -370,6 +376,62 @@ mod tests {
         assert_eq!(exact, 1.0);
         assert_eq!(trunc1, 1.0);
         assert_eq!(trunc3, 1.0);
+    }
+
+    /// Truncated prediction by brute force: every distance, the k best
+    /// by `(d², row)`, summed in ascending row order, with the minimum
+    /// `(d², row)` as the underflow fallback.
+    fn brute_topk(nw: &NadarayaWatson, d: &Dataset, x: &[f64], k: usize) -> Vec<f64> {
+        let mut all: Vec<(f64, usize)> = (0..d.len()).map(|i| (d.dist2_to(x, i), i)).collect();
+        all.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let fallback = all[0].1;
+        all.truncate(k);
+        all.sort_by_key(|&(_, i)| i);
+        let mut out = vec![0.0f64; d.n_outputs()];
+        let mut den = 0.0f64;
+        for &(d2, i) in &all {
+            let w = nw.kernel.weight(d2, nw.bandwidth);
+            den += w;
+            for (acc, y) in out.iter_mut().zip(&d.outputs()[i]) {
+                *acc += w * y;
+            }
+        }
+        if den <= f64::MIN_POSITIVE * 1e3 {
+            return d.outputs()[fallback].clone();
+        }
+        out.iter().map(|v| v / den).collect()
+    }
+
+    #[test]
+    fn topk_matches_a_brute_force_prediction_bitwise() {
+        // The 343 points of an even 7×7×7 grid (many distance ties),
+        // queried on and off the grid at k up to past M, with kernels and
+        // bandwidths from all-weights underflow (off the grid, where up
+        // to eight rows tie for the fallback) to global averaging.
+        let mut d = Dataset::new(Bounds::new(vec![(0, 12), (0, 12), (0, 12)]), 2);
+        let rows = (0..343i64).map(|i| {
+            let p = vec![2 * (i % 7), 2 * ((i / 7) % 7), 2 * (i / 49)];
+            let xf = p[0] as f64 + 0.5 * p[1] as f64;
+            (p, vec![xf, (i % 11) as f64])
+        });
+        d.insert_bulk(rows);
+        for kernel in Kernel::ALL {
+            for h in [0.001, 0.05, 0.3, 2.0] {
+                let nw = NadarayaWatson {
+                    kernel,
+                    bandwidth: h,
+                };
+                for q in [[0i64, 0, 0], [1, 1, 1], [3, 4, 2], [6, 1, 5], [12, 11, 7]] {
+                    let x = d.normalize(&q);
+                    for k in [1usize, 2, 8, 64, 200, d.len(), d.len() + 5] {
+                        let got = nw.predict_topk(&d, &q, k).unwrap();
+                        let want = brute_topk(&nw, &d, &x, k);
+                        let bits = |v: &[f64]| v.iter().map(|y| y.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&got), bits(&want), "{kernel} h={h} q={q:?} k={k}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use dovado::casestudies::corundum;
 use dovado::dse::ExploreMonitor;
-use dovado::persist::{read_journal, write_journal};
+use dovado::persist::{read_journal, write_journal, Journal};
 use dovado::{
     Domain, Dovado, DovadoError, DseConfig, DseReport, EvalConfig, HdlSource, Metric, MetricSet,
     ParameterSpace, PersistConfig, SurrogateConfig,
@@ -18,7 +18,7 @@ use dovado::{
 use dovado_eda::FaultPlan;
 use dovado_fpga::ResourceKind;
 use dovado_hdl::Language;
-use dovado_moo::{Nsga2Config, Termination};
+use dovado_moo::{Nsga2Config, SearchState, Termination};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -773,5 +773,117 @@ fn a_long_run_makes_logarithmically_many_full_journal_writes() {
         written <= 4 * compact_bytes,
         "wrote {written} bytes for a {compact_bytes}-byte journal"
     );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The journal a persistent run of `cfg` wrote at its first boundary
+/// (generation 0).
+fn first_boundary_journal(tool: &Dovado, cfg: &DseConfig, persist: &PersistConfig) -> Vec<u8> {
+    let copies = JournalCopies::new(persist);
+    tool.explore_monitored(cfg, Some(persist), &copies).unwrap();
+    copies.finish().swap_remove(0)
+}
+
+/// Installs `journal` as `persist`'s journal after `edit` changed it;
+/// `write_journal` checksums the edited journal like any other.
+fn write_edited_journal(persist: &PersistConfig, journal: &[u8], edit: impl FnOnce(&mut Journal)) {
+    let path = persist.journal_path();
+    std::fs::write(&path, journal).unwrap();
+    let mut journal = read_journal(&path).unwrap();
+    edit(&mut journal);
+    write_journal(&path, &journal).unwrap();
+}
+
+#[test]
+fn resume_survives_nan_objectives_in_the_journaled_population() {
+    // A journal is a trust boundary: NaN objectives read from one must
+    // flow through NSGA-II's sorts without aborting the run.
+    let study = corundum::case_study();
+    let tool = study
+        .dovado_with(EvalConfig {
+            part: study.part.to_string(),
+            ..EvalConfig::default()
+        })
+        .unwrap();
+    let cfg = DseConfig {
+        algorithm: Nsga2Config {
+            pop_size: 32,
+            seed: 5,
+            ..Default::default()
+        },
+        termination: Termination::Generations(12),
+        metrics: study.metrics.clone(),
+        ..DseConfig::default()
+    };
+    let dir = fresh_dir("nan");
+    let persist = PersistConfig::new(&dir);
+    let first = first_boundary_journal(&tool, &cfg, &persist);
+    write_edited_journal(&persist, &first, |journal| {
+        let SearchState::Nsga2 { population, .. } = &mut journal.snapshot.state else {
+            panic!("an NSGA-II journal holds NSGA-II state");
+        };
+        for ind in population.iter_mut().step_by(3) {
+            ind.raw[0] = f64::NAN;
+            ind.min_objs[0] = f64::NAN;
+        }
+    });
+    let resume = PersistConfig {
+        resume: true,
+        ..PersistConfig::new(&dir)
+    };
+    let report = tool
+        .explore_persistent(&cfg, &resume)
+        .expect("NaN objectives resume");
+    assert_eq!(report.generations, 12);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn resume_refuses_a_journaled_dataset_of_the_wrong_shape() {
+    // A self-consistent dataset that does not fit the run used to abort
+    // it at the first recorded point; each misfit is now a typed error
+    // that names the journal.
+    let tool = tool(FaultPlan::none());
+    let cfg = DseConfig {
+        algorithm: Nsga2Config {
+            pop_size: 8,
+            seed: 3,
+            ..Default::default()
+        },
+        termination: Termination::Generations(30),
+        surrogate: Some(SurrogateConfig {
+            pretrain_samples: 10,
+            ..Default::default()
+        }),
+        ..cfg(true, false)
+    };
+    let dir = fresh_dir("shape");
+    let persist = PersistConfig::new(&dir);
+    let first = first_boundary_journal(&tool, &cfg, &persist);
+    let path = persist.journal_path();
+    // The fifo's index bounds are DEPTH 0..=255 and DATA_WIDTH 0..=2,
+    // with three metrics.
+    let misfits = [
+        ("#bounds,0:10;outputs=1\n5|1\n", "bounds"),
+        ("#bounds,0:255,0:2;outputs=1\n5,1|1\n", "output(s)"),
+        (
+            "#bounds,0:255,0:2;outputs=3\n5,1|1,2,3\n256,0|1,2,3\n",
+            "outside",
+        ),
+    ];
+    for (csv, why) in misfits {
+        write_edited_journal(&persist, &first, |journal| {
+            journal.surrogate.as_mut().unwrap().dataset_csv = csv.to_string();
+        });
+        let resume = PersistConfig {
+            resume: true,
+            ..PersistConfig::new(&dir)
+        };
+        let err = tool.explore_persistent(&cfg, &resume).unwrap_err();
+        let msg = err.to_string();
+        assert!(matches!(err, DovadoError::Config(_)), "{msg}");
+        assert!(msg.contains(&path.display().to_string()), "{msg}");
+        assert!(msg.contains(why), "{msg}");
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
