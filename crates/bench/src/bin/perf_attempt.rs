@@ -442,7 +442,6 @@ impl ReportInputs {
             wns_ns: eval.wns_ns,
             period_ns: eval.period_ns,
             runtime_s: eval.tool_time_s,
-            log: String::new(),
         };
         // Split the scraped total into a static and a dynamic share.
         let power = PowerEstimate {

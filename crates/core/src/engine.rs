@@ -153,6 +153,7 @@ impl FlowScripts {
         module: &ModuleInterface,
         config: &EvalConfig,
     ) -> DovadoResult<FlowScripts> {
+        let period = clock_period(config.target_period_ns)?;
         let source_paths: Vec<String> = sources.iter().map(|s| format!("src/{}", s.name)).collect();
         let box_path = format!("src/{}", box_file_name(module.language));
         let mut entries: Vec<SourceEntry> = sources
@@ -176,7 +177,6 @@ impl FlowScripts {
         let part = tcl_word("part", &config.part)?;
         let synth_directive = tcl_word("synthesis directive", &config.synth_directive)?;
         let impl_directive = tcl_word("implementation directive", &config.impl_directive)?;
-        let period = format!("{:.3}", config.target_period_ns);
         let synth = |incremental: &str| {
             fill(
                 SYNTH_FRAME,
@@ -212,6 +212,25 @@ impl FlowScripts {
             source_paths,
             box_path,
         })
+    }
+}
+
+/// The `create_clock -period` value for a target period: nanoseconds to
+/// the constraint's 3-decimal resolution. A period that renders as zero or
+/// less (0.0004 ns renders as `0.000`), or as no finite number, is a
+/// configuration error here, rather than a clock that fails every attempt.
+fn clock_period(period_ns: f64) -> DovadoResult<String> {
+    let period = format!("{period_ns:.3}");
+    if period
+        .parse::<f64>()
+        .is_ok_and(|p| p > 0.0 && p.is_finite())
+    {
+        Ok(period)
+    } else {
+        Err(DovadoError::Config(format!(
+            "target period {period_ns} ns renders as {period} ns at the clock constraint's \
+             3-decimal resolution; it must be a finite number of at least 0.001 ns"
+        )))
     }
 }
 
@@ -295,12 +314,6 @@ impl Evaluator {
             }
         }
         let module = found.ok_or_else(|| DovadoError::UnknownModule(top_module.to_string()))?;
-        if config.target_period_ns <= 0.0 {
-            return Err(DovadoError::Config(format!(
-                "target period {} must be positive",
-                config.target_period_ns
-            )));
-        }
         let scripts = FlowScripts::build(&sources, &package_flags, &module, &config)?;
         let ctx = FlowContext {
             sources: Arc::new(sources),
@@ -474,7 +487,9 @@ impl Evaluator {
     /// [`DovadoError::RetriesExhausted`], never as fabricated metrics.
     pub fn evaluate(&self, point: &DesignPoint) -> DovadoResult<Evaluation> {
         let seq = self.bus.alloc(1);
-        self.evaluate_at(point, seq, self.checkpoint_basis())
+        let result = self.evaluate_at(point, seq, self.checkpoint_basis());
+        self.bus.settle();
+        result
     }
 
     /// Evaluates many points per `schedule` — a [`Schedule`], or `true`
@@ -486,7 +501,9 @@ impl Evaluator {
     ///
     /// A contiguous block of spine sequence numbers is reserved in input
     /// order *before* any fan-out, so the event stream's canonical order
-    /// is identical for every schedule.
+    /// is identical for every schedule. Once every point has returned,
+    /// the batch's simulated seconds fold into the totals in that order
+    /// ([`EventBus::settle`]), so the totals are identical too.
     pub fn evaluate_many(
         &self,
         points: &[DesignPoint],
@@ -499,7 +516,7 @@ impl Evaluator {
             .enumerate()
             .map(|(i, p)| (start + i as u64, p))
             .collect();
-        match schedule.into() {
+        let results = match schedule.into() {
             Schedule::Parallel => {
                 use rayon::prelude::*;
                 indexed
@@ -512,7 +529,9 @@ impl Evaluator {
                 .map(|&(seq, p)| self.evaluate_at(p, seq, basis))
                 .collect(),
             Schedule::Distributed { workers } => self.evaluate_stealing(&indexed, workers, basis),
-        }
+        };
+        self.bus.settle();
+        results
     }
 
     /// Snapshot of the incremental-flow checkpoint basis, taken once per
@@ -812,6 +831,36 @@ mod tests {
         assert!(matches!(validate_jobs(0), Err(DovadoError::Config(_))));
         assert_eq!(validate_jobs(1).unwrap(), 1);
         assert_eq!(validate_jobs(64).unwrap(), 64);
+    }
+
+    #[test]
+    fn a_period_that_renders_as_zero_is_a_config_error() {
+        let with_period = |target_period_ns| {
+            Evaluator::with_backend(
+                sources(),
+                "fifo_v3",
+                EvalConfig {
+                    target_period_ns,
+                    ..EvalConfig::default()
+                },
+                Arc::new(MockBackend::new(7)),
+            )
+        };
+        for period in [0.0004, 0.0, -1.0, f64::NAN, f64::INFINITY] {
+            match with_period(period) {
+                Err(DovadoError::Config(m)) => assert!(
+                    m.starts_with(&format!("target period {period} ns renders as "))
+                        && m.contains("3-decimal resolution"),
+                    "{m}"
+                ),
+                Err(e) => panic!("{period}: expected a config error, got {e}"),
+                Ok(_) => panic!("{period}: accepted"),
+            }
+        }
+        // The smallest period the constraint can express still evaluates.
+        let point = DesignPoint::from_pairs(&[("DEPTH", 16)]);
+        let smallest = with_period(0.0005).unwrap();
+        assert_eq!(smallest.evaluate(&point).unwrap().period_ns, 0.001);
     }
 
     #[test]

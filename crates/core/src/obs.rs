@@ -212,6 +212,20 @@ impl Totals {
     /// every counter in Dovado; [`TraceSummary`] snapshots and the
     /// engine's time/run ledger are views of this fold.
     pub fn fold(&mut self, event: &ObsEvent) {
+        self.fold_counts(event);
+        if let ObsEvent::Attempt(e) = event {
+            self.fold_attempt_time(e.tool_time_s, e.backoff_s);
+        }
+    }
+
+    /// An attempt's simulated seconds: its tool time and its backoff.
+    fn fold_attempt_time(&mut self, tool_time_s: f64, backoff_s: f64) {
+        self.summary.backoff_s += backoff_s;
+        self.tool_time_s += tool_time_s + backoff_s;
+    }
+
+    /// [`Totals::fold`] without an attempt's simulated seconds.
+    fn fold_counts(&mut self, event: &ObsEvent) {
         match event {
             ObsEvent::Attempt(e) => {
                 self.summary.attempts += 1;
@@ -228,8 +242,6 @@ impl Totals {
                     AttemptOutcome::TransientFailure(_) => self.summary.transient_failures += 1,
                     AttemptOutcome::PermanentFailure(_) => self.summary.permanent_failures += 1,
                 }
-                self.summary.backoff_s += e.backoff_s;
-                self.tool_time_s += e.tool_time_s + e.backoff_s;
             }
             ObsEvent::StoreHit { .. } => self.summary.store_hits += 1,
             ObsEvent::TimeCharged { seconds } => self.tool_time_s += seconds,
@@ -311,7 +323,14 @@ pub struct EventBus {
 #[derive(Default)]
 struct BusInner {
     events: BTreeMap<EventKey, ObsEvent>,
+    /// Everything folded so far, except the seconds in `unsettled`.
     totals: Totals,
+    /// Simulated seconds (tool time, backoff) of attempts emitted since
+    /// the last [`EventBus::settle`], in arrival order. A parallel batch's
+    /// attempts arrive in completion order; folding their seconds in key
+    /// order instead keeps the float sums, and the journal that records
+    /// them, the same on every schedule.
+    unsettled: Vec<(EventKey, f64, f64)>,
     next_seq: u64,
     dropped: u64,
     /// Worker lifecycle side channel, in arrival order. Kept out of
@@ -341,9 +360,24 @@ impl EventBus {
     }
 
     /// Emits an event at an explicit key (keys must be unique per run).
+    ///
+    /// An attempt's counts fold at once and its simulated seconds wait
+    /// for [`EventBus::settle`]. Time charged outside an attempt settles
+    /// the waiting seconds first, so a serial run adds every term in the
+    /// order it arrived.
     pub fn emit(&self, key: EventKey, event: ObsEvent) {
         let mut inner = self.inner.lock();
-        inner.totals.fold(&event);
+        match &event {
+            ObsEvent::Attempt(e) => {
+                inner.totals.fold_counts(&event);
+                inner.unsettled.push((key, e.tool_time_s, e.backoff_s));
+            }
+            ObsEvent::TimeCharged { .. } | ObsEvent::Resume { .. } => {
+                inner.settle();
+                inner.totals.fold(&event);
+            }
+            _ => inner.totals.fold(&event),
+        }
         inner.events.insert(key, event);
         if inner.events.len() > MAX_RETAINED_EVENTS {
             inner.events.pop_last();
@@ -391,9 +425,17 @@ impl EventBus {
         self.inner.lock().store_events.clone()
     }
 
-    /// Exact whole-run totals (cover evicted events too).
+    /// Folds the simulated seconds of the attempts emitted since the last
+    /// settle into the totals, in canonical key order. Batch dispatch
+    /// calls this once all of its points have returned.
+    pub fn settle(&self) {
+        self.inner.lock().settle();
+    }
+
+    /// Exact whole-run totals (cover evicted events too). Seconds not yet
+    /// settled count as if settled now, without settling them.
     pub fn totals(&self) -> Totals {
-        self.inner.lock().totals
+        self.inner.lock().totals()
     }
 
     /// Number of events evicted by the retention cap.
@@ -414,15 +456,36 @@ impl EventBus {
     /// A consistent snapshot of events and totals, taken under one lock.
     pub fn snapshot(&self) -> SpineSnapshot {
         let inner = self.inner.lock();
+        let totals = inner.totals();
         SpineSnapshot {
             events: inner.events.iter().map(|(k, e)| (*k, e.clone())).collect(),
-            summary: inner.totals.summary,
-            runs: inner.totals.runs,
-            tool_time_s: inner.totals.tool_time_s,
-            lowfi_runs: inner.totals.lowfi_runs,
-            lowfi_time_s: inner.totals.lowfi_time_s,
+            summary: totals.summary,
+            runs: totals.runs,
+            tool_time_s: totals.tool_time_s,
+            lowfi_runs: totals.lowfi_runs,
+            lowfi_time_s: totals.lowfi_time_s,
             dropped: inner.dropped,
         }
+    }
+}
+
+impl BusInner {
+    fn settle(&mut self) {
+        fold_in_key_order(&mut self.totals, &mut self.unsettled);
+    }
+
+    fn totals(&self) -> Totals {
+        let mut totals = self.totals;
+        fold_in_key_order(&mut totals, &mut self.unsettled.clone());
+        totals
+    }
+}
+
+/// Folds and drains `unsettled` attempt seconds in key order.
+fn fold_in_key_order(totals: &mut Totals, unsettled: &mut Vec<(EventKey, f64, f64)>) {
+    unsettled.sort_unstable_by_key(|&(key, ..)| key);
+    for (_, tool_time_s, backoff_s) in unsettled.drain(..) {
+        totals.fold_attempt_time(tool_time_s, backoff_s);
     }
 }
 
@@ -698,6 +761,66 @@ mod tests {
         assert_eq!(folded.summary.store_hits, 1);
         assert_eq!(folded.runs, 2);
         assert_eq!(folded.tool_time_s, 5.0 * 10.0 + 30.0 + 5.0);
+    }
+
+    #[test]
+    fn totals_do_not_depend_on_arrival_order() {
+        // Added in key order the seconds sum to 1.2000000000000002 (tool
+        // time) and 0.6000000000000001 (backoff); in reverse, to 1.2 and 0.6.
+        let events: Vec<(EventKey, ObsEvent)> = [0.1, 0.2, 0.3]
+            .into_iter()
+            .zip(0..)
+            .map(|(seconds, seq)| {
+                let ObsEvent::Attempt(mut e) = attempt("DEPTH=8", 1, AttemptOutcome::Success)
+                else {
+                    unreachable!()
+                };
+                (e.tool_time_s, e.backoff_s) = (seconds, seconds);
+                (EventKey { seq, sub: 1 }, ObsEvent::Attempt(e))
+            })
+            .collect();
+        let in_order = |order: [usize; 3]| {
+            let bus = EventBus::new();
+            for i in order {
+                bus.emit(events[i].0, events[i].1.clone());
+            }
+            (bus.totals(), bus.snapshot())
+        };
+        let (forward, forward_snap) = in_order([0, 1, 2]);
+        let (backward, backward_snap) = in_order([2, 1, 0]);
+        assert_eq!(
+            forward.tool_time_s.to_bits(),
+            backward.tool_time_s.to_bits()
+        );
+        assert_eq!(
+            forward.summary.backoff_s.to_bits(),
+            backward.summary.backoff_s.to_bits()
+        );
+        assert_eq!(forward, fold_totals(events.iter().map(|(_, e)| e)));
+        assert_eq!(forward_snap, backward_snap);
+    }
+
+    #[test]
+    fn charged_time_adds_after_the_attempts_before_it() {
+        let bus = EventBus::new();
+        for (seq, seconds) in [(1, 0.3), (0, 0.2)] {
+            let ObsEvent::Attempt(mut e) = attempt("DEPTH=8", 1, AttemptOutcome::Success) else {
+                unreachable!()
+            };
+            e.tool_time_s = seconds;
+            bus.emit(EventKey { seq, sub: 1 }, ObsEvent::Attempt(e));
+        }
+        assert_eq!(bus.totals().tool_time_s, 0.2 + 0.3);
+        // Charged time adds to the sum of the attempts before it: 0.6,
+        // where 0.1 + 0.2 + 0.3 would be 0.6000000000000001.
+        bus.emit(
+            EventKey { seq: 2, sub: 0 },
+            ObsEvent::TimeCharged { seconds: 0.1 },
+        );
+        let charged = bus.totals();
+        assert_eq!(charged.tool_time_s.to_bits(), 0.6f64.to_bits());
+        bus.settle();
+        assert_eq!(bus.totals(), charged);
     }
 
     #[test]

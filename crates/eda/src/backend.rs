@@ -612,7 +612,6 @@ impl MockSession {
             wns_ns: self.period_ns - delay,
             period_ns: self.period_ns,
             runtime_s: self.elapsed_s,
-            log: String::new(),
         };
         write_timing_report(&module, &result)
     }

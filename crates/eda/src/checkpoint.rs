@@ -160,7 +160,6 @@ mod tests {
             netlist: Netlist::empty("m"),
             runtime_s: 1.0,
             directive: SynthDirective::Default,
-            log: String::new(),
         }))
     }
 

@@ -95,8 +95,6 @@ pub struct ImplResult {
     pub period_ns: f64,
     /// Simulated tool run time in seconds.
     pub runtime_s: f64,
-    /// Short log excerpt.
-    pub log: String,
 }
 
 impl ImplResult {
@@ -166,25 +164,13 @@ pub fn place_and_route(
         ((synthesized.luts() as f64) * repack).round().max(1.0) as u64,
     );
 
-    let runtime_s = impl_runtime_s(synthesized.cells.total(), utilization, directive);
-    let log = format!(
-        "route_design: {} routed at {:.1} % peak utilization; WNS {:.3} ns @ {:.3} ns period \
-         (directive {})",
-        netlist.module,
-        utilization * 100.0,
-        wns_ns,
-        period_ns,
-        directive.as_vivado(),
-    );
-
     Ok(ImplResult {
         netlist,
         utilization,
         crit_delay_ns,
         wns_ns,
         period_ns,
-        runtime_s,
-        log,
+        runtime_s: impl_runtime_s(synthesized.cells.total(), utilization, directive),
     })
 }
 
@@ -212,7 +198,6 @@ pub fn estimate_timing(synthesized: &Netlist, part: &Part, period_ns: f64) -> Im
         wns_ns: period_ns - delay,
         period_ns,
         runtime_s: 0.0,
-        log: format!("post-synthesis timing estimate for {}", synthesized.module),
     }
 }
 

@@ -9,8 +9,8 @@
 //! ones.
 
 use crate::netlist::Netlist;
+use crate::report::push_fixed;
 use dovado_fpga::{Part, ResourceKind};
-use std::fmt::Write as _;
 
 /// Default toggle rate α (fraction of cells switching per cycle) — the
 /// 12.5 % Vivado assumes when no simulation data is supplied.
@@ -95,15 +95,15 @@ pub fn write_power_report(module: &str, est: &PowerEstimate, clock_mhz: f64) -> 
     s.push_str("Copyright 1986-2026 Dovado-RS simulated Vivado\n| Design       : ");
     s.push_str(module);
     s.push_str("\n\nPower Report (activity derived from constraints, toggle ");
-    let _ = write!(s, "{:.1}", DEFAULT_TOGGLE_RATE * 100.0);
+    push_fixed(&mut s, DEFAULT_TOGGLE_RATE * 100.0, 0, 1);
     s.push_str(" %)\n| Total On-Chip Power (W)  | ");
-    let _ = write!(s, "{:.4}", est.total_mw() / 1000.0);
+    push_fixed(&mut s, est.total_mw() / 1000.0, 0, 4);
     s.push_str(" |\n| Dynamic (W)              | ");
-    let _ = write!(s, "{:.4}", est.dynamic_mw / 1000.0);
+    push_fixed(&mut s, est.dynamic_mw / 1000.0, 0, 4);
     s.push_str(" |\n| Device Static (W)        | ");
-    let _ = write!(s, "{:.4}", est.static_mw / 1000.0);
+    push_fixed(&mut s, est.static_mw / 1000.0, 0, 4);
     s.push_str(" |\n| Clock (MHz)              | ");
-    let _ = write!(s, "{clock_mhz:.3}");
+    push_fixed(&mut s, clock_mhz, 0, 3);
     s.push_str(" |\n");
     s
 }

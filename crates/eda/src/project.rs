@@ -33,7 +33,8 @@ pub struct SourceUnit {
     /// Language it was read as.
     pub language: Language,
     /// Parse result, shared with every other session that read the same
-    /// text at the same path through one [`ParseCache`].
+    /// text at the same path through one [`ParseCache`], when that text is
+    /// the first the cache parsed there.
     pub file: Arc<SourceFile>,
     /// VHDL library the file was compiled into (`work` by default; the
     /// paper's naming constraint maps one subfolder per library).
@@ -303,13 +304,17 @@ fn parse_checked(path: &str, language: Language, text: &str) -> EdaResult<Source
     Ok(file)
 }
 
-/// The last successful parse of each path, shared by the sessions of one
+/// The first successful parse of each path, shared by the sessions of one
 /// tool backend the way they share a [`crate::CheckpointStore`].
 ///
 /// A read hits only when the language and the full text equal those of the
-/// cached parse; anything else parses again and replaces the path's entry,
-/// so memory stays bounded by the number of distinct paths. Parse errors
-/// are never cached. Cloning shares the cache.
+/// cached parse. Anything else parses without caching and leaves the
+/// path's entry alone, so memory stays bounded by the number of distinct
+/// paths. Within one backend the generated box is the only path whose text
+/// changes, and it changes at every design point: keeping its first parse
+/// saves a copy of the path and the text per attempt, and each later
+/// box's tree is freed by the thread that built it. Parse errors are never
+/// cached. Cloning shares the cache.
 #[derive(Clone, Default)]
 pub struct ParseCache {
     entries: Arc<Mutex<HashMap<String, CachedParse>>>,
@@ -329,27 +334,30 @@ impl ParseCache {
 
     /// The parse of `text` read as `language` from `path`: the cached one
     /// when it matches, else a fresh parse (with [`Project::add_source`]'s
-    /// exact error on failure).
+    /// exact error on failure), cached only if `path` has no entry yet.
     pub(crate) fn parse(
         &self,
         path: &str,
         language: Language,
         text: &str,
     ) -> EdaResult<Arc<SourceFile>> {
-        if let Some(hit) = self.entries.lock().get(path) {
-            if hit.language == language && hit.text == text {
+        let has_entry = match self.entries.lock().get(path) {
+            Some(hit) if hit.language == language && hit.text == text => {
                 return Ok(Arc::clone(&hit.file));
             }
-        }
+            entry => entry.is_some(),
+        };
         let file = Arc::new(parse_checked(path, language, text)?);
-        self.entries.lock().insert(
-            path.to_string(),
-            CachedParse {
-                language,
-                text: text.to_string(),
-                file: Arc::clone(&file),
-            },
-        );
+        if !has_entry {
+            self.entries
+                .lock()
+                .entry(path.to_string())
+                .or_insert_with(|| CachedParse {
+                    language,
+                    text: text.to_string(),
+                    file: Arc::clone(&file),
+                });
+        }
         Ok(file)
     }
 }

@@ -13,6 +13,90 @@ use crate::place_route::ImplResult;
 use dovado_fpga::{Part, ResourceKind, ResourceSet};
 use std::fmt::Write as _;
 
+/// Appends `x` exactly as `format!("{x:>width$.prec$}")` would: rounded to
+/// `prec` decimals, ties to even, right-aligned in `width` columns.
+///
+/// Every report figure goes through here. `core::fmt` falls back to a
+/// bignum algorithm (Dragon4) for exact values such as 1.000, 0.500 or
+/// 12.5, which report figures often are; this decodes the `f64` as m·2^e
+/// and rounds m·10^prec / 2^−e in `u128` instead. NaN, ±∞, a precision
+/// above 19 and a scaled value past `u64` go through `core::fmt`.
+pub(crate) fn push_fixed(s: &mut String, x: f64, width: usize, prec: usize) {
+    let Some(scaled) = scaled_to_fixed(x, prec) else {
+        let _ = write!(s, "{x:>width$.prec$}");
+        return;
+    };
+    // Sign, 20 integer digits at most, the point and 19 decimals.
+    let mut buf = [0u8; 41];
+    let mut at = buf.len();
+    let mut push = |b: u8| {
+        at -= 1;
+        buf[at] = b;
+    };
+    let unit = 10u64.pow(prec as u32);
+    let (mut int, mut frac) = (scaled / unit, scaled % unit);
+    for _ in 0..prec {
+        push(b'0' + (frac % 10) as u8);
+        frac /= 10;
+    }
+    if prec > 0 {
+        push(b'.');
+    }
+    loop {
+        push(b'0' + (int % 10) as u8);
+        int /= 10;
+        if int == 0 {
+            break;
+        }
+    }
+    if x.is_sign_negative() {
+        push(b'-');
+    }
+    let text = std::str::from_utf8(&buf[at..]).expect("ASCII digits");
+    for _ in text.len()..width {
+        s.push(' ');
+    }
+    s.push_str(text);
+}
+
+/// |x|·10^prec rounded half to even, when `x` is finite, `prec` is at most
+/// 19 and the result fits in a `u64`.
+fn scaled_to_fixed(x: f64, prec: usize) -> Option<u64> {
+    if !x.is_finite() || prec > 19 {
+        return None;
+    }
+    let bits = x.to_bits();
+    let biased = ((bits >> 52) & 0x7ff) as i32;
+    let fraction = u128::from(bits & ((1 << 52) - 1));
+    // |x| = m·2^e, subnormals included.
+    let (m, e) = if biased == 0 {
+        (fraction, -1074)
+    } else {
+        (fraction | 1 << 52, biased - 1075)
+    };
+    // Below 2^53 · 10^19 < 2^117.
+    let v = m * u128::from(10u64.pow(prec as u32));
+    let rounded = if e >= 0 {
+        // m ≥ 2^52 here, so `v` is non-zero and the shift stays in range.
+        if e as u32 > v.leading_zeros() {
+            return None;
+        }
+        v << e
+    } else if e <= -128 {
+        // v < 2^117 is below half of 2^−e: rounds to zero.
+        0
+    } else {
+        let shift = e.unsigned_abs();
+        let (q, r, half) = (v >> shift, v & ((1 << shift) - 1), 1 << (shift - 1));
+        if r > half || (r == half && q & 1 == 1) {
+            q + 1
+        } else {
+            q
+        }
+    };
+    u64::try_from(rounded).ok()
+}
+
 /// The utilization table's border row.
 const UTIL_RULE: &str = "+----------------------------+--------+-------+-----------+-------+\n";
 /// Pads a site-type label to its column's 26 characters.
@@ -61,7 +145,7 @@ pub(crate) fn render_utilization(
         s.push_str(" |     0 | ");
         let _ = write!(s, "{avail:>9}");
         s.push_str(" | ");
-        let _ = write!(s, "{pct:>5.2}");
+        push_fixed(&mut s, pct, 5, 2);
         s.push_str(" |\n");
     }
     s.push_str(UTIL_RULE);
@@ -146,24 +230,26 @@ pub(crate) fn render_timing(module: &str, crit_path: &str, t: TimingFigures) -> 
     );
     let failing = t.wns_ns < 0.0;
     let tns = if failing { t.wns_ns * 8.0 } else { 0.0 };
-    let _ = write!(s, "{:>8.3} | {tns:>8.3}", t.wns_ns);
+    push_fixed(&mut s, t.wns_ns, 8, 3);
+    s.push_str(" | ");
+    push_fixed(&mut s, tns, 8, 3);
     s.push_str(if failing {
         " |                     8 |              64 |\n"
     } else {
         " |                     0 |              64 |\n"
     });
     s.push_str("\nClock Summary\nclk  {0.000 ");
-    let _ = write!(s, "{:.3}", t.period_ns / 2.0);
+    push_fixed(&mut s, t.period_ns / 2.0, 0, 3);
     s.push_str("}  period ");
-    let _ = write!(s, "{:.3}", t.period_ns);
+    push_fixed(&mut s, t.period_ns, 0, 3);
     s.push_str("ns  frequency ");
-    let _ = write!(s, "{:.3}", 1000.0 / t.period_ns);
+    push_fixed(&mut s, 1000.0 / t.period_ns, 0, 3);
     s.push_str(" MHz (constraint)\n\nCritical path: ");
     s.push_str(crit_path);
     s.push_str("\nData path delay: ");
-    let _ = write!(s, "{:.3}", t.crit_delay_ns);
+    push_fixed(&mut s, t.crit_delay_ns, 0, 3);
     s.push_str("ns (achievable frequency ");
-    let _ = write!(s, "{:.3}", t.fmax_mhz());
+    push_fixed(&mut s, t.fmax_mhz(), 0, 3);
     s.push_str(" MHz)\n");
     s
 }
@@ -235,7 +321,6 @@ mod tests {
             wns_ns: wns,
             period_ns: period,
             runtime_s: 1.0,
-            log: String::new(),
         }
     }
 
@@ -305,6 +390,100 @@ mod tests {
         assert!(parse_utilization_report("nothing here").is_err());
         assert!(parse_wns("nothing here").is_err());
         assert!(parse_period("nothing here").is_err());
+    }
+
+    fn fixed(x: f64, width: usize, prec: usize) -> String {
+        let mut s = String::new();
+        push_fixed(&mut s, x, width, prec);
+        s
+    }
+
+    #[test]
+    fn fixed_matches_core_fmt() {
+        let mut values = vec![
+            0.0,
+            -0.0,
+            0.125,
+            0.375,
+            2.5,
+            -2.5,
+            0.5,
+            1.5,
+            12.5,
+            1.0,
+            1000.0,
+            0.0625,
+            -0.0004,
+            -0.0001,
+            0.0005,
+            0.001,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 3.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            1.8e13,
+            1.8e19,
+            1e300,
+            f64::MAX,
+            f64::MIN,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        // Exact ties at every precision checked below, and their neighbours.
+        for j in 1..=24 {
+            for k in [1u32, 3, 5, 7, 11, 1023, 4_000_001] {
+                let tie = f64::from(k) / f64::from(1u32 << j);
+                for x in [tie, -tie, tie.next_up(), tie.next_down()] {
+                    values.push(x);
+                }
+            }
+        }
+        let mut state = 0x5EED_u64;
+        let mut next = || {
+            state = crate::hash::splitmix64(state);
+            state
+        };
+        for _ in 0..3_000 {
+            // Any bit pattern: NaN payloads, subnormals, huge and tiny.
+            values.push(f64::from_bits(next()));
+            // Report-sized figures.
+            values.push((next() >> 11) as f64 / (1u64 << 53) as f64 * 2e4 - 1e4);
+            // Random mantissas across the fast path's exponent range.
+            let scale = f64::from(2u32).powi((next() % 160) as i32 - 90);
+            values.push(f64::from_bits(next() >> 12 | 0x3FF0_0000_0000_0000) * scale);
+        }
+        for x in values {
+            for prec in [0, 1, 2, 3, 4, 5, 6, 19, 20] {
+                for width in [0, 5, 8] {
+                    assert_eq!(
+                        fixed(x, width, prec),
+                        format!("{x:>width$.prec$}"),
+                        "{x:e} at width {width}, precision {prec}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fixed_takes_its_own_path_for_report_figures_only() {
+        assert_eq!(scaled_to_fixed(12.5, 1), Some(125));
+        assert_eq!(scaled_to_fixed(0.125, 2), Some(12));
+        assert_eq!(scaled_to_fixed(0.375, 2), Some(38));
+        assert_eq!(scaled_to_fixed(-0.0004, 3), Some(0));
+        assert_eq!(scaled_to_fixed(f64::from_bits(1), 6), Some(0));
+        assert_eq!(scaled_to_fixed(1.8e13, 6), Some(18_000_000_000_000_000_000));
+        for (x, prec) in [
+            (f64::NAN, 3),
+            (f64::INFINITY, 3),
+            (1.9e13, 6),
+            (1e300, 0),
+            (1.0, 20),
+        ] {
+            assert_eq!(scaled_to_fixed(x, prec), None, "{x:e} at {prec}");
+        }
     }
 
     #[test]

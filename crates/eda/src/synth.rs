@@ -119,8 +119,6 @@ pub struct SynthResult {
     pub runtime_s: f64,
     /// Directive used.
     pub directive: SynthDirective,
-    /// Short log excerpt.
-    pub log: String,
 }
 
 /// Simulated run time of a from-scratch synthesis, in seconds.
@@ -163,21 +161,10 @@ pub fn synthesize(
         );
     }
 
-    let runtime_s = synth_runtime_s(netlist.cells.total(), directive);
-    let log = format!(
-        "synth_design: module {} mapped to {} LUT, {} FF, {} BRAM, {} DSP (directive {})",
-        out.module,
-        out.cells.get(ResourceKind::Lut),
-        out.cells.get(ResourceKind::Register),
-        out.cells.get(ResourceKind::Bram),
-        out.cells.get(ResourceKind::Dsp),
-        directive.as_vivado(),
-    );
     SynthResult {
         netlist: out,
-        runtime_s,
+        runtime_s: synth_runtime_s(netlist.cells.total(), directive),
         directive,
-        log,
     }
 }
 

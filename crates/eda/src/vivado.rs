@@ -142,8 +142,6 @@ pub struct VivadoSim {
     seed: u64,
     /// Accumulated simulated tool time, in seconds.
     pub sim_time_s: f64,
-    /// Per-command journal (what a real run's vivado.log would show).
-    pub journal: Vec<String>,
 }
 
 impl VivadoSim {
@@ -180,7 +178,6 @@ impl VivadoSim {
             faults: None,
             seed,
             sim_time_s: 0.0,
-            journal: Vec::new(),
         }
     }
 
@@ -203,14 +200,12 @@ impl VivadoSim {
         };
         if inj.fires(timeout) {
             self.sim_time_s += inj.plan().timeout_cost_s;
-            self.log(format!("{stage}: killed after exceeding time budget"));
             return Err(EdaError::Timeout(format!(
                 "{stage} exceeded its time budget"
             )));
         }
         if inj.fires(crash) {
             self.sim_time_s += inj.plan().crash_cost_s;
-            self.log(format!("{stage}: tool process died unexpectedly"));
             return Err(EdaError::ToolCrash(format!("{stage} died unexpectedly")));
         }
         Ok(())
@@ -228,7 +223,8 @@ impl VivadoSim {
     }
 
     /// Shares a parse cache across sessions: a `read_*` of a source whose
-    /// path, language and text match an earlier read reuses its parse.
+    /// language and text match the first successful read of its path
+    /// reuses that parse.
     pub fn set_parse_cache(&mut self, cache: ParseCache) {
         self.parses = cache;
     }
@@ -283,14 +279,12 @@ impl VivadoSim {
         self.state
     }
 
-    /// Result of the last `synth_design`, if any. Its log has moved to
-    /// [`VivadoSim::journal`].
+    /// Result of the last `synth_design`, if any.
     pub fn synth_result(&self) -> Option<&SynthResult> {
         self.synth_result.as_deref()
     }
 
-    /// Result of the last `route_design`, if any. Its log has moved to
-    /// [`VivadoSim::journal`].
+    /// Result of the last `route_design`, if any.
     pub fn impl_result(&self) -> Option<&ImplResult> {
         self.impl_result.as_deref()
     }
@@ -302,10 +296,6 @@ impl VivadoSim {
 
     fn project_mut(&mut self) -> EdaResult<&mut Project> {
         self.project.as_mut().ok_or_else(no_project)
-    }
-
-    fn log(&mut self, msg: String) {
-        self.journal.push(msg);
     }
 
     // ---- command implementations -------------------------------------
@@ -342,7 +332,6 @@ impl VivadoSim {
         self.synth_result = None;
         self.impl_result = None;
         self.sim_time_s += 2.0;
-        self.log(format!("create_project {name} (part {part_name})"));
         Ok(name)
     }
 
@@ -384,7 +373,6 @@ impl VivadoSim {
             let file = self.parses.parse(p, lang, text)?;
             project.add_parsed(p, lang, file, library);
             self.sim_time_s += 0.5;
-            self.log(format!("read {p} as {lang}"));
         }
         Ok(String::new())
     }
@@ -396,10 +384,7 @@ impl VivadoSim {
         let prop = args[0].to_ascii_lowercase();
         let value = args[1].to_string();
         match prop.as_str() {
-            "top" => {
-                self.project_mut()?.top = Some(value.clone());
-                self.log(format!("set top = {value}"));
-            }
+            "top" => self.project_mut()?.top = Some(value),
             "generic" => {
                 // `set_property generic {A=1 B=2} [current_fileset]`
                 let proj = self.project_mut()?;
@@ -410,7 +395,6 @@ impl VivadoSim {
                     let vi: i64 = parse_generic_value(v)?;
                     proj.generics.insert(k.to_string(), vi);
                 }
-                self.log(format!("set generics {value}"));
             }
             "part" => {
                 let part = self
@@ -419,13 +403,10 @@ impl VivadoSim {
                     .ok_or_else(|| EdaError::UnknownPart(value.clone()))?
                     .clone();
                 self.project_mut()?.part = part;
-                self.log(format!("set part = {value}"));
             }
-            other => {
-                // Unknown properties are accepted silently, as Vivado does
-                // for the many properties Dovado does not touch.
-                self.log(format!("set_property {other} (ignored)"));
-            }
+            // Unknown properties are accepted silently, as Vivado does
+            // for the many properties Dovado does not touch.
+            _ => {}
         }
         Ok(String::new())
     }
@@ -462,10 +443,9 @@ impl VivadoSim {
         }
         let port = port.unwrap_or_else(|| "clk".into());
         self.project_mut()?.clocks.push(ClockConstraint {
-            port: port.clone(),
+            port,
             period_ns: period,
         });
-        self.log(format!("create_clock {period} ns on {port}"));
         Ok(String::new())
     }
 
@@ -580,7 +560,6 @@ impl VivadoSim {
             (Reuse::Exact, Some(Checkpoint::Synth(prev))) => {
                 self.sim_time_s += synth_runtime_s(netlist.cells.total(), directive)
                     * Reuse::Exact.runtime_factor();
-                self.log(format!("synth_design {module}: exact checkpoint reuse"));
                 self.exact_reuse = true;
                 prev
             }
@@ -592,7 +571,6 @@ impl VivadoSim {
                 r.netlist.design_hash = synth_key;
                 r.runtime_s *= reuse.runtime_factor();
                 self.sim_time_s += r.runtime_s;
-                self.log(std::mem::take(&mut r.log));
                 let r = Arc::new(r);
                 self.checkpoints.put(
                     synth_key,
@@ -622,7 +600,6 @@ impl VivadoSim {
         self.state = FlowState::Placed;
         // Placement cost is folded into route_design; charge a token amount.
         self.sim_time_s += 5.0;
-        self.log("place_design".into());
         Ok(String::new())
     }
 
@@ -678,7 +655,6 @@ impl VivadoSim {
                 self.sim_time_s +=
                     impl_runtime_s(synth.netlist.cells.total(), prev.utilization, directive)
                         * Reuse::Exact.runtime_factor();
-                self.log(format!("route_design {module}: exact checkpoint reuse"));
                 self.exact_reuse = true;
                 prev
             }
@@ -686,7 +662,6 @@ impl VivadoSim {
                 let mut r = place_and_route(&synth.netlist, &part, period, directive, self.seed)?;
                 r.runtime_s *= reuse.runtime_factor();
                 self.sim_time_s += r.runtime_s;
-                self.log(std::mem::take(&mut r.log));
                 let r = Arc::new(r);
                 self.checkpoints.put(
                     impl_key,
@@ -783,14 +758,7 @@ impl VivadoSim {
                 .find(|&kind| inj.fires(kind))
                 .map(|kind| (inj.clone(), kind))
         });
-        let mangled = fault.map(|(inj, kind)| {
-            self.log(if kind == FaultKind::ReportTruncated {
-                "report write cut off mid-file".into()
-            } else {
-                "report written with corrupted values".into()
-            });
-            inj.mangle_report(kind, &report.render())
-        });
+        let mangled = fault.map(|(inj, kind)| inj.mangle_report(kind, &report.render()));
         match args.iter().position(|a| a == "-file") {
             Some(i) => {
                 let path = args
@@ -825,7 +793,6 @@ impl VivadoSim {
         self.fs
             .insert(path.to_string(), File::Text(format!("dcp:{hash:016x}")));
         self.sim_time_s += 3.0;
-        self.log(format!("write_checkpoint {path}"));
         Ok(String::new())
     }
 
@@ -851,7 +818,6 @@ impl VivadoSim {
                 // retry that still references it fails fast instead of
                 // re-reading garbage.
                 self.fs.remove(path);
-                self.log(format!("read_checkpoint {path}: integrity check FAILED"));
                 return Err(EdaError::Checkpoint(format!(
                     "checkpoint `{path}` is corrupt"
                 )));
@@ -860,9 +826,6 @@ impl VivadoSim {
         if incremental {
             self.incremental_requested = true;
         }
-        self.log(format!(
-            "read_checkpoint {path} (incremental={incremental})"
-        ));
         Ok(String::new())
     }
 }
@@ -901,7 +864,6 @@ impl TclContext for VivadoSim {
             "synth_design" => self.cmd_synth_design(args),
             "opt_design" => {
                 self.sim_time_s += 4.0;
-                self.log("opt_design".into());
                 Ok(String::new())
             }
             "place_design" => self.cmd_place_design(args),
@@ -1247,9 +1209,9 @@ end architecture box_arch;
         ra.unwrap();
         rb.unwrap();
         assert!(Arc::ptr_eq(&parsed(&a), &parsed(&b)));
-        // A hit is charged and logged like a parse.
-        assert_eq!(a.sim_time_s, b.sim_time_s);
-        assert_eq!(a.journal, b.journal);
+        // A hit is charged like a parse and leaves the same files.
+        assert_eq!(a.sim_time_s.to_bits(), b.sim_time_s.to_bits());
+        assert_eq!(a.files(), b.files());
         let (c, _) = read_with(&ParseCache::new(), "read_verilog -sv", FIFO_SV);
         assert!(!Arc::ptr_eq(&parsed(&a), &parsed(&c)));
     }
@@ -1307,6 +1269,47 @@ end architecture box_arch;
         // The failed reads left the good parse in place.
         let (again, _) = read_with(&cache, "read_verilog -sv", FIFO_SV);
         assert!(Arc::ptr_eq(&parsed(&good), &parsed(&again)));
+    }
+
+    #[test]
+    fn a_path_keeps_its_first_parse_while_its_text_changes() {
+        // The evaluator's shape: an unchanged source plus a box whose
+        // text changes with every design point.
+        let cache = ParseCache::new();
+        let session = |cache: &ParseCache, depth: u32| {
+            let mut v = VivadoSim::new(7);
+            v.set_parse_cache(cache.clone());
+            v.write_file("src/fifo.sv", FIFO_SV);
+            v.write_file(
+                "src/box.sv",
+                format!(
+                    "module box(input wire clk);\n  fifo_v3 #(.DEPTH({depth})) BOXED (.clk_i(clk));\n\
+                     endmodule"
+                ),
+            );
+            v.eval(
+                "create_project dov -part xc7k70tfbv676-1\n\
+                 read_verilog -sv src/fifo.sv\n\
+                 read_verilog -sv src/box.sv\n\
+                 synth_design -top box",
+            )
+            .unwrap();
+            v
+        };
+        let source = |v: &VivadoSim, i: usize| Arc::clone(&v.project().unwrap().sources[i].file);
+        let first = session(&cache, 16);
+        for depth in [32, 64, 16, 128] {
+            let v = session(&cache, depth);
+            let fresh = session(&ParseCache::new(), depth);
+            assert!(Arc::ptr_eq(&source(&first, 0), &source(&v, 0)), "{depth}");
+            assert_eq!(Arc::ptr_eq(&source(&first, 1), &source(&v, 1)), depth == 16);
+            assert_eq!(*source(&v, 1), *source(&fresh, 1), "{depth}");
+            assert_eq!(
+                v.synth_result().unwrap().netlist,
+                fresh.synth_result().unwrap().netlist,
+                "{depth}"
+            );
+        }
     }
 
     #[test]
@@ -1442,7 +1445,6 @@ end architecture box_arch;
             }
             assert!(reports.iter().all(|(_, p)| !pending(&lazy, p)));
             assert_eq!(lazy.files(), eager.files());
-            assert_eq!(lazy.journal, eager.journal);
             assert_eq!(lazy.sim_time_s.to_bits(), eager.sim_time_s.to_bits());
             let util = lazy.read_file("util_synth.rpt").unwrap();
             assert!(report::parse_utilization_report(util).is_err());

@@ -391,6 +391,46 @@ fn parse_refuses_a_too_deeply_nested_expression() {
 }
 
 #[test]
+fn a_period_below_the_constraint_resolution_is_refused() {
+    // `-period 0.000` would fail `create_clock` on every attempt; the run
+    // is refused before any attempt instead.
+    let src = temp_file("tiny_period.sv", FIFO);
+    for command in ["explore", "evaluate"] {
+        let mut list = vec![
+            command,
+            "--source",
+            src.to_str().unwrap(),
+            "--top",
+            "fifo_v3",
+            "--period",
+            "0.0004",
+        ];
+        list.extend_from_slice(if command == "explore" {
+            &[
+                "--param",
+                "DEPTH=2:128:2",
+                "--generations",
+                "3",
+                "--pop",
+                "8",
+            ]
+        } else {
+            &["--set", "DEPTH=16"]
+        });
+        let mut out = String::new();
+        let code = run(&args(&list), &mut out);
+        assert_eq!(code, 1, "{command}: {out}");
+        assert!(
+            out.contains(
+                "target period 0.0004 ns renders as 0.000 ns at the clock constraint's \
+                 3-decimal resolution"
+            ),
+            "{command}: {out}"
+        );
+    }
+}
+
+#[test]
 fn bad_flag_reports_usage_hint() {
     let src = temp_file("bf.sv", FIFO);
     let mut out = String::new();

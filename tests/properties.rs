@@ -848,7 +848,6 @@ fn rendered_reports() -> Vec<String> {
             wns_ns,
             period_ns: 5.0,
             runtime_s: 1.0,
-            log: String::new(),
         };
         reports.push(write_timing_report("fifo_v3_box", &timing));
         let est = PowerEstimate {

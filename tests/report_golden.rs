@@ -103,7 +103,6 @@ fn report_writers_match_golden_bytes() {
             wns_ns,
             period_ns,
             runtime_s: 1.0,
-            log: String::new(),
         };
         write_timing_report("fifo_v3_box", &result)
     };

@@ -501,6 +501,49 @@ fn crash_resume_is_identical_under_one_and_four_jobs() {
 }
 
 #[test]
+fn journals_are_byte_identical_across_schedules() {
+    // The journal records the run's summed simulated seconds. A parallel
+    // batch's attempts finish in any order, and the sums must still come
+    // out bit for bit the serial ones.
+    let run = |tag: &str, cfg: DseConfig, threads: usize| {
+        let dir = fresh_dir(tag);
+        let persist = PersistConfig::new(&dir);
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
+            .install(|| tool(FaultPlan::none()).explore_persistent(&cfg, &persist))
+            .unwrap();
+        let journal = std::fs::read(persist.journal_path()).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        journal
+    };
+    let serial = DseConfig {
+        workers: None,
+        ..cfg(false, false)
+    };
+    let baseline = run("sched-serial", serial.clone(), 1);
+    for round in 0..3 {
+        let jobs = DseConfig {
+            parallel: true,
+            ..serial.clone()
+        };
+        let fleet = DseConfig {
+            workers: Some(2),
+            ..serial.clone()
+        };
+        assert!(
+            run("sched-jobs", jobs, 2) == baseline,
+            "--jobs 2 journal differs (round {round})"
+        );
+        assert!(
+            run("sched-workers", fleet, 1) == baseline,
+            "--workers 2 journal differs (round {round})"
+        );
+    }
+}
+
+#[test]
 fn resume_with_a_smaller_fleet_is_bitwise_identical() {
     let plain = cfg(false, false);
     let base_dir = fresh_dir("fleet-base");
